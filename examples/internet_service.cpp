@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   std::printf("errors  : %s\n", errors.summary().c_str());
   std::printf("|offset|: %s\n", offsets.summary().c_str());
   std::printf("max asynchronism: %.4f s (precision target: tens of seconds)\n",
-              service.max_asynchronism());
+              service.max_asynchronism().seconds());
 
   const auto report = service::check_correctness(service.trace());
   std::printf("correctness: %zu samples, %zu violations\n",

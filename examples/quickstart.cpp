@@ -57,11 +57,12 @@ int main(int argc, char** argv) {
               "correct");
   for (std::size_t i = 0; i < service.size(); ++i) {
     std::printf("S%-7zu %14.6f %14.6f %10s\n", i,
-                service.server(i).true_offset(service.now()),
-                service.server(i).current_error(service.now()),
+                service.server(i).true_offset(service.now()).seconds(),
+                service.server(i).current_error(service.now()).seconds(),
                 service.server(i).correct(service.now()) ? "yes" : "NO");
   }
-  std::printf("\nmax asynchronism: %.6f s\n", service.max_asynchronism());
+  std::printf("\nmax asynchronism: %.6f s\n",
+              service.max_asynchronism().seconds());
 
   // 3. Verify the paper's invariants over the whole run.
   const auto correctness = service::check_correctness(service.trace());
@@ -77,6 +78,7 @@ int main(int argc, char** argv) {
       all, service::ClientStrategy::kIntersect, 0.1);
   std::printf("\nclient intersect query: estimate %.6f (true %.6f), "
               "error bound %.6f, %zu replies\n",
-              result.estimate, service.now(), result.error, result.replies);
+              result.estimate.seconds(), service.now().seconds(),
+              result.error.seconds(), result.replies);
   return correctness.ok() ? 0 : 1;
 }

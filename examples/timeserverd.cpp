@@ -6,8 +6,8 @@
 // drift and offset can be injected for experiments.
 //
 //   $ ./timeserverd --port=9001 --id=1 --delta=1e-4 --error=0.005
-//   $ ./timeserverd --port=9002 --id=2 --peers=9001 --algo=MM \
-//                   --poll=0.5 --offset=0.05 --seconds=10
+//   $ ./timeserverd --port=9002 --id=2 --peers=9001 --algo=MM
+//                   --poll=0.5 --offset=0.05 --seconds=10   (one line)
 //
 // Runs for --seconds (0 = until SIGINT/SIGTERM), printing a status line per
 // --status-every seconds.
@@ -68,8 +68,6 @@ int main(int argc, char** argv) {
         "  --client-port=N   serving-plane UDP port (default: ephemeral)\n"
         "  --client-batch=N  datagrams per recvmmsg/sendmmsg batch "
         "(default 64)\n"
-        "  --io-uring        serve with the io_uring backend where the\n"
-        "                    kernel supports it (falls back to mmsg)\n"
         "  --seconds=X       run time; 0 = until signal (default 0)\n"
         "  --status-every=X  status print period (default 1)\n");
     return 0;
@@ -124,7 +122,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint16_t>(flags.get_int("client-port", 0));
   cfg.client_batch =
       static_cast<std::size_t>(flags.get_int("client-batch", 64));
-  cfg.client_io_uring = flags.get_bool("io-uring", false);
 
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
@@ -136,9 +133,8 @@ int main(int argc, char** argv) {
     std::printf("timeserverd: id=%u port=%u algo=%s peers=%zu\n", cfg.id,
                 server.port(), algo.c_str(), peers.size());
     if (cfg.client_threads > 0) {
-      std::printf("  serving plane: port=%u threads=%u backend=%s\n",
-                  server.client_port(), cfg.client_threads,
-                  server.client_backend());
+      std::printf("  serving plane: port=%u threads=%u\n",
+                  server.client_port(), cfg.client_threads);
     }
 
     const double run_seconds = flags.get_double("seconds", 0.0);
@@ -168,9 +164,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(server.resets()));
     if (cfg.client_threads > 0) {
       std::printf(
-          "  serving plane: %llu client queries answered (%s backend)\n",
-          static_cast<unsigned long long>(server.client_queries_served()),
-          server.client_backend());
+          "  serving plane: %llu client queries answered\n",
+          static_cast<unsigned long long>(server.client_queries_served()));
     }
     if (cfg.chaos.active()) {
       const auto fs = server.fault_stats();

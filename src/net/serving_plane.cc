@@ -7,10 +7,6 @@
 #include "net/protocol.h"
 #include "runtime/udp_runtime.h"
 
-#ifdef MTDS_HAVE_IO_URING
-#include "net/uring_io.h"
-#endif
-
 namespace mtds::net {
 
 namespace {
@@ -18,16 +14,6 @@ namespace {
 // Datagram slots sized for the fixed client messages with headroom for the
 // oversized/garbage frames the decoder rejects.
 constexpr std::size_t kSlotBytes = 512;
-
-// Ring geometry per shard: enough in-flight receive buffers and send slots
-// to cover one full batch plus kernel-side queueing.
-constexpr unsigned kUringSqEntries = 256;
-
-unsigned uring_buf_count(std::size_t batch) noexcept {
-  unsigned want = 64;
-  while (want < batch * 2 && want < 4096) want *= 2;  // power of two required
-  return want;
-}
 
 }  // namespace
 
@@ -78,10 +64,6 @@ struct ServingPlane::Shard {
   SendBatch send;
   // mtds:lock-free(statistics counter: owning shard thread writes, queries_served() reads, a momentarily stale sum is fine)
   std::atomic<std::uint64_t> served{0};
-  bool uring_active = false;
-#ifdef MTDS_HAVE_IO_URING
-  UringIo uring;
-#endif
   std::thread thread;
 };
 
@@ -98,16 +80,6 @@ ServingPlane::ServingPlane(ServingPlaneConfig config)
   for (std::uint32_t i = 1; i < threads; ++i) {
     shards_.push_back(std::make_unique<Shard>(port_, config_.batch));
   }
-#ifdef MTDS_HAVE_IO_URING
-  if (config_.use_io_uring && UringIo::probe()) {
-    for (auto& shard : shards_) {
-      shard->uring_active =
-          shard->uring.init(shard->socket.fd(), kUringSqEntries,
-                            uring_buf_count(config_.batch), kSlotBytes) &&
-          shard->uring.ok();
-    }
-  }
-#endif
 }
 
 ServingPlane::~ServingPlane() { stop(); }
@@ -138,27 +110,12 @@ void ServingPlane::stop() {
   started_ = false;
 }
 
-const char* ServingPlane::backend() const noexcept {
-  for (const auto& shard : shards_) {
-    if (!shard->uring_active) return "mmsg";
-  }
-  return shards_.empty() ? "mmsg" : "io_uring";
-}
-
 std::uint64_t ServingPlane::queries_served() const noexcept {
   std::uint64_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->served.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-bool ServingPlane::io_uring_supported() {
-#ifdef MTDS_HAVE_IO_URING
-  return UringIo::probe();
-#else
-  return false;
-#endif
 }
 
 // Shard hot loop.  Per wakeup: one batched receive, one seqlock snapshot
@@ -170,37 +127,6 @@ void ServingPlane::shard_loop(Shard& shard) {
   constexpr int kPollMs = 20;  // also the stop-flag latency bound
   service::ClockSnapshot snap;
   while (running_.load(std::memory_order_acquire)) {
-#ifdef MTDS_HAVE_IO_URING
-    if (shard.uring_active) {
-      if (!shard.uring.ok()) {
-        // Ring died mid-run (multishot rejected, submit error): fall back
-        // to the mmsg path for the rest of this shard's life.
-        shard.uring_active = false;
-        continue;
-      }
-      const std::size_t got = shard.uring.receive_batch(kPollMs);
-      if (got == 0) continue;
-      if (!snapshot_.read(snap)) continue;  // nothing published yet: drop
-      const core::RealTime now{config_.freeze_wall
-                                   ? config_.frozen_wall_seconds
-                                   : runtime::host_seconds()};
-      std::uint64_t served = 0;
-      for (std::size_t i = 0; i < got; ++i) {
-        shard.send.clear();
-        if (serve_client_datagram(shard.uring.payload(i), shard.uring.from(i),
-                                  snap, now, shard.send)) {
-          const auto reply = shard.send.payload(0);
-          if (shard.uring.send(shard.uring.from(i), reply.data(),
-                               reply.size())) {
-            ++served;
-          }
-        }
-      }
-      shard.uring.flush();
-      shard.served.fetch_add(served, std::memory_order_relaxed);
-      continue;
-    }
-#endif
     const std::size_t got = shard.socket.receive_batch(shard.recv, kPollMs);
     if (got == 0) continue;
     if (!snapshot_.read(snap)) continue;  // nothing published yet: drop

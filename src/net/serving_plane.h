@@ -14,11 +14,10 @@
 //
 // No shard ever touches the engine, its mutex, or the allocator on this
 // path (alloc_test pins the serve step; the seqlock stress runs under
-// TSan).  Two interchangeable transport backends sit under the loop: the
-// PR 4 recvmmsg/sendmmsg batch path, and an io_uring engine (multishot
-// recv over a registered provided-buffer ring; net/uring_io.h) that is
-// feature-detected at build time, probed at runtime, and falls back to the
-// mmsg path per shard - runtime_parity_test holds the two byte-identical.
+// TSan).  The transport is one recvmmsg/sendmmsg batch per wakeup, so a
+// wakeup costs two syscalls however many datagrams it carries;
+// runtime_parity_test holds its replies byte-identical to the
+// single-datagram syscalls.
 #pragma once
 
 #include <netinet/in.h>
@@ -40,11 +39,11 @@ struct ServingPlaneConfig {
   std::uint16_t port = 0;     // client port; 0 = ephemeral (shared by shards)
   std::uint32_t threads = 1;  // reader shards (one SO_REUSEPORT socket each)
   std::size_t batch = 64;     // datagrams per recv/send batch
-  bool use_io_uring = false;  // try the io_uring backend; fall back to mmsg
   // Test seam: with freeze_wall set, shards evaluate every request at this
   // fixed instant instead of live host_seconds().  A frozen wall plus a
   // fixed snapshot makes replies byte-deterministic - how
-  // runtime_parity_test holds the two backends byte-identical.
+  // runtime_parity_test holds the batched and single-datagram transports
+  // byte-identical.
   double frozen_wall_seconds = 0.0;  // lint-allow: bare-double
   bool freeze_wall = false;
 };
@@ -59,7 +58,8 @@ std::size_t serve_client_batch(const RecvBatch& batch,
                                const service::ClockSnapshot& snap,
                                core::RealTime now, SendBatch& out) noexcept;
 
-// Single-datagram twin for backends that present individual payload views.
+// Serves one request datagram: the per-datagram step serve_client_batch
+// loops over.  Tests and the alloc gate also drive it directly.
 // mtds:no-alloc
 bool serve_client_datagram(std::span<const std::uint8_t> payload,
                            const sockaddr_in& from,
@@ -87,9 +87,6 @@ class ServingPlane final : public service::SnapshotSink {
   std::uint32_t threads() const noexcept {
     return static_cast<std::uint32_t>(shards_.size());
   }
-  // "io_uring" when every shard runs the ring backend, "mmsg" otherwise
-  // (mixed configurations resolve to "mmsg" - the fallback is the floor).
-  const char* backend() const noexcept;
   std::uint64_t queries_served() const noexcept;
   std::uint64_t snapshot_version() const noexcept {
     return snapshot_.version();
@@ -97,9 +94,6 @@ class ServingPlane final : public service::SnapshotSink {
   bool read_snapshot(service::ClockSnapshot& out) const noexcept {
     return snapshot_.read(out);
   }
-
-  // Build-time support && runtime probe for the io_uring backend.
-  static bool io_uring_supported();
 
  private:
   struct Shard;

@@ -78,7 +78,6 @@ UdpTimeServer::UdpTimeServer(UdpServerConfig config)
     sp.port = config_.client_port;
     sp.threads = config_.client_threads;
     sp.batch = config_.client_batch;
-    sp.use_io_uring = config_.client_io_uring;
     serving_ = std::make_unique<ServingPlane>(sp);
     // Engine -> plane snapshot seam; every publication happens inside the
     // runtime's serialization domain, so the plane's seqlock sees a single
@@ -176,10 +175,6 @@ std::uint16_t UdpTimeServer::client_port() const noexcept {
 
 std::uint64_t UdpTimeServer::client_queries_served() const noexcept {
   return serving_ != nullptr ? serving_->queries_served() : 0;
-}
-
-const char* UdpTimeServer::client_backend() const noexcept {
-  return serving_ != nullptr ? serving_->backend() : "off";
 }
 
 }  // namespace mtds::net

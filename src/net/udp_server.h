@@ -68,7 +68,6 @@ struct UdpServerConfig {
   std::uint32_t client_threads = 0;
   std::uint16_t client_port = 0;
   std::size_t client_batch = 64;       // datagrams per shard batch
-  bool client_io_uring = false;        // try io_uring; fall back to mmsg
 };
 
 class UdpTimeServer {
@@ -117,8 +116,6 @@ class UdpTimeServer {
   // config.client_threads > 0; client_port() is 0 otherwise).
   std::uint16_t client_port() const noexcept;
   std::uint64_t client_queries_served() const noexcept;
-  // "io_uring" or "mmsg"; "off" when the plane is not configured.
-  const char* client_backend() const noexcept;
 
  private:
   UdpServerConfig config_;

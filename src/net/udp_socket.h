@@ -122,7 +122,6 @@ class UdpSocket {
   UdpSocket& operator=(const UdpSocket&) = delete;
 
   std::uint16_t port() const noexcept { return port_; }
-  int fd() const noexcept { return fd_; }
 
   // Sends to 127.0.0.1:port.  Returns false on send failure.
   bool send_to(std::uint16_t port, std::span<const std::uint8_t> data);

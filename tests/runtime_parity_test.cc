@@ -583,21 +583,19 @@ TEST(RuntimeParity, EngineExtensionsRunOverUdp) {
   reference.stop();
 }
 
-// --- serving-plane backend parity -----------------------------------------
+// --- serving-plane transport parity ---------------------------------------
 //
-// The client serving plane has three interchangeable transports: batched
-// recvmmsg/sendmmsg, the single-datagram fallback syscalls, and io_uring.
-// With the wall clock frozen and one fixed snapshot published, a reply is a
-// pure function of the request - so every backend must produce byte-for-
-// byte identical replies.  This is the io_uring acceptance gate: the ring
-// backend is only correct if no client could ever tell it apart.
+// The client serving plane runs over batched recvmmsg/sendmmsg, or over the
+// single-datagram fallback syscalls when batching is disabled.  With the
+// wall clock frozen and one fixed snapshot published, a reply is a pure
+// function of the request - so both transports must produce byte-for-byte
+// identical replies.
 
 std::map<std::uint64_t, std::vector<std::uint8_t>> serve_fixed_queries(
-    bool use_io_uring, std::size_t count) {
+    std::size_t count) {
   net::ServingPlaneConfig cfg;
   cfg.threads = 1;
   cfg.batch = 16;
-  cfg.use_io_uring = use_io_uring;
   cfg.freeze_wall = true;
   cfg.frozen_wall_seconds = 123.5;
   net::ServingPlane plane(cfg);
@@ -630,28 +628,17 @@ std::map<std::uint64_t, std::vector<std::uint8_t>> serve_fixed_queries(
 }
 
 TEST(ServingBackendParity, MmsgAndSingleDatagramBytesIdentical) {
-  const auto batched = serve_fixed_queries(/*use_io_uring=*/false, 64);
+  const auto batched = serve_fixed_queries(64);
   std::map<std::uint64_t, std::vector<std::uint8_t>> single;
   {
     struct Guard {
       Guard() { net::UdpSocket::set_batching_enabled(false); }
       ~Guard() { net::UdpSocket::set_batching_enabled(true); }
     } guard;
-    single = serve_fixed_queries(/*use_io_uring=*/false, 64);
+    single = serve_fixed_queries(64);
   }
   ASSERT_EQ(batched.size(), 64u);
   EXPECT_EQ(batched, single);
-}
-
-TEST(ServingBackendParity, IoUringAndMmsgBytesIdentical) {
-  if (!net::ServingPlane::io_uring_supported()) {
-    GTEST_SKIP() << "io_uring unavailable (build-gated or probe failed)";
-  }
-  const auto mmsg = serve_fixed_queries(/*use_io_uring=*/false, 64);
-  const auto uring = serve_fixed_queries(/*use_io_uring=*/true, 64);
-  ASSERT_EQ(mmsg.size(), 64u);
-  ASSERT_EQ(uring.size(), 64u);
-  EXPECT_EQ(mmsg, uring);
 }
 
 }  // namespace

@@ -64,7 +64,9 @@ TEST(Seqlock, ReadSeesLatestPublish) {
 
 // The stress: one writer republishing as fast as it can, several readers
 // validating every read.  Checksums catch torn payloads; monotone gen
-// catches a reader handed a stale slot after seeing a newer version.
+// catches a reader handed an older snapshot after seeing a newer one; and
+// version() read after a successful read must already count the
+// publication that read returned (version = seq / 2 under contention).
 TEST(Seqlock, TornReadStress) {
   util::Seqlock<Checked> cell;
   // mtds:lock-free(test handshake: writer sets stop after its last publish)
@@ -90,6 +92,8 @@ TEST(Seqlock, TornReadStress) {
         ASSERT_TRUE(out.consistent())
             << "torn read: gen=" << out.gen << " sum=" << out.sum;
         ASSERT_GE(out.gen, last_gen) << "snapshot went backwards";
+        ASSERT_GE(cell.version(), out.gen)
+            << "version() lags a publication already read";
         last_gen = out.gen;
         ++reads;
       }

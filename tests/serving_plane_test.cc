@@ -104,14 +104,13 @@ TEST(ServeClientBatch, FillsOneReplyPerValidRequest) {
   EXPECT_EQ(out.size(), 5u);
 }
 
-// One round trip against a running plane, mmsg backend.
+// One round trip against a running plane.
 TEST(ServingPlane, AnswersQueriesOverTheWire) {
   net::ServingPlaneConfig cfg;
   cfg.threads = 2;
   cfg.batch = 16;
   net::ServingPlane plane(cfg);
   ASSERT_NE(plane.port(), 0);
-  EXPECT_STREQ(plane.backend(), "mmsg");
 
   plane.publish_snapshot(test_snapshot());
   EXPECT_EQ(plane.snapshot_version(), 1u);
@@ -134,36 +133,6 @@ TEST(ServingPlane, AnswersQueriesOverTheWire) {
   plane.stop();
   EXPECT_EQ(answered, 32u);
   EXPECT_EQ(plane.queries_served(), 32u);
-}
-
-// Same round trip on the io_uring backend when the host supports it (the
-// -DMTDS_IO_URING=OFF CI leg and non-Linux hosts skip here).
-TEST(ServingPlane, AnswersQueriesOverIoUring) {
-  if (!net::ServingPlane::io_uring_supported()) {
-    GTEST_SKIP() << "io_uring unavailable (build-gated or probe failed)";
-  }
-  net::ServingPlaneConfig cfg;
-  cfg.threads = 1;
-  cfg.batch = 16;
-  cfg.use_io_uring = true;
-  net::ServingPlane plane(cfg);
-  ASSERT_STREQ(plane.backend(), "io_uring");
-  plane.publish_snapshot(test_snapshot());
-  plane.start();
-
-  net::UdpSocket client;
-  std::uint8_t buf[512];
-  for (std::uint64_t tag = 100; tag < 116; ++tag) {
-    const auto bytes = encode_request(tag);
-    ASSERT_TRUE(client.send_to(plane.port(), {bytes.data(), bytes.size()}));
-    const auto n = client.receive_into(buf, nullptr, 2000);
-    ASSERT_TRUE(n.has_value()) << "no io_uring reply for tag " << tag;
-    const auto reply = net::decode_client_reply(buf, *n);
-    ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->tag, tag);
-  }
-  plane.stop();
-  EXPECT_EQ(plane.queries_served(), 16u);
 }
 
 // Queries arriving before the first publication are dropped, not answered
@@ -195,7 +164,6 @@ TEST(ServingPlane, ThroughUdpTimeServer) {
   cfg.poll_period = 0;  // respond-only: no peers needed
   cfg.client_threads = 2;
   net::UdpTimeServer server(cfg);
-  EXPECT_STREQ(server.client_backend(), "mmsg");
   server.start();
   ASSERT_NE(server.client_port(), 0);
 

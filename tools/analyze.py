@@ -47,11 +47,9 @@ checks on it:
                           carry `// mtds:lock-held(mu: reason)` stating the
                           contract that delivers the lock.
 
-Frontends: `clang.cindex` (libclang) when importable, else a built-in
-comment/string-aware tokenizer tuned to this codebase's style.  Both produce
-the same program model; `--backend` forces one.  The builtin frontend is the
-one CI exercises (libclang is not installed there), so the analyzer never
-silently skips: absence of libclang degrades the frontend, not the gate.
+Frontend: a built-in comment/string-aware tokenizer tuned to this
+codebase's style.  It needs nothing beyond the Python standard library, so
+the analyzer runs the same everywhere and never silently skips.
 
 Exit status 0 = clean, 1 = violations (one per line), 2 = usage/setup error.
 See docs/STATIC_ANALYSIS.md for the full catalog and the suppression policy:
@@ -131,7 +129,7 @@ class Violation:
 
 
 # --------------------------------------------------------------------------
-# Program model (both frontends produce this)
+# Program model (the frontend produces this)
 # --------------------------------------------------------------------------
 
 @dataclass
@@ -429,7 +427,6 @@ class BuiltinFrontend:
     conservative for reachability; the escape hatches absorb the rare
     false positive and must state why (see docs/STATIC_ANALYSIS.md)."""
 
-    name = "builtin"
     _collect_only = False
 
     def parse(self, files: list[Path], rel_to: Path) -> Program:
@@ -1151,187 +1148,6 @@ class BuiltinFrontend:
 
 
 # --------------------------------------------------------------------------
-# libclang frontend (preferred when importable; same model out)
-# --------------------------------------------------------------------------
-
-def load_cindex():
-    try:
-        from clang import cindex  # noqa: PLC0415
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
-
-
-class CindexFrontend:
-    """AST-accurate fact extraction via libclang.  Produces the same model
-    as BuiltinFrontend; tags still come from comments (libclang exposes raw
-    comment text per cursor only for doc comments, so the line-tag map is
-    reused)."""
-
-    name = "cindex"
-
-    def __init__(self, cindex, compile_db: dict[str, list[str]]):
-        self.cx = cindex
-        self.db = compile_db
-
-    def parse(self, files: list[Path], rel_to: Path) -> Program:
-        cx = self.cx
-        prog = Program()
-        index = cx.Index.create()
-        parsed: set[str] = set()
-        for path in files:
-            if path.suffix not in (".cc", ".cpp", ".cxx"):
-                continue
-            args = self.db.get(str(path), ["-std=c++20"])
-            try:
-                tu = index.parse(str(path), args=args)
-            except cx.TranslationUnitLoadError:
-                print(f"analyze: cindex failed to parse {path}; skipping",
-                      file=sys.stderr)
-                continue
-            self._walk(prog, tu.cursor, rel_to, parsed)
-        prog.finalize()
-        return prog
-
-    def _walk(self, prog: Program, cursor, rel_to: Path,
-              parsed: set[str]) -> None:
-        cx = self.cx
-        K = cx.CursorKind
-        for node in cursor.walk_preorder():
-            loc = node.location
-            if loc.file is None:
-                continue
-            fpath = Path(str(loc.file))
-            if not fpath.is_relative_to(rel_to):
-                continue
-            rel = str(fpath.relative_to(rel_to))
-            if node.kind in (K.FUNCTION_DECL, K.CXX_METHOD, K.CONSTRUCTOR,
-                            K.DESTRUCTOR) and node.is_definition():
-                cls = node.semantic_parent.spelling if node.semantic_parent \
-                    and node.semantic_parent.kind in (K.CLASS_DECL,
-                                                      K.STRUCT_DECL,
-                                                      K.CLASS_TEMPLATE) \
-                    else None
-                nparams = len(list(node.get_arguments()))
-                text_tags = self._tags_near(fpath, loc.line)
-                fn = Function(name=node.spelling, cls=cls, file=rel,
-                              line=loc.line, arity=nparams,
-                              min_arity=nparams,
-                              param_types=[a.type.spelling for a in
-                                           node.get_arguments()],
-                              tags=text_tags)
-                fn._params = {a.spelling: a.type.spelling
-                              for a in node.get_arguments()}
-                self._facts(prog, fn, node)
-                prog.add(fn)
-            elif node.kind in (K.CLASS_DECL, K.STRUCT_DECL) and \
-                    node.is_definition():
-                info = prog.classes.setdefault(node.spelling,
-                                               ClassInfo(node.spelling, rel))
-                for ch in node.get_children():
-                    if ch.kind == K.CXX_BASE_SPECIFIER:
-                        info.bases.append(ch.type.spelling)
-                    elif ch.kind == K.FIELD_DECL:
-                        info.members[ch.spelling] = ch.type.spelling
-                        for a in ch.get_children():
-                            if a.kind == K.ANNOTATE_ATTR or \
-                                    "guarded_by" in (a.spelling or "").lower():
-                                info.guarded[ch.spelling] = a.spelling or ""
-
-    _tag_cache: dict[str, dict[int, dict[str, str]]] = {}
-
-    def _tags_near(self, fpath: Path, line: int) -> dict[str, str]:
-        key = str(fpath)
-        if key not in self._tag_cache:
-            _, comments = strip_comments(fpath.read_text())
-            self._tag_cache[key] = _line_tags(comments)
-        out: dict[str, str] = {}
-        for ln in range(line - 3, line + 1):
-            out.update(self._tag_cache[key].get(ln, {}))
-        return out
-
-    def _facts(self, prog: Program, fn: Function, node) -> None:
-        cx = self.cx
-        K = cx.CursorKind
-        tag_map = self._tag_cache.get(str(node.location.file), {})
-
-        def hatch(line: int, tag: str) -> str | None:
-            for ln in range(line - 2, line + 1):
-                if tag in tag_map.get(ln, {}):
-                    return tag_map[ln][tag] or "(no reason)"
-            return None
-
-        for ch in node.walk_preorder():
-            line = ch.location.line
-            if ch.kind == K.CXX_NEW_EXPR:
-                fn.alloc_sites.append(Site(line, "operator new",
-                                           hatch(line, "mtds:alloc-ok")))
-            elif ch.kind == K.CXX_THROW_EXPR:
-                fn.throw_sites.append(Site(line, "throw",
-                                           hatch(line, "mtds:alloc-ok")))
-            elif ch.kind == K.CALL_EXPR:
-                callee = ch.referenced
-                name = ch.spelling or (callee.spelling if callee else "")
-                if not name:
-                    continue
-                recv = None
-                if callee is not None and callee.semantic_parent is not None \
-                        and callee.semantic_parent.kind in (
-                            K.CLASS_DECL, K.STRUCT_DECL, K.CLASS_TEMPLATE):
-                    recv = callee.semantic_parent.spelling
-                nargs = len(list(ch.get_arguments()))
-                seconds_args = []
-                for idx, arg in enumerate(ch.get_arguments()):
-                    for sub in arg.walk_preorder():
-                        if sub.kind == K.CALL_EXPR and \
-                                sub.spelling == "seconds":
-                            seconds_args.append(idx)
-                            break
-                fn.calls.append(CallSite(
-                    name=name, recv=recv, arity=nargs, line=line,
-                    seconds_args=seconds_args,
-                    alloc_ok=hatch(line, "mtds:alloc-ok"),
-                    seconds_ok=hatch(line, "mtds:seconds-ok")))
-            elif ch.kind == K.CXX_FOR_RANGE_STMT:
-                children = list(ch.get_children())
-                if len(children) >= 2:
-                    seq_t = children[-2].type.spelling if children else ""
-                    if "unordered_" in seq_t:
-                        fn.taint_sites.append(Site(
-                            line, f"iteration over {_type_key(seq_t)}",
-                            hatch(line, "mtds:nondet-ok")))
-            elif ch.kind in (K.DECL_REF_EXPR, K.TYPE_REF):
-                sp = ch.spelling or ""
-                base = sp.split("::")[-1]
-                if base in BANNED_CLOCKS:
-                    fn.taint_sites.append(Site(
-                        line, f"std::chrono::{base}",
-                        hatch(line, "mtds:nondet-ok")))
-                elif base in BANNED_RANDOM:
-                    fn.taint_sites.append(Site(
-                        line, f"banned randomness '{base}'",
-                        hatch(line, "mtds:nondet-ok")))
-                if "Trace" in sp:
-                    fn.touches_trace = True
-            elif ch.kind == K.LAMBDA_EXPR:
-                lam = Lambda(line=line)
-                held = hatch(line, "mtds:lock-held")
-                if held:
-                    lam.lock_held = held
-                for sub in ch.walk_preorder():
-                    if sub.kind == K.MEMBER_REF_EXPR and sub.spelling:
-                        lam.member_reads.append((sub.spelling,
-                                                 sub.location.line))
-                    if sub.kind == K.VAR_DECL and "Lock" in \
-                            (sub.type.spelling or ""):
-                        kids = list(sub.get_children())
-                        if kids:
-                            lam.locks.append(kids[-1].spelling or "")
-                fn.lambdas.append(lam)
-
-
-# --------------------------------------------------------------------------
 # Checks
 # --------------------------------------------------------------------------
 
@@ -1530,27 +1346,20 @@ CHECKS = {
 # Driver
 # --------------------------------------------------------------------------
 
-def load_compile_db(build_dir: Path) -> dict[str, list[str]]:
+def load_compile_db(build_dir: Path) -> set[Path]:
+    """The translation units the build compiles (empty without a db)."""
     db_path = build_dir / "compile_commands.json"
     if not db_path.exists():
-        return {}
-    out: dict[str, list[str]] = {}
-    for entry in json.loads(db_path.read_text()):
-        args = entry.get("arguments") or entry.get("command", "").split()
-        # keep only flags libclang understands for a bare parse
-        keep = [a for a in args[1:]
-                if a.startswith(("-I", "-D", "-std=", "-isystem"))]
-        out[entry["file"]] = keep
-    return out
+        return set()
+    return {Path(entry["file"]) for entry in json.loads(db_path.read_text())}
 
 
-def first_party_files(db: dict[str, list[str]]) -> list[Path]:
+def first_party_files(db_tus: set[Path]) -> list[Path]:
     src = REPO / "src"
     files = sorted(list(src.rglob("*.h")) + list(src.rglob("*.cc")))
-    if db:
+    if db_tus:
         # the db names the TUs the build actually compiles; any first-party
         # TU missing from it would silently escape analysis - surface that.
-        db_tus = {Path(f) for f in db}
         missing = [f for f in files if f.suffix == ".cc" and
                    f not in db_tus and "examples" not in f.parts]
         if missing:
@@ -1561,20 +1370,6 @@ def first_party_files(db: dict[str, list[str]]) -> list[Path]:
     return files
 
 
-def make_frontend(backend: str, db: dict[str, list[str]]):
-    if backend in ("auto", "cindex"):
-        cx = load_cindex()
-        if cx is not None:
-            return CindexFrontend(cx, db)
-        if backend == "cindex":
-            print("analyze: libclang (clang.cindex) unavailable",
-                  file=sys.stderr)
-            return None
-        print("analyze: libclang unavailable; using builtin frontend",
-              file=sys.stderr)
-    return BuiltinFrontend()
-
-
 def run_checks(prog: Program, only: str | None = None) -> list[Violation]:
     out: list[Violation] = []
     for name, check in CHECKS.items():
@@ -1583,28 +1378,24 @@ def run_checks(prog: Program, only: str | None = None) -> list[Violation]:
     return out
 
 
-def run_repo(backend: str, build_dir: Path) -> int:
+def run_repo(build_dir: Path) -> int:
     db = load_compile_db(build_dir)
     if not db:
         print(f"analyze: note: no compile_commands.json under {build_dir} "
               "(configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON); "
               "falling back to the src/ tree", file=sys.stderr)
-    frontend = make_frontend(backend, db)
-    if frontend is None:
-        return 2
-    files = first_party_files(db)
-    prog = frontend.parse(files, REPO)
+    prog = BuiltinFrontend().parse(first_party_files(db), REPO)
     violations = run_checks(prog)
     for v in violations:
         print(v)
     seeds = sum(1 for f in prog.functions if "mtds:no-alloc" in f.tags)
     if violations:
         print(f"analyze: {len(violations)} violation(s) "
-              f"({len(prog.functions)} functions, {seeds} no-alloc seeds, "
-              f"frontend={frontend.name})", file=sys.stderr)
+              f"({len(prog.functions)} functions, {seeds} no-alloc seeds)",
+              file=sys.stderr)
         return 1
     print(f"analyze: clean ({len(prog.functions)} functions, "
-          f"{seeds} no-alloc seeds, frontend={frontend.name})")
+          f"{seeds} no-alloc seeds)")
     return 0
 
 
@@ -1615,14 +1406,8 @@ def run_repo(backend: str, build_dir: Path) -> int:
 _EXPECT_RE = re.compile(r"analyze-expect:\s*([\w-]+|clean)")
 
 
-def self_test(backend: str) -> int:
-    frontend = make_frontend(backend, {})
-    if frontend is None:
-        return 2
-    if isinstance(frontend, CindexFrontend):
-        # fixtures are self-contained C++; the cindex path needs real parse
-        # args per file, which the fixture layout provides implicitly.
-        pass
+def self_test() -> int:
+    frontend = BuiltinFrontend()
     cases = sorted(p for p in FIXTURES.iterdir() if p.is_dir()) \
         if FIXTURES.exists() else []
     if not cases:
@@ -1659,7 +1444,7 @@ def self_test(backend: str) -> int:
             print(f"analyze self-test FAILED: {f}", file=sys.stderr)
         return 1
     print(f"analyze self-test: {len(cases)} fixture case(s) behave "
-          f"(frontend={frontend.name}; every check catches its seeded "
+          "(every check catches its seeded "
           "violation and every clean twin passes)")
     return 0
 
@@ -1669,10 +1454,6 @@ def main(argv: list[str]) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--build-dir", default=str(REPO / "build"),
                         help="CMake build dir holding compile_commands.json")
-    parser.add_argument("--backend", choices=["auto", "cindex", "builtin"],
-                        default="auto",
-                        help="frontend: libclang when available (auto), or "
-                             "force one")
     parser.add_argument("--self-test", action="store_true",
                         help="run the seeded-violation fixtures under "
                              "tools/analyze_fixtures/")
@@ -1684,8 +1465,8 @@ def main(argv: list[str]) -> int:
             print(f"{name}: {summary}")
         return 0
     if args.self_test:
-        return self_test(args.backend)
-    return run_repo(args.backend, Path(args.build_dir))
+        return self_test()
+    return run_repo(Path(args.build_dir))
 
 
 if __name__ == "__main__":
