@@ -213,27 +213,25 @@ void BM_EngineRound(benchmark::State& state) {
 BENCHMARK(BM_EngineRound)->Arg(8)->Arg(32)->Arg(128);
 
 void BM_ShardedEngineRound(benchmark::State& state) {
-  // Full MM poll rounds through the sharded parallel engine.  Arg 0 is the
-  // server count, arg 1 the worker thread count - 0 meaning the legacy
-  // single-queue engine on the identical scenario, the direct speedup
-  // baseline.  The delay floor is positive so the engine gets a real
-  // conservative-lookahead window instead of degenerating to lockstep.
-  // Items = server-rounds per wall second (UseRealTime: with worker
-  // threads, main-thread CPU time would not count the work and would
-  // flatter the parallel rows).  The ratio between the threads=N and
-  // threads=0 rows is the engine's parallel speedup; on a single-core
-  // host all rows collapse to the barrier-overhead cost instead.
+  // Full MM poll rounds through the sharded engine.  Args are {servers,
+  // shards, threads}: {n, 1, 1} is the one-shard default every service runs
+  // on and the in-family baseline; {n, 8, T} splits the same scenario over
+  // 8 shards run by T threads.  The delay floor is positive so the
+  // multi-shard rows get a real conservative-lookahead window instead of
+  // degenerating to lockstep.  Items = server-rounds per wall second
+  // (UseRealTime: with helper threads, main-thread CPU time would not count
+  // their work and would flatter the parallel rows).  The ratio between an
+  // {n, 8, T} row and {n, 1, 1} is the engine's parallel speedup; on a
+  // single-core host the 8-shard rows collapse to the barrier-overhead cost
+  // instead.
   const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   service::ServiceConfig cfg;
   cfg.seed = 11;
   cfg.delay_lo = 0.0005;
   cfg.delay_hi = 0.002;
   cfg.sample_interval = 0.0;
-  if (threads > 0) {
-    cfg.sim_shards = 8;
-    cfg.sim_threads = static_cast<std::uint32_t>(threads);
-  }
+  cfg.sim_shards = static_cast<std::uint32_t>(state.range(1));
+  cfg.sim_threads = static_cast<std::uint32_t>(state.range(2));
   for (int i = 0; i < n; ++i) {
     service::ServerSpec s;
     s.algo = core::SyncAlgorithm::kMM;
@@ -253,13 +251,8 @@ void BM_ShardedEngineRound(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_ShardedEngineRound)
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({128, 2})
-    ->Args({128, 4})
-    ->Args({1024, 0})
-    ->Args({1024, 2})
-    ->Args({1024, 4})
+    ->ArgsProduct({{128, 1024}, {1}, {1}})
+    ->ArgsProduct({{128, 1024}, {8}, {1, 2, 4}})
     ->UseRealTime();
 
 void BM_ServiceSimulation(benchmark::State& state) {

@@ -1,7 +1,5 @@
 #include "core/mm_sync.h"
 
-#include "core/interval.h"
-
 namespace mtds::core {
 
 SyncOutcome MinMaxErrorSync::on_reply(const LocalState& local,
@@ -9,8 +7,13 @@ SyncOutcome MinMaxErrorSync::on_reply(const LocalState& local,
   SyncOutcome out;
 
   // "Any reply that is inconsistent with S_i is ignored."  The reply's
-  // interval and the local interval must admit a common true time.
-  if (!consistent(local.clock, local.error, reply.c, reply.e)) {
+  // interval and the local interval must admit a common true time.  The
+  // reply was read up to one round trip ago, so - as in IM-2's reading
+  // transform - its upper edge is widened by (1 + delta_i) * rtt: a reply
+  // delayed in flight trails the local clock without being wrong.
+  const Duration gap = reply.c - local.clock;
+  const Duration span = local.error + reply.e;
+  if (gap > span || -gap > span + (1.0 + local.delta) * reply.rtt_own) {
     out.inconsistent_with.push_back(reply.from);
     return out;
   }

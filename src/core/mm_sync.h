@@ -6,8 +6,10 @@
 //     E_j + (1 + delta_i) * xi^i_j  <=  E_i
 //
 // If true, reset:  epsilon_i <- E_j + (1+delta_i) xi^i_j,  C_i <- C_j,
-// r_i <- C_j.  Inconsistent replies (|C_i - C_j| > E_i + E_j) are ignored
-// and reported so a recovery policy can act on them.
+// r_i <- C_j.  Inconsistent replies are ignored and reported so a recovery
+// policy can act on them: a reply is inconsistent when its interval, read
+// xi^i_j ago, cannot overlap the local one, i.e. when
+// C_j - E_j > C_i + E_i  or  C_i - E_i > C_j + E_j + (1 + delta_i) xi^i_j.
 #pragma once
 
 #include "core/sync_function.h"

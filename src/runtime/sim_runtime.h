@@ -6,12 +6,12 @@
 // own - every tier-1 simulation test must pass bit-for-bit against them.
 //
 // Threading: the num_threads knob lives behind this layer, not inside it.
-// Under the sharded engine (sim/sharded_engine.h, ServiceConfig::sim_shards
-// / sim_threads) each server's SimRuntime is built over its *shard's*
-// EventQueue and the shard-routing Network, so the ProtocolEngine above
-// runs unmodified: timers fire and messages deliver on the shard's thread,
-// serialized exactly as the runtime contract requires, whatever the worker
-// count.
+// Every simulated service runs on the sharded engine (sim/sharded_engine.h,
+// ServiceConfig::sim_shards / sim_threads; one shard by default), and each
+// server's SimRuntime is built over its *shard's* EventQueue and the
+// shard-routing Network, so the ProtocolEngine above runs unmodified:
+// timers fire and messages deliver on the shard's thread, serialized
+// exactly as the runtime contract requires, whatever the thread count.
 #pragma once
 
 #include "runtime/runtime.h"

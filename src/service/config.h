@@ -124,13 +124,13 @@ struct ServiceConfig {
   // Trace sampling period in real time; <= 0 disables sampling.
   Duration sample_interval = 1.0;
 
-  // Sharded parallel engine (sim/sharded_engine.h).  sim_shards = 0 keeps
-  // the legacy single-queue engine (byte-identical to all pinned goldens);
-  // sim_shards > 0 splits servers across that many shards (id % sim_shards)
-  // executed by sim_threads workers.  The trace and RNG streams are
-  // functions of sim_shards alone, so runs at different sim_threads are
-  // byte-identical to each other - but not to the legacy engine, which
-  // draws from one global RNG stream.
+  // Sharded engine (sim/sharded_engine.h): servers are split across
+  // S = max(1, sim_shards) shards (id % S) executed by sim_threads threads.
+  // 0 and 1 both mean one shard, whose RNG is the root stream itself - the
+  // run the one-shard determinism goldens pin.  The trace and RNG streams
+  // are functions of S alone, so runs at different sim_threads are
+  // byte-identical to each other; runs at different S are not (each of
+  // several shards forks its own stream from the root).
   std::uint32_t sim_shards = 0;
   std::uint32_t sim_threads = 1;
 };

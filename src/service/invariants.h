@@ -79,8 +79,8 @@ struct GradientReport {
 // neighbor-distance bound at all times, so close-by nodes never disagree
 // badly even while far-apart ones legitimately drift.  Sweeps every
 // co-sampled topology edge (i, j) in `edges` and reports each instant where
-// |C_i - C_j| > bound.  Works on any merged trace, so both the legacy and
-// the sharded engines are covered by the same sweep.  Pass only the edges
+// |C_i - C_j| > bound.  Works on any merged trace, so every shard count is
+// covered by the same sweep.  Pass only the edges
 // between servers the bound should govern (e.g. the honest subgraph when
 // adversaries are present).
 GradientReport check_gradient(

@@ -182,7 +182,7 @@ Scenario parse_scenario(const std::string& text) {
       if (tokens.size() != 2) fail(line, "usage: sample <period>");
       cfg.sample_interval = parse_double(tokens[1], line);
     } else if (cmd == "shards") {
-      // Sharded parallel engine: 0 = legacy single-queue engine.
+      // Shard count of the simulation engine; 0 and 1 both mean one shard.
       if (tokens.size() != 2) fail(line, "usage: shards <n>");
       const double n = parse_double(tokens[1], line);
       if (n < 0 || n > 4096) fail(line, "shards must be in [0, 4096]");

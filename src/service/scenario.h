@@ -9,7 +9,7 @@
 //   delay 0 0.005            # one-way delay range [lo, hi] seconds
 //   loss 0.05                # message loss probability
 //   sample 1.0               # trace sampling period
-//   shards 8                 # sharded parallel engine (0 = legacy, default)
+//   shards 8                 # engine shard count (0 or 1 = one, default)
 //   threads 4                # worker threads; never changes results
 //   topology full            # full | ring | star | line
 //   server algo=MM delta=1e-5 drift=2e-6 error=0.02 offset=0 tau=10

@@ -47,37 +47,34 @@ std::vector<std::vector<ServerId>> build_adjacency(
   return adj;
 }
 
-TimeService::TimeService(ServiceConfig config)
-    : config_(std::move(config)), rng_(config_.seed) {
+TimeService::TimeService(ServiceConfig config) : config_(std::move(config)) {
   if (config_.servers.empty()) {
     throw std::invalid_argument("TimeService: no servers configured");
   }
+  // Per-shard queues / RNG streams / trace buffers, all keyed by the shard
+  // count (never the thread count - see config.h).  Shard RNGs are settled
+  // before any server forks, so the streams are stable under membership
+  // changes.
+  const std::uint32_t s = std::max<std::uint32_t>(1, config_.sim_shards);
+  sim::Rng root(config_.seed);
+  std::vector<sim::EventQueue*> queues;
+  std::vector<sim::Rng*> rngs;
+  std::vector<sim::Trace*> traces;
+  shards_.reserve(s);
+  for (std::uint32_t k = 0; k < s; ++k) {
+    shards_.push_back(std::make_unique<Shard>());
+    shards_[k]->rng = s == 1 ? root : root.fork();
+    queues.push_back(&shards_[k]->queue);
+    rngs.push_back(&shards_[k]->rng);
+    traces.push_back(&shards_[k]->trace);
+  }
   delay_model_ =
       sim::make_uniform_delay(config_.delay_lo, config_.delay_hi);
-  network_ = std::make_unique<ServiceNetwork>(queue_, *delay_model_, rng_);
+  network_ = std::make_unique<ServiceNetwork>(queues, *delay_model_, rngs);
   network_->set_loss_probability(config_.loss_probability);
-  if (config_.sim_shards > 0) {
-    // Sharded engine: per-shard queues / RNG streams / trace buffers, all
-    // keyed by the shard count (never the thread count - see config.h).
-    // Shard RNGs fork from the root seed in shard order before any server
-    // forks, so the streams are stable under membership changes.
-    const std::uint32_t s = config_.sim_shards;
-    std::vector<sim::EventQueue*> queues;
-    std::vector<sim::Rng*> rngs;
-    std::vector<const sim::Trace*> traces;
-    shards_.reserve(s);
-    for (std::uint32_t k = 0; k < s; ++k) {
-      shards_.push_back(std::make_unique<Shard>());
-      shards_[k]->rng = rng_.fork();
-      queues.push_back(&shards_[k]->queue);
-      rngs.push_back(&shards_[k]->rng);
-      traces.push_back(&shards_[k]->trace);
-    }
-    network_->enable_sharding(s, queues, rngs);
-    engine_ = std::make_unique<sim::ShardedEngine>(queues, config_.sim_threads);
-    engine_->set_barrier_hook([this] { network_->flush_mailboxes(); });
-    trace_merger_ = std::make_unique<sim::TraceMerger>(std::move(traces));
-  }
+  engine_ = std::make_unique<sim::ShardedEngine>(queues, config_.sim_threads);
+  engine_->set_barrier_hook([this] { network_->flush_mailboxes(); });
+  trace_merger_ = std::make_unique<sim::TraceMerger>(std::move(traces));
   build();
 }
 
@@ -103,15 +100,15 @@ std::unique_ptr<core::Clock> TimeService::make_clock(const ServerSpec& spec) {
 }
 
 sim::EventQueue& TimeService::queue_for(ServerId id) {
-  return engine_ != nullptr ? shards_[shard_of(id)]->queue : queue_;
+  return shards_[shard_of(id)]->queue;
 }
 
 sim::Trace* TimeService::trace_for(ServerId id) {
-  return engine_ != nullptr ? &shards_[shard_of(id)]->trace : &trace_;
+  return &shards_[shard_of(id)]->trace;
 }
 
 sim::Rng TimeService::fork_rng_for(ServerId id) {
-  return engine_ != nullptr ? shards_[shard_of(id)]->rng.fork() : rng_.fork();
+  return shards_[shard_of(id)]->rng.fork();
 }
 
 void TimeService::build() {
@@ -136,14 +133,10 @@ void TimeService::build() {
   }
   wire_gossip();
   if (config_.sample_interval > 0) {
-    if (engine_ != nullptr) {
-      // One sampler per shard, each recording its own servers into the
-      // shard's private trace (merged at run_until barriers).
-      for (std::uint32_t k = 0; k < config_.sim_shards; ++k) {
-        shards_[k]->queue.after(0.0, [this, k] { sample_shard(k); });
-      }
-    } else {
-      queue_.after(0.0, [this] { sample(); });
+    // One sampler per shard, each recording its own servers into the
+    // shard's private trace (merged at run_until barriers).
+    for (std::uint32_t k = 0; k < shards_.size(); ++k) {
+      shards_[k]->queue.after(0.0, [this, k] { sample_shard(k); });
     }
   }
 }
@@ -164,16 +157,6 @@ void TimeService::wire_gossip() {
   }
 }
 
-void TimeService::sample() {
-  const RealTime now = queue_.now();
-  for (const auto& server : servers_) {
-    if (!server->running()) continue;
-    trace_.record({now, server->id(), server->read_clock(now),
-                   server->current_error(now)});
-  }
-  queue_.after(config_.sample_interval, [this] { sample(); });
-}
-
 void TimeService::sample_shard(std::uint32_t shard) {
   const RealTime now = shards_[shard]->queue.now();
   for (const auto& server : servers_) {
@@ -191,12 +174,8 @@ void TimeService::reserve_trace(std::size_t samples, std::size_t events) {
 }
 
 void TimeService::run_until(RealTime t) {
-  if (engine_ != nullptr) {
-    engine_->run_until(t, network_->min_one_way_delay());
-    trace_merger_->merge_into(trace_);
-  } else {
-    queue_.run_until(t);
-  }
+  engine_->run_until(t, network_->min_one_way_delay());
+  trace_merger_->merge_into(trace_);
 }
 
 ServerId TimeService::add_server(const ServerSpec& spec, bool announce) {

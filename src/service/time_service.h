@@ -1,8 +1,9 @@
 // TimeService: builds and runs a whole simulated service from a config.
 //
-// Owns the event queue, RNG, delay model, network, trace and every server;
-// provides service-wide observations (offsets, errors, asynchronism) used by
-// the invariant checkers and the benches.
+// Owns the shards (event queue, RNG stream, trace buffer each), the
+// sharded engine that runs them, the delay model, network, merged trace and
+// every server; provides service-wide observations (offsets, errors,
+// asynchronism) used by the invariant checkers and the benches.
 #pragma once
 
 #include <memory>
@@ -30,24 +31,23 @@ class TimeService {
   TimeServer& server(std::size_t i) { return *servers_.at(i); }
   const TimeServer& server(std::size_t i) const { return *servers_.at(i); }
 
-  RealTime now() const noexcept {
-    return engine_ != nullptr ? engine_->now() : queue_.now();
-  }
-  sim::EventQueue& queue() noexcept { return queue_; }
+  // Shard 0's clock: the event time inside a run, the run_until target
+  // between runs (the engine aligns every shard clock at its end).
+  RealTime now() const noexcept { return shards_[0]->queue.now(); }
+  // Shard 0's queue: with one shard (the default) it holds every event;
+  // clients and tests may schedule on it and drive it directly.
+  sim::EventQueue& queue() noexcept { return shards_[0]->queue; }
   ServiceNetwork& network() noexcept { return *network_; }
   sim::Trace& trace() noexcept { return trace_; }
   const sim::Trace& trace() const noexcept { return trace_; }
 
-  // Pre-sizes every trace buffer (the merged service trace and, in sharded
-  // mode, each shard's private buffer) so steady-state recording never
-  // reallocates.  Used by the zero-allocation test and the benches.
+  // Pre-sizes every trace buffer (the merged service trace and each shard's
+  // private buffer) so steady-state recording never reallocates.  Used by
+  // the zero-allocation test and the benches.
   void reserve_trace(std::size_t samples, std::size_t events);
 
-  // Sharded mode introspection (null/0 on the legacy engine).
-  bool sharded() const noexcept { return engine_ != nullptr; }
   sim::ShardedEngine* sharded_engine() noexcept { return engine_.get(); }
   const ServiceConfig& config() const noexcept { return config_; }
-  sim::Rng& rng() noexcept { return rng_; }
 
   // The round-trip delay bound xi implied by the configured delay model.
   Duration xi() const noexcept { return 2.0 * network_->max_one_way_delay(); }
@@ -84,39 +84,35 @@ class TimeService {
  private:
   void build();
   void wire_gossip();
-  void sample();
   void sample_shard(std::uint32_t shard);
   std::unique_ptr<core::Clock> make_clock(const ServerSpec& spec);
 
-  // Sharded mode helpers: the shard (queue, RNG, trace) a server id maps to.
+  // The shard (queue, RNG, trace) a server id maps to.
   std::uint32_t shard_of(ServerId id) const noexcept {
-    return id % config_.sim_shards;
+    return network_->shard_of(id);
   }
   sim::EventQueue& queue_for(ServerId id);
   sim::Trace* trace_for(ServerId id);
   sim::Rng fork_rng_for(ServerId id);
 
   ServiceConfig config_;
-  sim::EventQueue queue_;
-  sim::Rng rng_;
-  std::unique_ptr<sim::DelayModel> delay_model_;
-  std::unique_ptr<ServiceNetwork> network_;
-  sim::Trace trace_;
 
-  // Sharded engine state (empty/null on the legacy path).  Each shard owns
-  // an event queue, an RNG stream forked from the root seed in shard order,
-  // and a private trace buffer merged into trace_ at run_until barriers.
-  // Declared BEFORE servers_: a dying TimeServer still records its leave
-  // event into its shard's trace, so the shards must outlive the servers
-  // (exactly as queue_/trace_/network_ outlive them on the legacy path).
-  // engine_ follows shards_ so its worker threads stop before the queues
-  // they execute are torn down.
+  // Each shard owns an event queue, an RNG stream and a private trace
+  // buffer merged into trace_ at run_until barriers.  With one shard its
+  // RNG is the root stream itself; with more, each forks from the root in
+  // shard order.  Declared BEFORE servers_: a dying TimeServer still
+  // records its leave event into its shard's trace and unregisters from the
+  // network, so both must outlive the servers.  engine_ follows shards_ so
+  // its helper threads stop before the queues they execute are torn down.
   struct Shard {
     sim::EventQueue queue;
     sim::Rng rng{0};
     sim::Trace trace;
   };
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::unique_ptr<sim::DelayModel> delay_model_;
+  std::unique_ptr<ServiceNetwork> network_;
+  sim::Trace trace_;
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::unique_ptr<sim::TraceMerger> trace_merger_;
 

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 #include <utility>
@@ -60,67 +59,62 @@ class Network {
  public:
   using Handler = std::function<void(RealTime, const Msg&)>;
 
-  // The network borrows the queue, delay model and RNG; the scenario owns
-  // them and must outlive the network.
-  Network(EventQueue& queue, const DelayModel& delays, Rng& rng)
-      : queue_(&queue), delays_(&delays), rng_(&rng) {}
-
-  // --- sharded mode (sharded_engine.h) -----------------------------------
+  // The network borrows the shard queues, delay model and shard RNGs; the
+  // service owns them and they must outlive the network.
   //
-  // enable_sharding() switches send() from the single global queue/RNG to a
-  // per-shard router: the sender's shard (from % S) supplies the RNG stream
-  // for loss and delay draws and the stats bucket; a same-shard message is
-  // scheduled directly on the receiver's queue, a cross-shard one is posted
-  // to the (sender, receiver) SPSC mailbox and scheduled by
-  // flush_mailboxes() at the next epoch barrier.  All mutating control
-  // methods (register/unregister, partitions, link delays, loss) remain
-  // barrier-only: they touch tables that the parallel windows read.
+  // Servers are split across S shards (id % S).  The sender's shard
+  // supplies the RNG stream for loss and delay draws and the stats bucket;
+  // a same-shard message is scheduled directly on the receiver's queue, a
+  // cross-shard one is posted to the (sender, receiver) SPSC mailbox and
+  // scheduled by flush_mailboxes() at the next epoch barrier
+  // (sharded_engine.h).  All mutating control methods (register/unregister,
+  // partitions, link delays, loss) are barrier-only: they touch tables that
+  // the parallel windows read.
   //
   // Determinism: shard RNG streams, mailbox indices and the flush order
   // (receiver-major, then sender, each in push order) are all functions of
   // the shard count alone - never of the worker thread count.
-
-  void enable_sharding(std::uint32_t num_shards,
-                       std::vector<EventQueue*> shard_queues,
-                       std::vector<Rng*> shard_rngs,
-                       std::size_t mailbox_capacity = 256) {
-    router_ = std::make_unique<ShardRouter>();
-    router_->num_shards = num_shards;
-    router_->queues = std::move(shard_queues);
-    router_->rngs = std::move(shard_rngs);
-    router_->stats.resize(num_shards);
-    router_->mailboxes.reserve(static_cast<std::size_t>(num_shards) *
-                               num_shards);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(num_shards) *
-                                    num_shards;
-         ++i) {
-      router_->mailboxes.emplace_back(mailbox_capacity);
+  Network(std::vector<EventQueue*> shard_queues, const DelayModel& delays,
+          std::vector<Rng*> shard_rngs, std::size_t mailbox_capacity = 256)
+      : num_shards_(static_cast<std::uint32_t>(shard_queues.size())),
+        queues_(std::move(shard_queues)),
+        rngs_(std::move(shard_rngs)),
+        delays_(&delays),
+        stats_(num_shards_) {
+    mailboxes_.reserve(static_cast<std::size_t>(num_shards_) * num_shards_);
+    for (std::uint32_t src = 0; src < num_shards_; ++src) {
+      for (std::uint32_t dst = 0; dst < num_shards_; ++dst) {
+        // Same-shard sends bypass the mailboxes, so the diagonal stays empty.
+        mailboxes_.emplace_back(src == dst ? 0 : mailbox_capacity);
+      }
     }
   }
 
-  bool sharded() const noexcept { return router_ != nullptr; }
+  // One shard: every message goes straight onto `queue`.
+  Network(EventQueue& queue, const DelayModel& delays, Rng& rng)
+      : Network(std::vector<EventQueue*>{&queue}, delays,
+                std::vector<Rng*>{&rng}) {}
 
+  // The branch spares the one-shard default an integer division on every
+  // send and delivery.
   std::uint32_t shard_of(ServerId id) const noexcept {
-    return id % router_->num_shards;
+    return num_shards_ == 1 ? 0 : id % num_shards_;
   }
 
   // Epoch-barrier drain: schedules every mailboxed message on its receiver
-  // shard's queue.  Coordinating thread only; workers must be idle.
+  // shard's queue.  Coordinating thread only; no shard may be running.
   void flush_mailboxes() {
-    const std::uint32_t s = router_->num_shards;
-    for (std::uint32_t dst = 0; dst < s; ++dst) {
-      EventQueue* q = router_->queues[dst];
-      for (std::uint32_t src = 0; src < s; ++src) {
-        router_->mailboxes[src * s + dst].drain([this, q](InFlight&& item) {
-          q->at(item.t, [this, q, to = item.to, m = std::move(item.msg)]() {
-            deliver(*q, shard_stats(to), to, m);
+    for (std::uint32_t dst = 0; dst < num_shards_; ++dst) {
+      EventQueue* q = queues_[dst];
+      for (std::uint32_t src = 0; src < num_shards_; ++src) {
+        mailboxes_[src * num_shards_ + dst].drain([this, q](InFlight&& item) {
+          q->at(item.t, [this, to = item.to, m = std::move(item.msg)]() {
+            deliver(to, m);
           });
         });
       }
     }
   }
-
-  // -----------------------------------------------------------------------
 
   void register_node(ServerId id, Handler handler) {
     if (id >= handlers_.size()) handlers_.resize(id + 1);
@@ -175,21 +169,29 @@ class Network {
   // Sends msg from -> to.  Returns the sampled delay, or nullopt when the
   // message was dropped (loss, partition, or missing receiver at send time).
   std::optional<Duration> send(ServerId from, ServerId to, Msg msg) {
-    if (router_ != nullptr) return send_sharded(from, to, std::move(msg));
-    ++stats_.sent;
+    const std::uint32_t src = shard_of(from);
+    NetworkStats& st = stats_[src].s;
+    ++st.sent;
     if (is_partitioned(from, to)) {
-      ++stats_.dropped_partition;
+      ++st.dropped_partition;
       return std::nullopt;
     }
-    if (loss_probability_ > 0 && rng_->bernoulli(loss_probability_)) {
-      ++stats_.dropped_loss;
+    Rng& rng = *rngs_[src];
+    if (loss_probability_ > 0 && rng.bernoulli(loss_probability_)) {
+      ++st.dropped_loss;
       return std::nullopt;
     }
-    const DelayModel* model = pick_model(from, to);
-    const Duration delay = model->sample(*rng_);
-    queue_->after(delay, [this, to, m = std::move(msg)]() {
-      deliver(*queue_, stats_, to, m);
-    });
+    const Duration delay = pick_model(from, to)->sample(rng);
+    EventQueue* sq = queues_[src];
+    const RealTime arrival = sq->now() + delay;
+    const std::uint32_t dst = shard_of(to);
+    if (dst == src) {
+      sq->at(arrival, [this, to, m = std::move(msg)]() { deliver(to, m); });
+    } else {
+      // mtds:alloc-ok(SpscRing push into the shard mailbox; its only allocating branch is the hatched overflow lane in spsc_ring.h)
+      mailboxes_[src * num_shards_ + dst].push(
+          InFlight{arrival, to, std::move(msg)});
+    }
     return delay;
   }
 
@@ -204,7 +206,7 @@ class Network {
     std::size_t dispatched = 0;
     for (ServerId to : targets) {
       if (to == from) {
-        ++stats_.skipped_self;
+        ++stats_[shard_of(from)].s.skipped_self;
         continue;
       }
       if (send(from, to, msg)) ++dispatched;
@@ -227,12 +229,11 @@ class Network {
     return lo;
   }
 
+  // Folds the per-shard buckets into one view (barrier-time only; the
+  // shards own their buckets during parallel windows).
   const NetworkStats& stats() const noexcept {
-    if (router_ == nullptr) return stats_;
-    // Sharded mode: fold the per-shard buckets into one view (barrier-time
-    // only; workers own the buckets during parallel windows).
-    agg_stats_ = stats_;
-    for (const PaddedStats& p : router_->stats) {
+    agg_stats_ = NetworkStats{};
+    for (const PaddedStats& p : stats_) {
       agg_stats_.sent += p.s.sent;
       agg_stats_.delivered += p.s.delivered;
       agg_stats_.dropped_loss += p.s.dropped_loss;
@@ -266,16 +267,17 @@ class Network {
     return delays_;
   }
 
-  // Delivery tail shared by the legacy and sharded paths: `q` is the queue
-  // the closure executes on (its now() is the arrival time) and `st` the
-  // stats bucket owned by the thread running the closure.
-  void deliver(EventQueue& q, NetworkStats& st, ServerId to, const Msg& m) {
+  // Delivery tail, run on the receiver's shard: its queue's now() is the
+  // arrival time, and its stats bucket takes the receive-side counters.
+  void deliver(ServerId to, const Msg& m) {
+    const std::uint32_t dst = shard_of(to);
+    NetworkStats& st = stats_[dst].s;
     if (to >= handlers_.size() || !handlers_[to]) {
       ++st.dropped_no_handler;
       return;
     }
     ++st.delivered;
-    handlers_[to](q.now(), m);
+    handlers_[to](queues_[dst]->now(), m);
   }
 
   // A cross-shard message parked in a mailbox until the next barrier.
@@ -286,64 +288,23 @@ class Network {
   };
 
   // Per-shard stats buckets are cacheline-padded: shard k's bucket is
-  // written by whichever worker owns shard k (send-side counters at send
+  // written by whichever thread runs shard k (send-side counters at send
   // time, receive-side counters at delivery time - both shard-k events).
   struct alignas(64) PaddedStats {
     NetworkStats s;
   };
 
-  struct ShardRouter {
-    std::uint32_t num_shards = 1;
-    std::vector<EventQueue*> queues;  // per shard, borrowed
-    std::vector<Rng*> rngs;           // per shard, borrowed
-    std::vector<PaddedStats> stats;
-    std::vector<util::SpscRing<InFlight>> mailboxes;  // [src * S + dst]
-  };
-
-  NetworkStats& shard_stats(ServerId id) noexcept {
-    return router_->stats[shard_of(id)].s;
-  }
-
-  std::optional<Duration> send_sharded(ServerId from, ServerId to, Msg msg) {
-    const std::uint32_t src = shard_of(from);
-    NetworkStats& st = router_->stats[src].s;
-    ++st.sent;
-    if (is_partitioned(from, to)) {
-      ++st.dropped_partition;
-      return std::nullopt;
-    }
-    Rng& rng = *router_->rngs[src];
-    if (loss_probability_ > 0 && rng.bernoulli(loss_probability_)) {
-      ++st.dropped_loss;
-      return std::nullopt;
-    }
-    const Duration delay = pick_model(from, to)->sample(rng);
-    EventQueue* sq = router_->queues[src];
-    const RealTime arrival = sq->now() + delay;
-    const std::uint32_t dst = shard_of(to);
-    if (dst == src) {
-      sq->at(arrival, [this, sq, to, m = std::move(msg)]() {
-        deliver(*sq, shard_stats(to), to, m);
-      });
-    } else {
-      const std::size_t box =
-          static_cast<std::size_t>(src) * router_->num_shards + dst;
-      // mtds:alloc-ok(SpscRing push into the shard mailbox; its only allocating branch is the hatched overflow lane in spsc_ring.h)
-      router_->mailboxes[box].push(InFlight{arrival, to, std::move(msg)});
-    }
-    return delay;
-  }
-
-  EventQueue* queue_;
+  std::uint32_t num_shards_;
+  std::vector<EventQueue*> queues_;  // per shard, borrowed
+  std::vector<Rng*> rngs_;           // per shard, borrowed
   const DelayModel* delays_;
-  Rng* rng_;
   std::vector<Handler> handlers_;  // dense by ServerId; null = unregistered
   std::vector<std::pair<LinkKey, const DelayModel*>> link_delays_;  // sorted
   std::vector<LinkKey> partitions_;                                 // sorted
   double loss_probability_ = 0.0;
-  NetworkStats stats_;
-  std::unique_ptr<ShardRouter> router_;  // null = legacy single-queue mode
-  mutable NetworkStats agg_stats_;       // stats() scratch in sharded mode
+  std::vector<PaddedStats> stats_;
+  std::vector<util::SpscRing<InFlight>> mailboxes_;  // [src * S + dst]
+  mutable NetworkStats agg_stats_;                   // stats() scratch
 };
 
 }  // namespace mtds::sim

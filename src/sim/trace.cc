@@ -73,40 +73,42 @@ void Trace::clear() {
   events_.clear();
 }
 
-TraceMerger::TraceMerger(std::vector<const Trace*> shards)
-    : shards_(std::move(shards)),
-      sample_pos_(shards_.size(), 0),
-      event_pos_(shards_.size(), 0) {}
+TraceMerger::TraceMerger(std::vector<Trace*> shards)
+    : shards_(std::move(shards)), pos_(shards_.size(), 0) {}
 
-void TraceMerger::merge_into(Trace& out) {
-  // Linear scan over shards per emitted entry: S is small (single digits by
-  // default) and the streams are consumed incrementally, so this beats a
-  // heap's bookkeeping in practice.
-  const std::size_t n = shards_.size();
+namespace {
+
+// Appends the sorted runs run(0..n-1) to `out` in (t, run index) order;
+// `pos` is per-run cursor scratch.  A linear scan over runs per emitted
+// entry: S is small (single digits by default), so this beats a heap's
+// bookkeeping in practice.
+template <typename Run>
+void merge_runs(std::vector<std::size_t>& pos, Run run, Trace& out) {
+  const std::size_t n = pos.size();
+  std::fill(pos.begin(), pos.end(), 0);
   for (;;) {
     std::size_t best = n;
     for (std::size_t k = 0; k < n; ++k) {
-      if (sample_pos_[k] >= shards_[k]->samples().size()) continue;
-      if (best == n || shards_[k]->samples()[sample_pos_[k]].t <
-                           shards_[best]->samples()[sample_pos_[best]].t) {
+      if (pos[k] >= run(k).size()) continue;
+      if (best == n || run(k)[pos[k]].t < run(best)[pos[best]].t) {
         best = k;  // strict <: ties resolve to the lowest shard index
       }
     }
     if (best == n) break;
-    out.record(shards_[best]->samples()[sample_pos_[best]++]);
+    out.record(run(best)[pos[best]++]);
   }
-  for (;;) {
-    std::size_t best = n;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (event_pos_[k] >= shards_[k]->events().size()) continue;
-      if (best == n || shards_[k]->events()[event_pos_[k]].t <
-                           shards_[best]->events()[event_pos_[best]].t) {
-        best = k;
-      }
-    }
-    if (best == n) break;
-    out.record(shards_[best]->events()[event_pos_[best]++]);
-  }
+}
+
+}  // namespace
+
+void TraceMerger::merge_into(Trace& out) {
+  merge_runs(
+      pos_, [this](std::size_t k) -> auto& { return shards_[k]->samples(); },
+      out);
+  merge_runs(
+      pos_, [this](std::size_t k) -> auto& { return shards_[k]->events(); },
+      out);
+  for (Trace* shard : shards_) shard->clear();
 }
 
 std::string Trace::samples_csv() const {

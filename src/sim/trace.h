@@ -93,27 +93,29 @@ class Trace {
   std::vector<TraceEvent> events_;
 };
 
-// Incremental k-way merge of per-shard traces into one deterministic
-// stream, ordered by (t, shard index) with per-shard append order preserved
-// for ties.  Each shard records its own servers' samples and events in
-// nondecreasing time (its event queue executes in time order), so the merge
-// is a classic sorted-runs merge; the shard index tie-break makes the
-// result independent of worker-thread scheduling - the sharded determinism
-// goldens hash the merged stream.
+// K-way merge of per-shard traces into one deterministic stream, ordered
+// by (t, shard index) with per-shard append order preserved for ties.  Each
+// shard records its own servers' samples and events in nondecreasing time
+// (its event queue executes in time order), so the merge is a classic
+// sorted-runs merge; the shard index tie-break makes the result independent
+// of worker-thread scheduling - the determinism goldens hash the merged
+// stream.  With one shard the merge is a plain append.
 //
-// merge_into() consumes only entries recorded since the previous call, so
-// the service can merge at every run_until barrier without rescanning.
+// merge_into() moves every shard entry recorded since the previous call
+// into `out` and clears the shard buffers (their capacity is kept), so the
+// service can merge at every run_until barrier without rescanning and
+// without holding each record twice.
 class TraceMerger {
  public:
-  explicit TraceMerger(std::vector<const Trace*> shards);
+  explicit TraceMerger(std::vector<Trace*> shards);
 
-  // Appends all newly recorded shard entries to `out` in merged order.
+  // Appends all newly recorded shard entries to `out` in merged order, then
+  // empties the shard buffers.
   void merge_into(Trace& out);
 
  private:
-  std::vector<const Trace*> shards_;
-  std::vector<std::size_t> sample_pos_;
-  std::vector<std::size_t> event_pos_;
+  std::vector<Trace*> shards_;
+  std::vector<std::size_t> pos_;  // merge cursors, reset every call
 };
 
 }  // namespace mtds::sim

@@ -5,7 +5,7 @@
 // their own asynchronism theorems (3 and 7) under a colluding attack with
 // f < n/2, while IMFT under the identical topology, seed and attack keeps
 // the Theorem 7 bound, excludes the liars and quarantines them.  The trio
-// is asserted on the legacy engine AND on the sharded engine at worker
+// is asserted on the default one-shard engine AND on 8 shards at worker
 // thread counts {1, 2, 4}, extending the determinism contract to
 // adversarial runs.
 #include <gtest/gtest.h>
@@ -157,8 +157,8 @@ std::string read_scenario(const std::string& name) {
   return "";
 }
 
-// shards == 0 keeps the scenario's own engine selection (legacy for the
-// byzantine corpus); shards > 0 forces the sharded parallel engine.
+// shards == 0 keeps the scenario's own shard count (one for the byzantine
+// corpus); shards > 0 forces that many shards.
 std::unique_ptr<service::ScenarioRunner> run_scenario(const std::string& name,
                                                       std::uint32_t shards = 0,
                                                       std::uint32_t threads = 1) {
@@ -335,7 +335,7 @@ TEST(AdversaryScenario, CollusionTrioAcceptance) {
   struct Engine {
     std::uint32_t shards, threads;
   };
-  // Legacy engine, then the sharded engine at every worker thread count:
+  // One shard, then 8 shards at every worker thread count:
   // the determinism contract says thread count never changes results, so
   // the same conclusions must hold at each.
   const Engine engines[] = {{0, 1}, {8, 1}, {8, 2}, {8, 4}};

@@ -113,12 +113,12 @@ void expect_steady_state_alloc_free(ServiceConfig cfg, const char* label) {
 
 TEST(AllocTest, MMPerReplySteadyStateIsAllocationFree) {
   expect_steady_state_alloc_free(config(core::SyncAlgorithm::kMM, 4),
-                                 "MM/legacy");
+                                 "MM/one-shard");
 }
 
 TEST(AllocTest, IMPerRoundSteadyStateIsAllocationFree) {
   expect_steady_state_alloc_free(config(core::SyncAlgorithm::kIM, 4),
-                                 "IM/legacy");
+                                 "IM/one-shard");
 }
 
 TEST(AllocTest, ShardedEngineSteadyStateIsAllocationFree) {

@@ -1,8 +1,11 @@
 // Determinism golden test: byte-identical traces, pinned by hash.
 //
-// Runs two shipped scenarios through the simulator and hashes every sample
-// and trace event (double fields by bit pattern, so "identical" means
-// bit-for-bit).  The pinned values freeze seeded behavior across rewrites
+// Runs shipped scenarios through the simulator and hashes every sample and
+// trace event (double fields by bit pattern, so "identical" means
+// bit-for-bit).  Every service runs on the sharded engine; the scenarios'
+// default (sim_shards = 0) is one shard, and the one-shard goldens were
+// pinned on the single-queue engine that one shard replaced - they must hold
+// at sim_shards = 1 and every worker thread count too.  The pinned values freeze seeded behavior across rewrites
 // of the simulation substrate: the EventQueue slab-heap and the dense
 // Network tables were landed against these exact hashes, and any future
 // "optimization" that silently reorders events or perturbs a single RNG
@@ -84,9 +87,9 @@ std::uint64_t run_and_hash(const std::string& name) {
   return hash_trace(runner.run().trace());
 }
 
-// Same scenario, forced onto the sharded parallel engine.  The sharded
-// hashes differ from the legacy ones by design (per-shard RNG streams draw
-// differently from one global stream), but they are their own goldens: a
+// Same scenario, forced onto S shards and T worker threads.  Multi-shard
+// hashes differ from the one-shard ones by design (per-shard RNG streams
+// draw differently from one stream), but they are their own goldens: a
 // function of (scenario, shard count) only, byte-identical across worker
 // thread counts.
 std::uint64_t run_and_hash_sharded(const std::string& name,
@@ -97,28 +100,6 @@ std::uint64_t run_and_hash_sharded(const std::string& name,
   scenario.config.sim_threads = threads;
   ScenarioRunner runner(std::move(scenario));
   return hash_trace(runner.run().trace());
-}
-
-void check_golden(const std::string& name, std::uint64_t expected) {
-  const std::uint64_t got = run_and_hash(name);
-  if (std::getenv("MTDS_PRINT_TRACE_HASH") != nullptr) {
-    printf("golden %s = 0x%016llxull\n", name.c_str(),
-           static_cast<unsigned long long>(got));
-  }
-  EXPECT_EQ(got, expected)
-      << name << ": trace hash changed - the simulation substrate no longer "
-      << "reproduces the pinned seeded run (see file comment to re-pin "
-      << "after a deliberate behavior change)";
-  // Independent of the pinned value: the run reproduces itself in-process.
-  EXPECT_EQ(run_and_hash(name), got) << name << ": run-to-run divergence";
-}
-
-TEST(DeterminismGolden, BasicMM) {
-  check_golden("basic_mm.mtds", 0x9b0068991ac02f81ull);
-}
-
-TEST(DeterminismGolden, Chaos) {
-  check_golden("chaos.mtds", 0xaead831eaeffa401ull);
 }
 
 // Sharded engine: the pinned hash must hold at EVERY worker thread count -
@@ -139,6 +120,30 @@ void check_sharded_golden(const std::string& name, std::uint32_t shards,
         << "a scheduling leak) or a deliberate change needs a re-pin (all "
         << "three thread counts report the same new value)";
   }
+}
+
+void check_golden(const std::string& name, std::uint64_t expected) {
+  const std::uint64_t got = run_and_hash(name);
+  if (std::getenv("MTDS_PRINT_TRACE_HASH") != nullptr) {
+    printf("golden %s = 0x%016llxull\n", name.c_str(),
+           static_cast<unsigned long long>(got));
+  }
+  EXPECT_EQ(got, expected)
+      << name << ": trace hash changed - the simulation substrate no longer "
+      << "reproduces the pinned seeded run (see file comment to re-pin "
+      << "after a deliberate behavior change)";
+  // Independent of the pinned value: the run reproduces itself in-process.
+  EXPECT_EQ(run_and_hash(name), got) << name << ": run-to-run divergence";
+  // One shard is the default engine, whatever the thread count.
+  check_sharded_golden(name, 1, expected);
+}
+
+TEST(DeterminismGolden, BasicMM) {
+  check_golden("basic_mm.mtds", 0x9b0068991ac02f81ull);
+}
+
+TEST(DeterminismGolden, Chaos) {
+  check_golden("chaos.mtds", 0xaead831eaeffa401ull);
 }
 
 TEST(DeterminismGolden, BasicMMSharded) {

@@ -74,6 +74,28 @@ TEST(MMSync, IgnoresInconsistentReply) {
   EXPECT_EQ(out.inconsistent_with[0], 7u);
 }
 
+TEST(MMSync, DelayedHonestReplyIsConsistent) {
+  // The reply was read rtt ago, so it may trail the local clock by more than
+  // E_i + E_j without being wrong: its interval's upper edge is widened by
+  // (1 + delta) * rtt, as in IM-2.  |C_i - C_j| = 4 ms > E_i + E_j = 1.1 ms,
+  // but C_i - E_i = 100.0034 <= C_j + E_j + (1 + delta) * rtt ~ 100.0055.
+  MinMaxErrorSync mm;
+  const auto out = mm.on_reply(local(100.004, 0.0006),
+                               reading(4, 100.0, 0.0005, 0.005));
+  EXPECT_TRUE(out.inconsistent_with.empty());
+  EXPECT_FALSE(out.reset.has_value());  // E_j + rtt > E_i: no reset either
+}
+
+TEST(MMSync, ReplyAheadBeyondBothErrorsIsInconsistent) {
+  // The mirror case: delay can only make a reply look behind, never ahead,
+  // so a C_j ahead of C_i by more than E_i + E_j is still flagged.
+  MinMaxErrorSync mm;
+  const auto out = mm.on_reply(local(100.0, 0.0006),
+                               reading(4, 100.004, 0.0005, 0.005));
+  ASSERT_EQ(out.inconsistent_with.size(), 1u);
+  EXPECT_EQ(out.inconsistent_with[0], 4u);
+}
+
 TEST(MMSync, ConsistentAtExactTouch) {
   MinMaxErrorSync mm;
   // |100 - 100.6| = 0.6 = E_i + E_j exactly: still consistent.

@@ -67,7 +67,7 @@ TEST(Scale, ThousandServerServiceRunsToCompletion) {
 // The sharded engine at an order of magnitude more servers: 10,000 servers
 // split over 16 shards, driven by the conservative-lookahead epoch loop
 // (delay_lo > 0 gives the engine a real window width).  Checks the same
-// service-level invariants as the legacy scale test plus the sharded
+// service-level invariants as the one-shard scale test plus the sharded
 // plumbing itself: per-shard traces merged into a coherent report, the
 // aggregated network stats, and the epoch counter.
 TEST(Scale, TenThousandServerShardedServiceRunsToCompletion) {
@@ -95,7 +95,8 @@ TEST(Scale, TenThousandServerShardedServiceRunsToCompletion) {
     cfg.servers.push_back(s);
   }
   TimeService service(cfg);
-  ASSERT_TRUE(service.sharded());
+  ASSERT_EQ(service.sharded_engine()->num_shards(), 16u);
+  EXPECT_EQ(service.sharded_engine()->num_threads(), 2u);
 
   service.run_until(90.0);
   EXPECT_TRUE(service.all_correct());

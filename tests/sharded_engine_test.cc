@@ -155,7 +155,6 @@ TEST(ShardedEngine, CrossShardPingPongMatchesEveryThreadCount) {
       EXPECT_EQ(log[i].first, static_cast<int>(i % 2));
       EXPECT_NEAR(log[i].second, 0.25 * static_cast<double>(i), 1e-12);
     }
-    EXPECT_EQ(engine.now(), RealTime{10.0});
     EXPECT_EQ(q0.now(), RealTime{10.0});
     EXPECT_EQ(q1.now(), RealTime{10.0});
   }

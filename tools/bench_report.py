@@ -19,6 +19,9 @@ Typical uses:
   tools/bench_report.py --before old.json    # explicit baseline (either a
                                              # google-benchmark JSON dump or
                                              # an earlier BENCH_core.json)
+  tools/bench_report.py --filter 'BM_Shard'  # re-capture only the rows
+                                             # matching the regex; every
+                                             # other row is kept as is
   tools/bench_report.py --annotate-env       # refresh only the recorded
                                              # machine context (cores, CPU
                                              # model, governor); no run
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,8 +99,11 @@ def extract_items_per_sec(doc: dict) -> dict[str, float]:
     return out
 
 
-def run_suite(binary: Path, quick: bool, repetitions: int) -> dict[str, float]:
+def run_suite(binary: Path, quick: bool, repetitions: int,
+              name_filter: str | None) -> dict[str, float]:
     cmd = [str(binary), "--benchmark_format=json"]
+    if name_filter:
+        cmd.append(f"--benchmark_filter={name_filter}")
     if quick:
         cmd.append("--benchmark_min_time=0.05")
     if repetitions > 1:
@@ -105,6 +112,8 @@ def run_suite(binary: Path, quick: bool, repetitions: int) -> dict[str, float]:
     if proc.returncode != 0:
         print(proc.stderr, file=sys.stderr)
         raise RuntimeError(f"benchmark binary exited with {proc.returncode}")
+    if name_filter and not proc.stdout.strip():
+        return {}  # the filter matched nothing in this binary
     return extract_items_per_sec(json.loads(proc.stdout))
 
 
@@ -130,6 +139,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--out", default=str(DEFAULT_OUT),
                         help="output path (default: repo-root "
                              "BENCH_core.json)")
+    parser.add_argument("--filter",
+                        help="google-benchmark name regex: run only the "
+                             "matching benchmarks and replace only the "
+                             "matching rows of the output file")
     parser.add_argument("--annotate-env", action="store_true",
                         help="refresh only the 'environment' block of the "
                              "existing output file; no benchmarks run")
@@ -171,7 +184,8 @@ def main(argv: list[str]) -> int:
     try:
         for binary in binaries:
             after.update(run_suite(binary, args.quick,
-                                   1 if args.quick else args.repetitions))
+                                   1 if args.quick else args.repetitions,
+                                   args.filter))
     except (RuntimeError, json.JSONDecodeError) as err:
         print(f"bench run failed: {err}", file=sys.stderr)
         return 1
@@ -179,7 +193,16 @@ def main(argv: list[str]) -> int:
         print("bench run produced no items/sec data", file=sys.stderr)
         return 1
 
+    # A filtered run re-captures only the matching rows: every other row of
+    # the output file is kept as it is, and matching rows the suite no
+    # longer produces are dropped.
     merged = {}
+    out_path = Path(args.out)
+    if args.filter and out_path.exists():
+        pattern = re.compile(args.filter)
+        for name, entry in json.loads(out_path.read_text())["benchmarks"].items():
+            if not pattern.search(name):
+                merged[name] = entry
     for name in after:
         b = before.get(name)
         a = after[name]
