@@ -57,9 +57,8 @@ int main() {
   double intervals_inconsistent_at = -1.0;
   for (double t = 5.0; t <= 600.0; t += 5.0) {
     service.run_until(t);
-    const auto* monitor = service.server(0).rate_monitor();
     if (convicted_at < 0) {
-      const auto bad = monitor->dissonant();
+      const auto bad = service.server(0).peers().dissonant();
       if (bad.size() == 1 && bad[0] == 3) convicted_at = t;
     }
     if (intervals_inconsistent_at < 0) {
@@ -108,8 +107,7 @@ int main() {
                "rates convict the liar far earlier than intervals can");
 
   std::printf("\npart B: refined own-rate estimate of the observer\n");
-  const auto* monitor = service.server(0).rate_monitor();
-  const auto own = monitor->refined_own_rate();
+  const auto own = service.server(0).peers().refined_own_rate();
   if (own) {
     std::printf("  claimed |own rate| bound: %.2e\n", 1e-5);
     std::printf("  refined own-rate interval: [%.3e, %.3e] (width %.3e)\n",

@@ -40,7 +40,9 @@ int main() {
     for (std::size_t i = 0; i < servers.size(); ++i) {
       const double c = servers[i].clock.read(t).seconds();
       const double e = servers[i].tracker.error_at(c).seconds();
-      rows.push_back({"S" + std::to_string(i + 1), c - e, c + e});
+      std::string label = "S";
+      label += std::to_string(i + 1);
+      rows.push_back({label, c - e, c + e});
       if (!(c - e <= t && t <= c + e)) all_correct = false;
       const double len = 2 * e;
       if (t > 0.0 && len <= last_lengths[i]) growing = false;

@@ -32,7 +32,9 @@ int main() {
 
   std::vector<util::IntervalRow> rows;
   for (std::size_t i = 0; i < in.size(); ++i) {
-    rows.push_back({"S" + std::to_string(i + 1), in[i].lo(), in[i].hi()});
+    std::string label = "S";
+    label += std::to_string(i + 1);
+    rows.push_back({label, in[i].lo(), in[i].hi()});
   }
   std::fputs(util::plot_intervals(rows, std::nan(""), 60).c_str(), stdout);
 
@@ -44,7 +46,8 @@ int main() {
   for (const auto& g : groups) {
     std::string members;
     for (std::size_t m : g.members) {
-      members += (members.empty() ? "S" : ", S") + std::to_string(m + 1);
+      members += members.empty() ? "S" : ", S";
+      members += std::to_string(m + 1);
     }
     std::printf("  {%s}  shared region %s\n", members.c_str(),
                 g.intersection.str().c_str());

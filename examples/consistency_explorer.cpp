@@ -84,8 +84,9 @@ int main(int argc, char** argv) {
 
   std::vector<util::IntervalRow> rows;
   for (std::size_t i = 0; i < intervals.size(); ++i) {
-    rows.push_back({"S" + std::to_string(i + 1), intervals[i].lo(),
-                    intervals[i].hi()});
+    std::string label = "S";
+    label += std::to_string(i + 1);
+    rows.push_back({label, intervals[i].lo(), intervals[i].hi()});
   }
   std::fputs(util::plot_intervals(rows, std::nan(""), 64).c_str(), stdout);
 
@@ -107,7 +108,8 @@ int main(int argc, char** argv) {
   for (const auto& g : groups) {
     std::string members;
     for (std::size_t m : g.members) {
-      members += (members.empty() ? "S" : ", S") + std::to_string(m + 1);
+      members += members.empty() ? "S" : ", S";
+      members += std::to_string(m + 1);
     }
     std::printf("  {%s}  common region %s\n", members.c_str(),
                 g.intersection.str().c_str());

@@ -41,7 +41,7 @@ SyncOutcome FaultTolerantIntersectionSync::on_round(
     // Not enough agreement to trust any region - and, symmetrically, no
     // basis to blame any individual server: a no-quorum round implicates
     // the round, not a peer.  (Blaming every owner here used to feed all
-    // of them - honest majority included - into PeerHealth's Section 4
+    // of them - honest majority included - into the peer table's Section 4
     // quarantine streaks; only exclusion by a *successful* cover carries
     // individual blame, below.)
     out.round_inconsistent = true;

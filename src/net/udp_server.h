@@ -58,7 +58,7 @@ struct UdpServerConfig {
   // runtime::FaultInjector (loss, duplication, delay spikes, corruption,
   // partitions, crash-stop) - the same decorator the simulator uses.
   runtime::FaultPlan chaos;
-  // Peer-health / graceful-degradation policy (see service/peer_health.h).
+  // Peer-health / graceful-degradation policy (see service/peer_table.h).
   service::PeerHealthPolicy health;
 
   // Client serving plane (net/serving_plane.h): 0 = no client port.  With

@@ -9,7 +9,7 @@
 #include "core/sync_function.h"
 #include "core/time_types.h"
 #include "runtime/fault_injector.h"
-#include "service/peer_health.h"
+#include "service/peer_table.h"
 
 namespace mtds::service {
 
@@ -66,7 +66,7 @@ struct ServerSpec {
 
   // ntpd-style clock filter: serve each synchronization round the
   // minimum-round-trip sample per neighbour from a sliding window instead
-  // of the latest reply (see service/sample_filter.h).
+  // of the latest reply (the filter column of service/peer_table.h).
   bool use_sample_filter = false;
 
   // Collect via directed broadcast ([Boggs 82], the paper's suggested
@@ -81,7 +81,7 @@ struct ServerSpec {
   // Peer-health / graceful-degradation policy: classify neighbours as
   // healthy / suspect / dead / quarantined, probe dead peers on exponential
   // backoff, and enter an explicit degraded mode when no peer is reachable
-  // (see service/peer_health.h).  Off by default - the engine then behaves
+  // (the health column of service/peer_table.h).  Off by default - the engine then behaves
   // exactly as before this layer existed.
   PeerHealthPolicy health;
 

@@ -41,23 +41,22 @@ ProtocolEngine::ProtocolEngine(ServerId id, std::unique_ptr<core::Clock> clock,
       sync_(spec.algo == SyncAlgorithm::kNone
                 ? nullptr
                 : core::make_sync_function(spec.algo)),
-      rate_monitor_(spec.monitor_rates
-                        ? std::make_unique<RateMonitor>(spec.claimed_delta)
-                        : nullptr),
-      filter_(spec.use_sample_filter ? std::make_unique<SampleFilter>()
-                                     : nullptr),
       transport_(rt.transport),
       timers_(rt.timers),
       wall_(rt.wall),
       observer_(observer),
       rng_(rng),
       current_period_(spec.poll_period),
-      next_tag_(1) {
+      next_tag_(1),
+      peers_(PeerTableOptions{.health = spec.health,
+                              .sample_filter = spec.use_sample_filter,
+                              .monitor_rates = spec.monitor_rates,
+                              .own_delta = spec.claimed_delta},
+             &rng_) {
   assert(clock_ != nullptr);
   assert(transport_ != nullptr && timers_ != nullptr && wall_ != nullptr);
-  if (spec_.health.enabled) {
-    health_ = std::make_unique<PeerHealth>(spec_.health, &rng_);
-    health_->set_transition_hook(
+  if (peers_.health_on()) {
+    peers_.set_transition_hook(
         [this](ServerId peer, PeerState from, PeerState to) {
           if (to == PeerState::kDead) ++counters_.peer_deaths;
           if (to == PeerState::kQuarantined) ++counters_.quarantines;
@@ -85,6 +84,10 @@ ProtocolEngine::~ProtocolEngine() {
 
 void ProtocolEngine::start(const std::vector<ServerId>& neighbors) {
   neighbors_ = neighbors;
+  peers_.reserve(neighbors_.size());
+  for (ServerId peer : neighbors_) {
+    if (peer != id_) peers_.row(peer);
+  }
   running_ = true;
   transport_->open(id_, [this](RealTime t, const ServiceMessage& msg) {
     handle(t, msg);
@@ -103,8 +106,7 @@ void ProtocolEngine::stop() {
   running_ = false;
   transport_->close();
   pending_.clear();
-  reading_memory_.clear();  // a restart must not compare across incarnations
-  second_hand_.clear();     // ditto for gossiped notes
+  peers_.clear_memories();  // a restart must not compare across incarnations
   awaiting_recovery_ = false;
   round_open_ = false;
   if (degraded_) set_degraded(false);
@@ -118,6 +120,7 @@ void ProtocolEngine::add_neighbor(ServerId peer) {
   if (std::find(neighbors_.begin(), neighbors_.end(), peer) ==
       neighbors_.end()) {
     neighbors_.push_back(peer);
+    peers_.row(peer);
     // A previously isolated server starts polling once it has a neighbour.
     if (running_ && sync_ != nullptr && neighbors_.size() == 1) {
       schedule_next_poll(rng_.uniform(core::Duration{0.0}, spec_.poll_period));
@@ -128,21 +131,11 @@ void ProtocolEngine::add_neighbor(ServerId peer) {
 void ProtocolEngine::remove_neighbor(ServerId peer) {
   neighbors_.erase(std::remove(neighbors_.begin(), neighbors_.end(), peer),
                    neighbors_.end());
-  if (health_ != nullptr) health_->forget(peer);
-  // Drop the equivocation memory too: a later server reusing the id must
-  // not be judged against its predecessor's clock.
-  for (auto it = reading_memory_.begin(); it != reading_memory_.end(); ++it) {
-    if (it->peer == peer) {
-      reading_memory_.erase(it);
-      break;
-    }
-  }
-  for (auto it = second_hand_.begin(); it != second_hand_.end(); ++it) {
-    if (it->source == peer) {
-      second_hand_.erase(it);
-      break;
-    }
-  }
+  // Every column goes, and so do requests still in flight to it: a later
+  // server reusing the id must not be judged against its predecessor's
+  // clock, health, samples or rate.
+  std::erase_if(pending_, [peer](const Pending& p) { return p.to == peer; });
+  peers_.forget(peer);
 }
 
 void ProtocolEngine::set_gossip_peers(const std::vector<ServerId>& peers) {
@@ -207,9 +200,10 @@ void ProtocolEngine::begin_round() {
   round_targets_.clear();
   for (ServerId peer : neighbors_) {
     if (peer == id_) continue;
-    if (health_ != nullptr) {
-      const bool probe = health_->state(peer) == PeerState::kDead;
-      if (!health_->should_poll(peer)) {
+    if (peers_.health_on()) {
+      const PeerTable::Row row = peers_.find(peer);  // start()/add_neighbor()
+      const bool probe = peers_.state(row) == PeerState::kDead;
+      if (!peers_.should_poll(row)) {
         ++counters_.polls_suppressed;
         continue;
       }
@@ -219,28 +213,32 @@ void ProtocolEngine::begin_round() {
     round_targets_.push_back(peer);
   }
 
+  // One Pending per target.  Directed broadcast ([Boggs 82]) shares one
+  // tag among the round's targets, kept in ascending order so the round
+  // close attributes misses in peer order.
+  const std::size_t first = pending_.size();
+  const std::uint64_t shared_tag = spec_.use_broadcast ? next_tag_++ : 0;
+  for (ServerId peer : round_targets_) {
+    const std::uint64_t tag = spec_.use_broadcast ? shared_tag : next_tag_++;
+    // mtds:alloc-ok(in-flight request list bounded by the neighbour count; entries are erased on reply and the capacity persists)
+    pending_.push_back(Pending{tag, peer, local, /*recovery=*/false});
+  }
+  ServiceMessage req;
+  req.type = ServiceMessage::Type::kTimeRequest;
+  req.from = id_;
   if (spec_.use_broadcast) {
-    // Directed broadcast: one request tag fans out to every target.
-    ServiceMessage req;
-    req.type = ServiceMessage::Type::kTimeRequest;
-    req.from = id_;
-    req.tag = broadcast_tag_ = next_tag_++;
-    broadcast_sent_local_ = local;
-    // mtds:alloc-ok(awaiting set sized to the round targets; its capacity, like theirs, is retained across rounds)
-    broadcast_awaiting_.assign(round_targets_.begin(), round_targets_.end());
-    std::sort(broadcast_awaiting_.begin(), broadcast_awaiting_.end());
+    std::sort(pending_.begin() + static_cast<std::ptrdiff_t>(first),
+              pending_.end(), [](const Pending& a, const Pending& b) {
+                return a.to < b.to;
+              });
+    req.tag = shared_tag;
     counters_.requests_sent += transport_->broadcast(round_targets_, req);
   } else {
-    for (ServerId peer : round_targets_) {
-      ServiceMessage req;
-      req.type = ServiceMessage::Type::kTimeRequest;
-      req.from = id_;
-      req.to = peer;
-      req.tag = next_tag_++;
-      // mtds:alloc-ok(in-flight request list bounded by the neighbour count; entries are erased on reply and the capacity persists)
-      pending_.push_back(Pending{req.tag, local, /*recovery=*/false, peer});
+    for (std::size_t i = first; i < pending_.size(); ++i) {
+      req.to = pending_[i].to;
+      req.tag = pending_[i].tag;
       ++counters_.requests_sent;
-      transport_->send(peer, req);
+      transport_->send(req.to, req);
     }
   }
 
@@ -297,11 +295,12 @@ void ProtocolEngine::send_gossip(ClockTime local) {
     note.rtt = Duration{0.0};
     transport_->send(to, note);
     ++counters_.gossip_sent;
-    for (const PeerReadingMemory& mem : reading_memory_) {
-      if (mem.peer == to) continue;  // the target knows its own clock
+    for (PeerTable::Row row : peers_.first_hand_rows()) {
+      if (peers_.id(row) == to) continue;  // the target knows its own clock
+      const PeerTable::Memory& mem = peers_.first_hand(row);
       const Duration age = local - mem.local;
       if (age < Duration{0.0} || age > horizon) continue;
-      note.source = mem.peer;
+      note.source = peers_.id(row);
       note.c = mem.c;
       note.e = mem.e;
       note.age = age;
@@ -320,10 +319,10 @@ void ProtocolEngine::handle_gossip(RealTime t, const ServiceMessage& msg) {
       msg.rtt < Duration{0.0}) {
     return;  // out-of-range tuple (sim plane; the wire decoder rejects too)
   }
-  if (health_ != nullptr) {
+  if (peers_.health_on()) {
     // Notes relayed by a convict (quarantined or still on probation) are
     // exactly the claims we stopped trusting; drop them wholesale.
-    const PeerState via = health_->state(msg.from);
+    const PeerState via = peers_.peer_state(msg.from);
     if (via == PeerState::kQuarantined || via == PeerState::kProbation) {
       return;
     }
@@ -331,6 +330,8 @@ void ProtocolEngine::handle_gossip(RealTime t, const ServiceMessage& msg) {
 
   const ClockTime local = clock_->read(t);
   const Duration transit = transport_->max_one_way_delay();
+  // mtds:alloc-ok(first note about a server outside the neighbour list adds its row, once)
+  const PeerTable::Row row = peers_.row(msg.source);
 
   // Cross-check: does the gossiper's note about `source` agree with what
   // `source` told us first-hand?  Both samples are honest readings of the
@@ -341,17 +342,17 @@ void ProtocolEngine::handle_gossip(RealTime t, const ServiceMessage& msg) {
   // the per-victim stories differ by twice the magnitude while the budget
   // only covers errors, drift and delays.
   const Duration horizon = 4.0 * current_period_;
-  for (const PeerReadingMemory& mem : reading_memory_) {
-    if (mem.peer != msg.source) continue;
+  if (peers_.has_first_hand(row)) {
+    const PeerTable::Memory& mem = peers_.first_hand(row);
     const Duration a_i = local - mem.local;
-    if (a_i < Duration{0.0} || a_i > horizon) break;  // stale first-hand
     const Duration a_g = msg.age;
     const Duration advance = msg.c - mem.c;
     const Duration gap = abs(advance - (a_i - a_g));
     const Duration budget = mem.e + msg.e +
                             2.0 * spec_.claimed_delta * (a_i + a_g) + mem.rtt +
                             msg.rtt + 2.0 * transit + kEquivocationSlack;
-    if (gap > budget) {
+    // A stale first-hand reading is no evidence.
+    if (a_i >= Duration{0.0} && a_i <= horizon && gap > budget) {
       ++counters_.gossip_convictions;
       const Duration excess = gap - budget;
       const RealTime now = wall_->now();
@@ -363,9 +364,8 @@ void ProtocolEngine::handle_gossip(RealTime t, const ServiceMessage& msg) {
                  "S%u gossip-conviction S%u (via S%u): cross-note "
                  "contradicts first-hand story by %.6g s",
                  id_, msg.source, msg.from, excess.seconds());
-      if (health_ != nullptr) health_->note_byzantine(msg.source);
+      if (peers_.health_on()) peers_.note_byzantine(row);
     }
-    break;
   }
 
   // Remember the freshest second-hand reading per source: BYZ rounds merge
@@ -373,25 +373,14 @@ void ProtocolEngine::handle_gossip(RealTime t, const ServiceMessage& msg) {
   // uncertainty is aged by the drift budget over its age plus our transit
   // bound, so a merged note is never tighter than the physics allows.
   const ClockTime collected = local - msg.age;
-  SecondHandReading* slot = nullptr;
-  for (SecondHandReading& sh : second_hand_) {
-    if (sh.source == msg.source) {
-      slot = &sh;
-      break;
-    }
-  }
-  if (slot == nullptr) {
-    // mtds:alloc-ok(first note about a new source; the slot is keyed per source and reused for every later note)
-    second_hand_.push_back({});
-    slot = &second_hand_.back();
-    slot->source = msg.source;
-  } else if (collected <= slot->local) {
+  if (peers_.has_second_hand(row) &&
+      collected <= peers_.second_hand(row).local) {
     return;  // an older collection instant than what we already hold
   }
-  slot->c = msg.c;
-  slot->e = msg.e + 2.0 * spec_.claimed_delta * msg.age + transit;
-  slot->local = collected;
-  slot->rtt = msg.rtt + transit;
+  // mtds:alloc-ok(first note about a source; later notes overwrite its row in place)
+  peers_.set_second_hand(
+      row, {msg.c, msg.e + 2.0 * spec_.claimed_delta * msg.age + transit,
+            collected, msg.rtt + transit});
 }
 
 // mtds:no-alloc
@@ -412,22 +401,18 @@ void ProtocolEngine::end_round() {
         *keep++ = *it;
         continue;
       }
-      if (health_ != nullptr) health_->note_missed(it->to);
+      if (peers_.health_on()) peers_.note_missed(peers_.find(it->to));
     }
     pending_.erase(keep, pending_.end());
   }
-  if (health_ != nullptr) {
-    for (ServerId peer : broadcast_awaiting_) health_->note_missed(peer);
-  }
-  broadcast_awaiting_.clear();
   age_recovery_requests();
 
   // Graceful degradation: with every neighbour dead or quarantined there is
   // no reading to synchronize against; announce it explicitly (the clock
   // free runs and the error report grows at the drift bound until a reply
   // arrives - see note_peer_replied for the exit).
-  if (health_ != nullptr && !degraded_ && !neighbors_.empty() &&
-      health_->reachable_count(neighbors_) == 0) {
+  if (peers_.health_on() && !degraded_ && !neighbors_.empty() &&
+      peers_.reachable_count(neighbors_) == 0) {
     set_degraded(true);
   }
 
@@ -442,12 +427,12 @@ void ProtocolEngine::end_round() {
 
   const RealTime now = wall_->now();
   std::span<const TimeReading> round_input = round_replies_;
-  if (filter_ != nullptr) {
+  if (peers_.filter_on()) {
     // Serve the filtered best per neighbour instead of the raw replies.
     // This also sustains rounds whose replies were all lost: recent cached
     // samples (aged by the drift budget) are still sound inputs.
-    filter_->best_all_into(clock_->read(now), spec_.claimed_delta,
-                           filter_scratch_);
+    peers_.best_all_into(clock_->read(now), spec_.claimed_delta,
+                         filter_scratch_);
     round_input = filter_scratch_;
   }
   // BYZ merges gossiped second-hand readings for sources the round has no
@@ -455,32 +440,31 @@ void ProtocolEngine::end_round() {
   // (and keep each other synchronized after quarantining it) even though
   // the hub owns every first-hand link.  Runs before the empty check: a
   // round with only second-hand input is still a sync round.
-  if (spec_.algo == SyncAlgorithm::kBYZ && !second_hand_.empty()) {
+  if (spec_.algo == SyncAlgorithm::kBYZ && !peers_.second_hand_rows().empty()) {
     const ClockTime local = clock_->read(now);
     const Duration horizon = 2.0 * current_period_;
     merged_replies_.clear();
     // mtds:alloc-ok(round scratch; clear() keeps capacity, so these pushes only allocate while the reply/source population is still growing)
     merged_replies_.assign(round_input.begin(), round_input.end());
-    for (const SecondHandReading& sh : second_hand_) {
+    for (PeerTable::Row row : peers_.second_hand_rows()) {
+      const PeerTable::Memory& sh = peers_.second_hand(row);
+      const ServerId source = peers_.id(row);
       const Duration age = local - sh.local;
       if (age < Duration{0.0} || age > horizon) continue;
-      if (health_ != nullptr) {
-        const PeerState state = health_->state(sh.source);
-        if (state == PeerState::kQuarantined ||
-            state == PeerState::kProbation) {
-          continue;  // untrusted source: its relayed claims are too
-        }
+      const PeerState state = peers_.state(row);
+      if (state == PeerState::kQuarantined || state == PeerState::kProbation) {
+        continue;  // untrusted source: its relayed claims are too
       }
       bool have_first_hand = false;
       for (const TimeReading& r : round_input) {
-        if (r.from == sh.source) {
+        if (r.from == source) {
           have_first_hand = true;
           break;
         }
       }
       if (have_first_hand) continue;
       TimeReading reading;
-      reading.from = sh.source;
+      reading.from = source;
       reading.c = sh.c;
       reading.e = sh.e;
       reading.rtt_own = sh.rtt;
@@ -498,7 +482,7 @@ void ProtocolEngine::end_round() {
   if (outcome.reset) {
     apply_reset(*outcome.reset, /*is_recovery=*/false);
   }
-  if (health_ != nullptr && !outcome.round_inconsistent) {
+  if (peers_.health_on() && !outcome.round_inconsistent) {
     // Section 4 consistency streaks: on a round that produced a trusted
     // region, every contributor either extends its inconsistency streak
     // (below, via note_inconsistency) or resets it here.  A failed round
@@ -508,7 +492,7 @@ void ProtocolEngine::end_round() {
       if (std::find(outcome.inconsistent_with.begin(),
                     outcome.inconsistent_with.end(),
                     reading.from) == outcome.inconsistent_with.end()) {
-        health_->note_consistent(reading.from);
+        peers_.note_consistent(peers_.find(reading.from));
       }
     }
   }
@@ -540,7 +524,7 @@ void ProtocolEngine::age_recovery_requests() {
     // The recovery server never answered: expire the request and back off
     // before the next attempt (doubling per attempt, bounded burst).
     ++counters_.recovery_timeouts;
-    if (health_ != nullptr) health_->note_missed(it->to);
+    if (peers_.health_on()) peers_.note_missed(peers_.find(it->to));
     recovery_wait_rounds_ = std::min(
         kMaxRecoveryBackoffRounds,
         recovery_attempts_ > 0 ? (1u << (recovery_attempts_ - 1)) : 1u);
@@ -567,10 +551,10 @@ void ProtocolEngine::set_degraded(bool degraded) {
 }
 
 // mtds:no-alloc
-void ProtocolEngine::note_peer_replied(ServerId peer) {
-  if (health_ == nullptr) return;
-  health_->note_reply(peer);
-  if (degraded_ && health_->reachable_count(neighbors_) > 0) {
+void ProtocolEngine::note_peer_replied(PeerTable::Row row) {
+  if (!peers_.health_on()) return;
+  peers_.note_reply(row);
+  if (degraded_ && peers_.reachable_count(neighbors_) > 0) {
     set_degraded(false);
   }
 }
@@ -595,29 +579,25 @@ void ProtocolEngine::handle(RealTime t, const ServiceMessage& msg) {
       return;
     }
     case ServiceMessage::Type::kTimeResponse: {
-      Pending pend;
-      if (spec_.use_broadcast && msg.tag == broadcast_tag_) {
-        // A broadcast-round reply: pair by (round tag, sender).
-        const auto it = std::find(broadcast_awaiting_.begin(),
-                                  broadcast_awaiting_.end(), msg.from);
-        if (it == broadcast_awaiting_.end()) return;  // duplicate
-        broadcast_awaiting_.erase(it);
-        pend = Pending{msg.tag, broadcast_sent_local_, /*recovery=*/false,
-                       msg.from};
-      } else {
-        const auto it =
-            std::find_if(pending_.begin(), pending_.end(),
-                         [&](const Pending& p) { return p.tag == msg.tag; });
-        if (it == pending_.end()) return;  // stale or unknown reply
-        pend = *it;
-        pending_.erase(it);
+      // Pair by (tag, sender): a reply from any server other than the one
+      // polled under that tag is not an answer to it.
+      const auto it = std::find_if(
+          pending_.begin(), pending_.end(), [&msg](const Pending& p) {
+            return p.tag == msg.tag && p.to == msg.from;
+          });
+      if (it == pending_.end()) {
+        return;  // stale, duplicate, or from a server we did not poll
       }
+      const Pending pend = *it;
+      pending_.erase(it);
       ++counters_.replies_received;
+      // The one row lookup of this reply (every request's target has a row:
+      // start(), add_neighbor() and request_recovery() add them).
+      const PeerTable::Row row = peers_.find(msg.from);
       // Any paired reply is liveness evidence, even from a quarantined
       // peer - quarantine means untrusted, not unreachable.
-      note_peer_replied(msg.from);
-      if (health_ != nullptr &&
-          health_->state(msg.from) == PeerState::kQuarantined) {
+      note_peer_replied(row);
+      if (peers_.state(row) == PeerState::kQuarantined) {
         // Section 4: a peer outside our consistency group may be alive,
         // but its readings are discarded wholesale.
         return;
@@ -631,26 +611,25 @@ void ProtocolEngine::handle(RealTime t, const ServiceMessage& msg) {
       reading.rtt_own = std::max(Duration{0.0}, local - pend.sent_local);
       reading.local_receive = local;
 
-      if (note_reading_impossible(reading) && health_ != nullptr) {
+      if (note_reading_impossible(row, reading) && peers_.health_on()) {
         // A proven equivocator is quarantined on the spot (the Section 4
         // group-exclusion path, skipping the statistical streak) and the
         // reading discarded.  Without the health layer the conviction is
         // recorded but the reading still faces the ordinary per-reading
         // consistency checks - existing configurations keep their behavior.
-        health_->note_byzantine(msg.from);
-        if (health_->state(msg.from) == PeerState::kQuarantined) return;
+        peers_.note_byzantine(row);
+        if (peers_.state(row) == PeerState::kQuarantined) return;
       }
 
-      if (health_ != nullptr &&
-          health_->state(msg.from) == PeerState::kProbation) {
+      if (peers_.state(row) == PeerState::kProbation) {
         // Supervised release: the reply passed the equivocation check, so
         // it extends the probation streak - but the reading itself stays
         // discarded until the peer has re-earned healthy.
-        health_->note_probation_consistent(msg.from);
+        peers_.note_probation_consistent(row);
         return;
       }
 
-      if (rate_monitor_ != nullptr) rate_monitor_->observe(reading);
+      if (peers_.rates_on()) peers_.observe(row, reading);
       if (pend.recovery) {
         // Third-server recovery (Section 3): reset unconditionally to the
         // third server's value, inheriting its error plus the round trip.
@@ -664,7 +643,7 @@ void ProtocolEngine::handle(RealTime t, const ServiceMessage& msg) {
         apply_reset(reset, /*is_recovery=*/true);
         return;
       }
-      process_reading(reading);
+      process_reading(row, reading);
       return;
     }
     case ServiceMessage::Type::kReadingGossip: {
@@ -675,22 +654,13 @@ void ProtocolEngine::handle(RealTime t, const ServiceMessage& msg) {
 }
 
 // mtds:no-alloc
-bool ProtocolEngine::note_reading_impossible(const TimeReading& reading) {
-  PeerReadingMemory* mem = nullptr;
-  for (PeerReadingMemory& m : reading_memory_) {
-    if (m.peer == reading.from) {
-      mem = &m;
-      break;
-    }
-  }
+bool ProtocolEngine::note_reading_impossible(PeerTable::Row row,
+                                             const TimeReading& reading) {
   bool impossible = false;
   Duration excess{0.0};
-  if (mem == nullptr) {
-    reading_memory_.push_back({});  // mtds:alloc-ok(first contact with a new peer; the memory is keyed per peer and reused for every later reading)
-    mem = &reading_memory_.back();
-    mem->peer = reading.from;
-  } else {
-    const Duration elapsed = reading.local_receive - mem->local;
+  if (peers_.has_first_hand(row)) {
+    const PeerTable::Memory& mem = peers_.first_hand(row);
+    const Duration elapsed = reading.local_receive - mem.local;
     // Freshness guard: convict only against a recent previous reading.  A
     // stale one (backoff probes of long-dead peers, or memory scrambled by
     // a corrupt-state fault into the distant past/future) is not evidence -
@@ -703,9 +673,9 @@ bool ProtocolEngine::note_reading_impossible(const TimeReading& reading) {
       // each reading's sampling uncertainty (its own-clock round trip).
       // An advance outside that envelope is physically impossible under the
       // declared bounds - the peer contradicted itself.
-      const Duration advance = reading.c - mem->c;
-      const Duration budget = mem->e + reading.e +
-                              2.0 * spec_.claimed_delta * elapsed + mem->rtt +
+      const Duration advance = reading.c - mem.c;
+      const Duration budget = mem.e + reading.e +
+                              2.0 * spec_.claimed_delta * elapsed + mem.rtt +
                               reading.rtt_own + kEquivocationSlack;
       const Duration gap = abs(advance - elapsed);
       if (gap > budget) {
@@ -714,10 +684,9 @@ bool ProtocolEngine::note_reading_impossible(const TimeReading& reading) {
       }
     }
   }
-  mem->c = reading.c;
-  mem->e = reading.e;
-  mem->local = reading.local_receive;
-  mem->rtt = reading.rtt_own;
+  // mtds:alloc-ok(the first reading from a peer joins the first-hand order list, once)
+  peers_.set_first_hand(
+      row, {reading.c, reading.e, reading.local_receive, reading.rtt_own});
   if (impossible) {
     ++counters_.byzantine_suspects;
     const RealTime now = wall_->now();
@@ -733,9 +702,10 @@ bool ProtocolEngine::note_reading_impossible(const TimeReading& reading) {
 }
 
 // mtds:no-alloc
-void ProtocolEngine::process_reading(const TimeReading& reading) {
+void ProtocolEngine::process_reading(PeerTable::Row row,
+                                     const TimeReading& reading) {
   if (sync_ == nullptr) return;
-  if (filter_ != nullptr) filter_->add(reading);
+  if (peers_.filter_on()) peers_.add_sample(row, reading);
   if (sync_->mode() == SyncMode::kPerRound) {
     // mtds:alloc-ok(per-round reply buffer; clear() keeps its capacity, so after the first full round this never reallocates)
     if (round_open_) round_replies_.push_back(reading);
@@ -745,9 +715,9 @@ void ProtocolEngine::process_reading(const TimeReading& reading) {
   // order, exactly as rule MM-2 prescribes.  With the clock filter on, the
   // neighbour's lowest-delay recent sample stands in for the raw reply.
   TimeReading effective = reading;
-  if (filter_ != nullptr) {
-    if (auto best = filter_->best(reading.from, reading.local_receive,
-                                  spec_.claimed_delta)) {
+  if (peers_.filter_on()) {
+    if (auto best = peers_.best(row, reading.local_receive,
+                                spec_.claimed_delta)) {
       effective = *best;
     }
   }
@@ -758,9 +728,9 @@ void ProtocolEngine::process_reading(const TimeReading& reading) {
   if (!outcome.inconsistent_with.empty()) {
     ++counters_.inconsistencies;
     note_inconsistency(outcome.inconsistent_with);
-  } else if (health_ != nullptr) {
+  } else if (peers_.health_on()) {
     // Section 4 consistency streak: a clean reply resets it.
-    health_->note_consistent(reading.from);
+    peers_.note_consistent(row);
   }
 }
 
@@ -777,18 +747,10 @@ void ProtocolEngine::apply_reset(const ClockReset& reset, bool is_recovery) {
   for (Pending& pend : pending_) {
     pend.sent_local += jump;
   }
-  // The equivocation memory's receipt stamps live on the same axis; rebase
-  // them too or every peer would look like it jumped by -jump next round.
-  for (PeerReadingMemory& mem : reading_memory_) {
-    mem.local += jump;
-  }
-  for (SecondHandReading& sh : second_hand_) {
-    sh.local += jump;
-  }
-  broadcast_sent_local_ += jump;
-  if (filter_ != nullptr) filter_->on_local_reset(jump);
+  // Every per-peer stamp lives on the same axis; rebase them too or every
+  // peer would look like it jumped by -jump next round.
+  peers_.rebase(jump);
   clock_->set(now, reset.clock);
-  if (rate_monitor_ != nullptr) rate_monitor_->on_local_reset();
   // The tracker records the *intended* post-reset state.  A faulty clock
   // that refuses the set (kStickyReset) leaves the server's bookkeeping
   // believing the reset happened - precisely the failure mode the paper
@@ -854,17 +816,17 @@ void ProtocolEngine::corrupt_state(std::uint64_t nonce) {
   const auto throw_stamp = [&]() {
     return Duration{(next() % 2 == 0 ? 1.0 : -1.0) * (100.0 + scramble(400.0) + 400.0)};
   };
-  for (PeerReadingMemory& mem : reading_memory_) {
+  const auto poison = [&](PeerTable::Memory& mem) {
     mem.c += Duration{scramble(50.0)};
     mem.e = Duration{static_cast<double>(next() % 1000) * 1e-4};
     mem.local += throw_stamp();
     mem.rtt = Duration{static_cast<double>(next() % 1000) * 1e-4};
+  };
+  for (PeerTable::Row row : peers_.first_hand_rows()) {
+    poison(peers_.first_hand(row));
   }
-  for (SecondHandReading& sh : second_hand_) {
-    sh.c += Duration{scramble(50.0)};
-    sh.e = Duration{static_cast<double>(next() % 1000) * 1e-4};
-    sh.local += throw_stamp();
-    sh.rtt = Duration{static_cast<double>(next() % 1000) * 1e-4};
+  for (PeerTable::Row row : peers_.second_hand_rows()) {
+    poison(peers_.second_hand(row));
   }
   // In-flight requests lose their send stamps too: the replies still
   // pairing this round will carry garbage round trips and correspondingly
@@ -908,10 +870,10 @@ void ProtocolEngine::note_inconsistency(const core::ServerIdVec& peers) {
   }
   util::logt(LogLevel::kDebug, now.seconds(), "S%u inconsistent with %zu peer(s)",
              id_, peers.size());
-  if (health_ != nullptr) {
+  if (peers_.health_on()) {
     // Section 4: persistent disagreement eventually quarantines the peer -
     // the local model of "not in my consistency group".
-    for (ServerId peer : peers) health_->note_inconsistent(peer);
+    for (ServerId peer : peers) peers_.note_inconsistent(peers_.find(peer));
   }
   if (spec_.recovery == RecoveryPolicy::kThirdServer) {
     request_recovery(peers.empty() ? core::kInvalidServer : peers.front());
@@ -937,8 +899,7 @@ void ProtocolEngine::request_recovery(ServerId exclude) {
   // quarantined are never trusted as the third server.
   const auto usable = [&](ServerId s) {
     return s != id_ && s != exclude &&
-           (health_ == nullptr ||
-            health_->state(s) != PeerState::kQuarantined);
+           peers_.peer_state(s) != PeerState::kQuarantined;
   };
   std::vector<ServerId> candidates;
   for (ServerId s : spec_.recovery_pool) {
@@ -954,6 +915,7 @@ void ProtocolEngine::request_recovery(ServerId exclude) {
 
   recovery_exclude_ = exclude;
   ++recovery_attempts_;
+  peers_.row(target);  // a recovery-pool server may not be a neighbour
 
   ServiceMessage req;
   req.type = ServiceMessage::Type::kTimeRequest;
@@ -961,7 +923,7 @@ void ProtocolEngine::request_recovery(ServerId exclude) {
   req.to = target;
   req.tag = next_tag_++;
   pending_.push_back(
-      Pending{req.tag, clock_->read(wall_->now()), /*recovery=*/true, target});
+      Pending{req.tag, target, clock_->read(wall_->now()), /*recovery=*/true});
   ++counters_.requests_sent;
   transport_->send(target, req);
 }

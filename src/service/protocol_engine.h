@@ -25,9 +25,7 @@
 #include "runtime/runtime.h"
 #include "service/config.h"
 #include "service/message.h"
-#include "service/peer_health.h"
-#include "service/rate_monitor.h"
-#include "service/sample_filter.h"
+#include "service/peer_table.h"
 #include "service/snapshot.h"
 #include "sim/rng.h"
 
@@ -141,7 +139,8 @@ class ProtocolEngine {
 
   // Membership update: future rounds will also poll `peer`.
   void add_neighbor(ServerId peer);
-  // Stops polling `peer` (outstanding requests to it simply expire).
+  // Stops polling `peer` and forgets it: its table row and any requests
+  // still in flight to it are dropped.
   void remove_neighbor(ServerId peer);
   bool running() const noexcept { return running_; }
 
@@ -168,18 +167,13 @@ class ProtocolEngine {
   // Message entry point (installed as the transport handler by start()).
   void handle(RealTime t, const ServiceMessage& msg);
 
-  // Section 5 rate monitor; non-null only when spec.monitor_rates is set.
-  RateMonitor* rate_monitor() noexcept { return rate_monitor_.get(); }
-  const RateMonitor* rate_monitor() const noexcept {
-    return rate_monitor_.get();
-  }
-
-  // Peer-health layer; non-null only when spec.health.enabled.
-  PeerHealth* peer_health() noexcept { return health_.get(); }
-  const PeerHealth* peer_health() const noexcept { return health_.get(); }
+  // Everything the engine keeps per peer: reading memories, health state,
+  // filter windows and rate evidence (the Section 5 queries live there).
+  PeerTable& peers() noexcept { return peers_; }
+  const PeerTable& peers() const noexcept { return peers_; }
   // kHealthy when the health layer is off (every peer is then trusted).
   PeerState peer_state(ServerId peer) const {
-    return health_ == nullptr ? PeerState::kHealthy : health_->state(peer);
+    return peers_.peer_state(peer);
   }
   // Degraded mode: no neighbour reachable; the clock free runs and the
   // reported error grows at the drift bound until a peer answers again.
@@ -214,17 +208,18 @@ class ProtocolEngine {
   void end_round();
   void send_gossip(core::ClockTime local);
   void handle_gossip(RealTime t, const ServiceMessage& msg);
-  void process_reading(const core::TimeReading& reading);
+  void process_reading(PeerTable::Row row, const core::TimeReading& reading);
   // Cross-round equivocation detector: compares `reading` against the same
   // peer's previous reading and returns true when the pair is mutually
   // impossible under the declared drift bound (then also records the trace
   // event and updates counters).  Always refreshes the per-peer memory.
-  bool note_reading_impossible(const core::TimeReading& reading);
+  bool note_reading_impossible(PeerTable::Row row,
+                               const core::TimeReading& reading);
   void apply_reset(const core::ClockReset& reset, bool is_recovery);
   void note_inconsistency(const core::ServerIdVec& peers);
   void request_recovery(ServerId exclude);
   core::LocalState local_state(RealTime t);
-  void note_peer_replied(ServerId peer);
+  void note_peer_replied(PeerTable::Row row);
   void age_recovery_requests();
   void set_degraded(bool degraded);
   void publish_snapshot(RealTime now);
@@ -233,9 +228,7 @@ class ProtocolEngine {
   std::unique_ptr<core::Clock> clock_;
   core::ErrorTracker tracker_;
   ServerSpec spec_;
-  std::unique_ptr<core::SyncFunction> sync_;   // null for kNone
-  std::unique_ptr<RateMonitor> rate_monitor_;  // null unless monitor_rates
-  std::unique_ptr<SampleFilter> filter_;       // null unless use_sample_filter
+  std::unique_ptr<core::SyncFunction> sync_;  // null for kNone
   runtime::Transport* transport_;
   runtime::Timers* timers_;
   runtime::WallSource* wall_;
@@ -246,57 +239,31 @@ class ProtocolEngine {
   bool running_ = false;
   Duration current_period_ = 0.0;  // adaptive tau; starts at spec.poll_period
 
-  // Outstanding requests, keyed by tag.  Tags are handed out monotonically
-  // and requests are appended in tag order, so this flat vector iterates in
-  // exactly the order the old std::map did - but a steady-state round
-  // touches no allocator: push_back reuses capacity, expiry compacts in
-  // place, and reply pairing is a short linear scan (the list is at most a
-  // round's worth of requests).
+  // Outstanding requests, in (tag, destination) order.  Tags are handed
+  // out monotonically; a broadcast round shares one tag among its targets,
+  // which are appended in ascending order.  A reply pairs by (tag, sender)
+  // with a short linear scan (at most a round's worth of requests).
+  // Steady-state rounds touch no allocator: push_back reuses capacity and
+  // expiry compacts in place.
   struct Pending {
     std::uint64_t tag = 0;
+    ServerId to;     // destination (pairing and miss attribution)
     core::ClockTime sent_local;
     bool recovery;   // reply triggers an unconditional recovery reset
-    ServerId to;     // destination (peer-health miss attribution)
     std::uint32_t age = 0;  // round closes survived (recovery timeout)
   };
   std::vector<Pending> pending_;
   std::uint64_t next_tag_;
 
-  // Peer-health layer (null unless spec.health.enabled).
-  std::unique_ptr<PeerHealth> health_;
+  // Per-peer state: one row per peer (see service/peer_table.h).
+  PeerTable peers_;
   bool degraded_ = false;
 
   // Snapshot sink (null = no serving plane attached); see set_snapshot_sink.
   SnapshotSink* snapshot_sink_ = nullptr;
 
-  // Cross-round equivocation detection: the last reading accepted from each
-  // peer, on the local clock axis (rebased across local resets exactly like
-  // pending_).  Flat and append-only - one entry per peer ever heard from,
-  // so steady state touches no allocator once every peer has replied.
-  struct PeerReadingMemory {
-    ServerId peer = core::kInvalidServer;
-    core::ClockTime c{0.0};      // the peer's transmitted clock value
-    core::Duration e{0.0};       // the peer's transmitted error bound
-    core::ClockTime local{0.0};  // our clock at receipt
-    Duration rtt{0.0};           // own-clock round trip of that reading
-  };
-  std::vector<PeerReadingMemory> reading_memory_;
-
-  // Gossip plane: targets for cross-notes (empty = gossip off), and the
-  // freshest second-hand reading heard about each source.  `local` is the
-  // note's collection instant mapped onto our clock axis (receipt minus the
-  // gossiped age), so the sync transform and the freshness window treat
-  // second-hand entries exactly like first-hand ones.  Flat and append-only
-  // like reading_memory_: one slot per source ever gossiped about.
+  // Gossip plane: targets for cross-notes (empty = gossip off).
   std::vector<ServerId> gossip_peers_;
-  struct SecondHandReading {
-    ServerId source = core::kInvalidServer;
-    core::ClockTime c{0.0};
-    core::Duration e{0.0};       // gossiped bound aged by the transit budget
-    core::ClockTime local{0.0};  // collection instant on our clock axis
-    Duration rtt{0.0};           // gossiper's rtt plus our transit bound
-  };
-  std::vector<SecondHandReading> second_hand_;
   core::Readings merged_replies_;  // BYZ round scratch: first + second hand
 
   // corrupt-state recovery accounting: set by corrupt_state(), cleared by
@@ -308,14 +275,6 @@ class ProtocolEngine {
   std::uint32_t recovery_attempts_ = 0;
   std::uint32_t recovery_wait_rounds_ = 0;
   ServerId recovery_exclude_ = core::kInvalidServer;
-
-  // Broadcast-mode round state: one shared tag, one send timestamp, and the
-  // neighbours whose reply is still awaited.  Kept sorted ascending so the
-  // round-close miss attribution runs in the same order the old std::set
-  // gave; assign/erase reuse the vector's capacity.
-  std::uint64_t broadcast_tag_ = 0;
-  core::ClockTime broadcast_sent_local_ = 0.0;
-  std::vector<ServerId> broadcast_awaiting_;
 
   // Current round state (per-round sync functions buffer replies here).
   core::Readings round_replies_;

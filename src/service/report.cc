@@ -19,9 +19,7 @@ ServiceReport build_report(TimeService& service) {
     sr.error = server.current_error(report.at);
     sr.correct = server.correct(report.at);
     sr.counters = server.counters();
-    if (const auto* monitor = server.rate_monitor()) {
-      sr.dissonant = monitor->dissonant();
-    }
+    sr.dissonant = server.peers().dissonant();
     report.servers.push_back(std::move(sr));
   }
 

@@ -76,11 +76,10 @@ class TimeServer {
   // Message entry point (installed as the network handler by start()).
   void handle(RealTime t, const ServiceMessage& msg) { engine_.handle(t, msg); }
 
-  // Section 5 rate monitor; non-null only when spec.monitor_rates is set.
-  RateMonitor* rate_monitor() noexcept { return engine_.rate_monitor(); }
-  const RateMonitor* rate_monitor() const noexcept {
-    return engine_.rate_monitor();
-  }
+  // Per-peer state, including the Section 5 rate queries (their column is
+  // present only when spec.monitor_rates is set).
+  PeerTable& peers() noexcept { return engine_.peers(); }
+  const PeerTable& peers() const noexcept { return engine_.peers(); }
 
   // Chaos plane; non-null only when spec.chaos.active().
   runtime::FaultInjector* fault_injector() noexcept { return chaos_.get(); }

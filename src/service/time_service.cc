@@ -125,9 +125,10 @@ void TimeService::build() {
     servers_[i]->start(adjacency_[i]);
     // A server's rate monitor needs its neighbours' claimed bounds (a real
     // deployment would learn them from the service directory).
-    if (auto* monitor = servers_[i]->rate_monitor()) {
+    if (config_.servers[i].monitor_rates) {
       for (ServerId j : adjacency_[i]) {
-        monitor->set_claimed_delta(j, config_.servers[j].claimed_delta);
+        servers_[i]->peers().set_claimed_delta(
+            j, config_.servers[j].claimed_delta);
       }
     }
   }

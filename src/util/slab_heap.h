@@ -95,7 +95,7 @@ class SlabHeap {
   // Removes and returns the next live payload; requires !empty().
   // `pri_out`, when given, receives the entry's priority.
   Payload pop(Priority* pri_out = nullptr) {
-    Payload payload;
+    Payload payload{};
     Priority pri;
     try_pop(pri, payload);
     if (pri_out != nullptr) *pri_out = pri;

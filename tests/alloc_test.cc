@@ -144,13 +144,16 @@ TEST(AllocTest, SampleFilterSteadyStateIsAllocationFree) {
 // fan-out (one ServiceMessage per fresh note, inline in SmallFn closures),
 // the cross-check against first-hand memory and the second-hand merge must
 // all run out of retained capacity once warm.  n = 5 keeps f = 1, so the
-// trim path is exercised, not short-circuited.
+// trim path is exercised, not short-circuited.  Health, filter and rate
+// monitor are on too, so every column of the peer table is live.
 TEST(AllocTest, ByzGossipSteadyStateIsAllocationFree) {
   ServiceConfig cfg = config(core::SyncAlgorithm::kBYZ, 5);
   cfg.gossip = true;
   for (auto& s : cfg.servers) {
     s.health.enabled = true;
     s.health.quarantine_after = 3;
+    s.use_sample_filter = true;
+    s.monitor_rates = true;
   }
   expect_steady_state_alloc_free(std::move(cfg), "BYZ/gossip");
 }

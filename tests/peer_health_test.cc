@@ -1,11 +1,11 @@
-// PeerHealth: the reachability state machine in isolation, plus the
-// engine-level degraded mode it drives.
+// PeerTable's health column: the reachability state machine in isolation,
+// plus the engine-level degraded mode it drives.
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
-#include "service/peer_health.h"
+#include "service/peer_table.h"
 #include "service/time_service.h"
 
 namespace mtds::service {
@@ -27,23 +27,24 @@ PeerHealthPolicy policy(std::uint32_t suspect_after = 2,
   return p;
 }
 
-TEST(PeerHealth, MissStreakWalksHealthySuspectDead) {
+TEST(PeerTableHealth, MissStreakWalksHealthySuspectDead) {
   sim::Rng rng{1};
-  PeerHealth health(policy(), &rng);
+  PeerTable table({.health = policy()}, &rng);
+  const PeerTable::Row peer = table.row(7);
   std::vector<std::pair<PeerState, PeerState>> transitions;
-  health.set_transition_hook(
+  table.set_transition_hook(
       [&](core::ServerId, PeerState from, PeerState to) {
         transitions.emplace_back(from, to);
       });
 
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
-  health.note_missed(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
-  health.note_missed(7);
-  EXPECT_EQ(health.state(7), PeerState::kSuspect);
-  health.note_missed(7);
-  health.note_missed(7);
-  EXPECT_EQ(health.state(7), PeerState::kDead);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
+  table.note_missed(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
+  table.note_missed(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kSuspect);
+  table.note_missed(peer);
+  table.note_missed(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kDead);
 
   ASSERT_EQ(transitions.size(), 2u);
   EXPECT_EQ(transitions[0], std::make_pair(PeerState::kHealthy,
@@ -52,28 +53,30 @@ TEST(PeerHealth, MissStreakWalksHealthySuspectDead) {
                                            PeerState::kDead));
 }
 
-TEST(PeerHealth, OneReplyHealsSuspectAndDead) {
+TEST(PeerTableHealth, OneReplyHealsSuspectAndDead) {
   sim::Rng rng{1};
-  PeerHealth health(policy(), &rng);
-  for (int i = 0; i < 10; ++i) health.note_missed(7);
-  EXPECT_EQ(health.state(7), PeerState::kDead);
-  health.note_reply(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
+  PeerTable table({.health = policy()}, &rng);
+  const PeerTable::Row peer = table.row(7);
+  for (int i = 0; i < 10; ++i) table.note_missed(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kDead);
+  table.note_reply(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
   // ... and the miss streak restarted from zero.
-  health.note_missed(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
+  table.note_missed(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
 }
 
-TEST(PeerHealth, DeadPeerIsProbedOnExponentialBackoff) {
+TEST(PeerTableHealth, DeadPeerIsProbedOnExponentialBackoff) {
   sim::Rng rng{1};
   // jitter = 0 so the probe schedule is exact: intervals 2, 4, 8, 8, ...
-  PeerHealth health(policy(2, 4, 2, 8, 0.0), &rng);
-  for (int i = 0; i < 4; ++i) health.note_missed(7);
-  ASSERT_EQ(health.state(7), PeerState::kDead);
+  PeerTable table({.health = policy(2, 4, 2, 8, 0.0)}, &rng);
+  const PeerTable::Row peer = table.row(7);
+  for (int i = 0; i < 4; ++i) table.note_missed(peer);
+  ASSERT_EQ(table.state(peer), PeerState::kDead);
 
   std::vector<int> probe_rounds;
   for (int round = 0; round < 40; ++round) {
-    if (health.should_poll(7)) probe_rounds.push_back(round);
+    if (table.should_poll(peer)) probe_rounds.push_back(round);
   }
   // Probe immediately, then after 2, 4, 8, 8, ... suppressed rounds.
   ASSERT_GE(probe_rounds.size(), 5u);
@@ -87,117 +90,127 @@ TEST(PeerHealth, DeadPeerIsProbedOnExponentialBackoff) {
   EXPECT_LT(probe_rounds.size(), 8u);
 }
 
-TEST(PeerHealth, JitterSpreadsProbeSchedule) {
+TEST(PeerTableHealth, JitterSpreadsProbeSchedule) {
   // With jitter, two trackers that declared the same peer dead in the same
   // round need not probe in lockstep (they draw from different streams).
   sim::Rng rng_a{1}, rng_b{2};
-  PeerHealth a(policy(2, 4, 4, 32, 1.0), &rng_a);
-  PeerHealth b(policy(2, 4, 4, 32, 1.0), &rng_b);
+  PeerTable a({.health = policy(2, 4, 4, 32, 1.0)}, &rng_a);
+  const PeerTable::Row peer_a = a.row(7);
+  PeerTable b({.health = policy(2, 4, 4, 32, 1.0)}, &rng_b);
+  const PeerTable::Row peer_b = b.row(7);
   for (int i = 0; i < 4; ++i) {
-    a.note_missed(7);
-    b.note_missed(7);
+    a.note_missed(peer_a);
+    b.note_missed(peer_b);
   }
   std::vector<int> rounds_a, rounds_b;
   for (int round = 0; round < 200; ++round) {
-    if (a.should_poll(7)) rounds_a.push_back(round);
-    if (b.should_poll(7)) rounds_b.push_back(round);
+    if (a.should_poll(peer_a)) rounds_a.push_back(round);
+    if (b.should_poll(peer_b)) rounds_b.push_back(round);
   }
   EXPECT_NE(rounds_a, rounds_b);
 }
 
-TEST(PeerHealth, HealedPeerReturnsToFullRatePolling) {
+TEST(PeerTableHealth, HealedPeerReturnsToFullRatePolling) {
   sim::Rng rng{1};
   // backoff_max = 2: a revived peer is probed within two rounds, so it
   // heals within two poll periods of coming back.
-  PeerHealth health(policy(2, 4, 2, 2, 0.0), &rng);
-  for (int i = 0; i < 4; ++i) health.note_missed(7);
-  ASSERT_EQ(health.state(7), PeerState::kDead);
+  PeerTable table({.health = policy(2, 4, 2, 2, 0.0)}, &rng);
+  const PeerTable::Row peer = table.row(7);
+  for (int i = 0; i < 4; ++i) table.note_missed(peer);
+  ASSERT_EQ(table.state(peer), PeerState::kDead);
 
   // Drain the schedule to an arbitrary point, then "revive" the peer: the
   // next probe is at most 2 rounds away.
-  health.should_poll(7);
+  table.should_poll(peer);
   int rounds_until_probe = 0;
-  while (!health.should_poll(7)) ++rounds_until_probe;
+  while (!table.should_poll(peer)) ++rounds_until_probe;
   EXPECT_LE(rounds_until_probe, 2);
   // The probe got a reply: healthy again, polled every round.
-  health.note_reply(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
-  EXPECT_TRUE(health.should_poll(7));
-  EXPECT_TRUE(health.should_poll(7));
+  table.note_reply(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
+  EXPECT_TRUE(table.should_poll(peer));
+  EXPECT_TRUE(table.should_poll(peer));
 }
 
-TEST(PeerHealth, QuarantineIsStickyAndStopsPolling) {
+TEST(PeerTableHealth, QuarantineIsStickyAndStopsPolling) {
   sim::Rng rng{1};
-  PeerHealth health(policy(2, 4, 2, 8, 0.0, 3), &rng);
+  PeerTable table({.health = policy(2, 4, 2, 8, 0.0, 3)}, &rng);
+  const PeerTable::Row peer = table.row(7);
 
-  health.note_inconsistent(7);
-  health.note_inconsistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
+  table.note_inconsistent(peer);
+  table.note_inconsistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
   // A consistent round resets the streak (Section 4: still in the group).
-  health.note_consistent(7);
-  health.note_inconsistent(7);
-  health.note_inconsistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
-  health.note_inconsistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kQuarantined);
+  table.note_consistent(peer);
+  table.note_inconsistent(peer);
+  table.note_inconsistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
+  table.note_inconsistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kQuarantined);
 
   // Alive but untrusted: replies do not heal it, polls stop, misses don't
   // demote it to dead.
-  health.note_reply(7);
-  EXPECT_EQ(health.state(7), PeerState::kQuarantined);
-  EXPECT_FALSE(health.should_poll(7));
-  health.note_missed(7);
-  EXPECT_EQ(health.state(7), PeerState::kQuarantined);
+  table.note_reply(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kQuarantined);
+  EXPECT_FALSE(table.should_poll(peer));
+  table.note_missed(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kQuarantined);
 }
 
-TEST(PeerHealth, ReachableCountExcludesDeadAndQuarantined) {
+TEST(PeerTableHealth, ReachableCountExcludesDeadAndQuarantined) {
   sim::Rng rng{1};
-  PeerHealth health(policy(2, 4, 2, 8, 0.0, 1), &rng);
+  PeerTable table({.health = policy(2, 4, 2, 8, 0.0, 1)}, &rng);
   const std::vector<core::ServerId> peers{1, 2, 3, 4};
+  for (core::ServerId id : peers) table.row(id);
 
-  EXPECT_EQ(health.reachable_count(peers), 4u);
-  for (int i = 0; i < 4; ++i) health.note_missed(1);  // dead
-  health.note_missed(2);
-  health.note_missed(2);                              // suspect: reachable
-  health.note_inconsistent(3);                        // quarantined
-  EXPECT_EQ(health.reachable_count(peers), 2u);
+  EXPECT_EQ(table.reachable_count(peers), 4u);
+  for (int i = 0; i < 4; ++i) table.note_missed(table.find(1));  // dead
+  table.note_missed(table.find(2));
+  table.note_missed(table.find(2));    // suspect: reachable
+  table.note_inconsistent(table.find(3));  // quarantined
+  EXPECT_EQ(table.reachable_count(peers), 2u);
 }
 
-TEST(PeerHealth, ForgetDropsState) {
+TEST(PeerTableHealth, ForgetDropsState) {
   sim::Rng rng{1};
-  PeerHealth health(policy(), &rng);
-  for (int i = 0; i < 4; ++i) health.note_missed(7);
-  EXPECT_EQ(health.state(7), PeerState::kDead);
-  health.forget(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
+  PeerTable table({.health = policy()}, &rng);
+  const PeerTable::Row peer = table.row(7);
+  for (int i = 0; i < 4; ++i) table.note_missed(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kDead);
+  table.forget(7);
+  EXPECT_EQ(table.find(7), PeerTable::kNoRow);
+  EXPECT_EQ(table.peer_state(7), PeerState::kHealthy);
+  // A new row for the id starts from scratch.
+  EXPECT_EQ(table.state(table.row(7)), PeerState::kHealthy);
 }
 
 // --- Probation release ----------------------------------------------------
 
-TEST(PeerHealth, QuarantineReleasesIntoProbationAfterSentence) {
+TEST(PeerTableHealth, QuarantineReleasesIntoProbationAfterSentence) {
   sim::Rng rng{1};
   PeerHealthPolicy p = policy(2, 4, 2, 8, 0.0, /*quarantine_after=*/1);
   p.release_after = 3;
   p.probation_rounds = 2;
-  PeerHealth health(p, &rng);
+  PeerTable table({.health = p}, &rng);
+  const PeerTable::Row peer = table.row(7);
   std::vector<std::pair<PeerState, PeerState>> transitions;
-  health.set_transition_hook(
+  table.set_transition_hook(
       [&](core::ServerId, PeerState from, PeerState to) {
         transitions.emplace_back(from, to);
       });
 
-  health.note_inconsistent(7);
-  ASSERT_EQ(health.state(7), PeerState::kQuarantined);
+  table.note_inconsistent(peer);
+  ASSERT_EQ(table.state(peer), PeerState::kQuarantined);
 
   // Each skipped round counts toward release; the peer is not polled while
   // the sentence runs, then is polled immediately on release.
-  EXPECT_FALSE(health.should_poll(7));
-  EXPECT_FALSE(health.should_poll(7));
-  EXPECT_EQ(health.state(7), PeerState::kQuarantined);
-  EXPECT_TRUE(health.should_poll(7));
-  EXPECT_EQ(health.state(7), PeerState::kProbation);
+  EXPECT_FALSE(table.should_poll(peer));
+  EXPECT_FALSE(table.should_poll(peer));
+  EXPECT_EQ(table.state(peer), PeerState::kQuarantined);
+  EXPECT_TRUE(table.should_poll(peer));
+  EXPECT_EQ(table.state(peer), PeerState::kProbation);
   // Probation peers ARE polled every round (readings discarded elsewhere).
-  EXPECT_TRUE(health.should_poll(7));
+  EXPECT_TRUE(table.should_poll(peer));
 
   ASSERT_EQ(transitions.size(), 2u);
   EXPECT_EQ(transitions[0],
@@ -206,112 +219,117 @@ TEST(PeerHealth, QuarantineReleasesIntoProbationAfterSentence) {
             std::make_pair(PeerState::kQuarantined, PeerState::kProbation));
 }
 
-TEST(PeerHealth, ProbationRehabilitatesOnlyAfterFullConsistentStreak) {
+TEST(PeerTableHealth, ProbationRehabilitatesOnlyAfterFullConsistentStreak) {
   sim::Rng rng{1};
   PeerHealthPolicy p = policy(2, 4, 2, 8, 0.0, /*quarantine_after=*/1);
   p.release_after = 1;
   p.probation_rounds = 3;
-  PeerHealth health(p, &rng);
+  PeerTable table({.health = p}, &rng);
+  const PeerTable::Row peer = table.row(7);
 
-  health.note_inconsistent(7);
-  ASSERT_TRUE(health.should_poll(7));  // release_after = 1: out immediately
-  ASSERT_EQ(health.state(7), PeerState::kProbation);
+  table.note_inconsistent(peer);
+  ASSERT_TRUE(table.should_poll(peer));  // release_after = 1: out immediately
+  ASSERT_EQ(table.state(peer), PeerState::kProbation);
 
   // One or two consistent rounds are not enough.
-  health.note_probation_consistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kProbation);
-  health.note_probation_consistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kProbation);
-  health.note_probation_consistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
+  table.note_probation_consistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kProbation);
+  table.note_probation_consistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kProbation);
+  table.note_probation_consistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
 
   // Rehabilitation cleared the conviction streak: one fresh inconsistency
   // does not immediately re-quarantine under quarantine_after = 1's worth
   // of accumulated history (the streak restarted from zero, so this single
   // call is what convicts - state machine, not memory of the old offense).
-  health.note_missed(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);  // miss streak reset too
+  table.note_missed(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);  // miss streak reset too
 }
 
-TEST(PeerHealth, MissedProbationRoundResetsStreakWithoutDemotion) {
+TEST(PeerTableHealth, MissedProbationRoundResetsStreakWithoutDemotion) {
   sim::Rng rng{1};
   PeerHealthPolicy p = policy(2, 4, 2, 8, 0.0, /*quarantine_after=*/1);
   p.release_after = 1;
   p.probation_rounds = 2;
-  PeerHealth health(p, &rng);
+  PeerTable table({.health = p}, &rng);
+  const PeerTable::Row peer = table.row(7);
 
-  health.note_inconsistent(7);
-  ASSERT_TRUE(health.should_poll(7));
-  ASSERT_EQ(health.state(7), PeerState::kProbation);
+  table.note_inconsistent(peer);
+  ASSERT_TRUE(table.should_poll(peer));
+  ASSERT_EQ(table.state(peer), PeerState::kProbation);
 
   // A miss breaks the chain but does not demote (no note_reply laundering
   // path back to healthy) - the full streak is required again afterwards.
-  health.note_probation_consistent(7);
-  health.note_missed(7);
-  EXPECT_EQ(health.state(7), PeerState::kProbation);
-  health.note_probation_consistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kProbation);
-  health.note_probation_consistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
+  table.note_probation_consistent(peer);
+  table.note_missed(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kProbation);
+  table.note_probation_consistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kProbation);
+  table.note_probation_consistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
 }
 
-TEST(PeerHealth, OffenseDuringProbationRestartsTheSentence) {
+TEST(PeerTableHealth, OffenseDuringProbationRestartsTheSentence) {
   sim::Rng rng{1};
   PeerHealthPolicy p = policy(2, 4, 2, 8, 0.0, /*quarantine_after=*/3);
   p.release_after = 2;
   p.probation_rounds = 2;
-  PeerHealth health(p, &rng);
+  PeerTable table({.health = p}, &rng);
+  const PeerTable::Row peer = table.row(7);
 
-  health.note_byzantine(7);  // hard evidence: immediate quarantine
-  ASSERT_EQ(health.state(7), PeerState::kQuarantined);
-  EXPECT_FALSE(health.should_poll(7));
-  EXPECT_TRUE(health.should_poll(7));
-  ASSERT_EQ(health.state(7), PeerState::kProbation);
+  table.note_byzantine(peer);  // hard evidence: immediate quarantine
+  ASSERT_EQ(table.state(peer), PeerState::kQuarantined);
+  EXPECT_FALSE(table.should_poll(peer));
+  EXPECT_TRUE(table.should_poll(peer));
+  ASSERT_EQ(table.state(peer), PeerState::kProbation);
 
   // A single inconsistency during probation goes straight back to
   // quarantine - no quarantine_after streak for a convict on supervised
   // release - and the release countdown starts over from zero.
-  health.note_probation_consistent(7);
-  health.note_inconsistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kQuarantined);
-  EXPECT_FALSE(health.should_poll(7));
-  EXPECT_TRUE(health.should_poll(7));
-  ASSERT_EQ(health.state(7), PeerState::kProbation);
+  table.note_probation_consistent(peer);
+  table.note_inconsistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kQuarantined);
+  EXPECT_FALSE(table.should_poll(peer));
+  EXPECT_TRUE(table.should_poll(peer));
+  ASSERT_EQ(table.state(peer), PeerState::kProbation);
 
   // Same for byzantine evidence during probation; partial probation
   // progress is discarded on re-conviction.
-  health.note_probation_consistent(7);
-  health.note_byzantine(7);
-  EXPECT_EQ(health.state(7), PeerState::kQuarantined);
-  EXPECT_FALSE(health.should_poll(7));
-  EXPECT_TRUE(health.should_poll(7));
-  health.note_probation_consistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kProbation);  // streak restarted
-  health.note_probation_consistent(7);
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
+  table.note_probation_consistent(peer);
+  table.note_byzantine(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kQuarantined);
+  EXPECT_FALSE(table.should_poll(peer));
+  EXPECT_TRUE(table.should_poll(peer));
+  table.note_probation_consistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kProbation);  // streak restarted
+  table.note_probation_consistent(peer);
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
 }
 
-TEST(PeerHealth, ProbationConsistentIsNoOpOutsideProbation) {
+TEST(PeerTableHealth, ProbationConsistentIsNoOpOutsideProbation) {
   sim::Rng rng{1};
   // Sticky default: release_after = 0 never releases, and probation credit
   // cannot be banked from any other state.
-  PeerHealth health(policy(2, 4, 2, 8, 0.0, /*quarantine_after=*/1), &rng);
+  PeerTable table({.health = policy(2, 4, 2, 8, 0.0, /*quarantine_after=*/1)},
+                  &rng);
+  const PeerTable::Row peer = table.row(7);
 
-  health.note_probation_consistent(7);  // healthy: no-op
-  EXPECT_EQ(health.state(7), PeerState::kHealthy);
+  table.note_probation_consistent(peer);  // healthy: no-op
+  EXPECT_EQ(table.state(peer), PeerState::kHealthy);
 
-  health.note_inconsistent(7);
-  ASSERT_EQ(health.state(7), PeerState::kQuarantined);
+  table.note_inconsistent(peer);
+  ASSERT_EQ(table.state(peer), PeerState::kQuarantined);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_FALSE(health.should_poll(7));
-    health.note_probation_consistent(7);  // quarantined: no-op
+    EXPECT_FALSE(table.should_poll(peer));
+    table.note_probation_consistent(peer);  // quarantined: no-op
   }
-  EXPECT_EQ(health.state(7), PeerState::kQuarantined);
+  EXPECT_EQ(table.state(peer), PeerState::kQuarantined);
 }
 
 // --- Engine-level degraded mode ------------------------------------------
 
-TEST(PeerHealthEngine, DegradedModeEntersAndExitsWithReachability) {
+TEST(PeerTableHealthEngine, DegradedModeEntersAndExitsWithReachability) {
   ServiceConfig cfg;
   cfg.seed = 5;
   cfg.delay_hi = 0.005;

@@ -1,7 +1,8 @@
-#include "service/rate_monitor.h"
-
+// PeerTable's rate column: Section 5 consonance over the table, alone and
+// inside a running service.
 #include <gtest/gtest.h>
 
+#include "service/peer_table.h"
 #include "service/time_service.h"
 
 namespace mtds::service {
@@ -18,101 +19,144 @@ core::TimeReading reading(core::ServerId from, double local, double remote,
   return r;
 }
 
-TEST(RateMonitor, NoEstimateBeforeEnoughObservations) {
-  RateMonitor monitor(1e-5);
-  EXPECT_EQ(monitor.neighbours(), 0u);
-  EXPECT_FALSE(monitor.rate_interval(1).has_value());
-  monitor.observe(reading(1, 0.0, 0.0));
-  EXPECT_EQ(monitor.neighbours(), 1u);
-  EXPECT_FALSE(monitor.rate_interval(1).has_value());
+// A table with only the rate column, for a server claiming `own_delta`.
+PeerTable rate_table(double own_delta) {
+  PeerTableOptions options;
+  options.monitor_rates = true;
+  options.own_delta = own_delta;
+  return PeerTable(options, nullptr);
 }
 
-TEST(RateMonitor, MeasuresRelativeRate) {
-  RateMonitor monitor(1e-5);
+void observe(PeerTable& table, const core::TimeReading& r) {
+  table.observe(table.row(r.from), r);
+}
+
+TEST(PeerTableRates, NoEstimateBeforeEnoughObservations) {
+  PeerTable table = rate_table(1e-5);
+  EXPECT_EQ(table.rate_neighbours(), 0u);
+  EXPECT_FALSE(table.rate_interval(1).has_value());
+  table.row(1);  // a row alone is not an observation
+  EXPECT_EQ(table.rate_neighbours(), 0u);
+  observe(table, reading(1, 0.0, 0.0));
+  EXPECT_EQ(table.rate_neighbours(), 1u);
+  EXPECT_FALSE(table.rate_interval(1).has_value());
+}
+
+TEST(PeerTableRates, MeasuresRelativeRate) {
+  PeerTable table = rate_table(1e-5);
   // Neighbour gains 1e-3 per local second; 1 ms round trips give the
   // estimate a small non-zero uncertainty band.
   for (int i = 0; i <= 5; ++i) {
     const double local = 100.0 * i;
-    monitor.observe(reading(1, local, local * (1.0 + 1e-3), 0.001));
+    observe(table, reading(1, local, local * (1.0 + 1e-3), 0.001));
   }
-  const auto interval = monitor.rate_interval(1);
+  const auto interval = table.rate_interval(1);
   ASSERT_TRUE(interval.has_value());
   EXPECT_TRUE(interval->contains(1e-3)) << interval->str();
   EXPECT_LT(interval->length(), 1e-4);  // (0.001+0.001)/500 per side
 }
 
-TEST(RateMonitor, DissonantRequiresClaimedDelta) {
-  RateMonitor monitor(1e-5);
+TEST(PeerTableRates, DissonantRequiresClaimedDelta) {
+  PeerTable table = rate_table(1e-5);
   for (int i = 0; i <= 5; ++i) {
     const double local = 100.0 * i;
-    monitor.observe(reading(1, local, local * 1.04));  // 4% fast!
+    observe(table, reading(1, local, local * 1.04));  // 4% fast!
   }
-  // Without a claimed bound the monitor cannot judge.
-  EXPECT_TRUE(monitor.dissonant().empty());
-  monitor.set_claimed_delta(1, 1.2e-5);
-  const auto bad = monitor.dissonant();
+  // Without a claimed bound the table cannot judge.
+  EXPECT_TRUE(table.dissonant().empty());
+  table.set_claimed_delta(1, 1.2e-5);
+  const auto bad = table.dissonant();
   ASSERT_EQ(bad.size(), 1u);
   EXPECT_EQ(bad[0], 1u);
 }
 
-TEST(RateMonitor, ConsonantNeighbourNotFlagged) {
-  RateMonitor monitor(1e-5);
-  monitor.set_claimed_delta(1, 2e-5);
+TEST(PeerTableRates, DissonantListsPeersInIdOrder) {
+  PeerTable table = rate_table(1e-5);
+  for (core::ServerId j : {9u, 3u, 5u}) table.set_claimed_delta(j, 1e-5);
   for (int i = 0; i <= 5; ++i) {
     const double local = 100.0 * i;
-    monitor.observe(reading(1, local, local * (1.0 + 1.5e-5)));
+    for (core::ServerId j : {9u, 3u, 5u}) {
+      observe(table, reading(j, local, local * 1.04));
+    }
   }
-  EXPECT_TRUE(monitor.dissonant().empty());
+  EXPECT_EQ(table.dissonant(), (std::vector<core::ServerId>{3, 5, 9}));
 }
 
-TEST(RateMonitor, LocalResetClearsWindows) {
-  RateMonitor monitor(1e-5);
-  monitor.set_claimed_delta(1, 1e-5);
+TEST(PeerTableRates, ConsonantNeighbourNotFlagged) {
+  PeerTable table = rate_table(1e-5);
+  table.set_claimed_delta(1, 2e-5);
   for (int i = 0; i <= 5; ++i) {
-    monitor.observe(reading(1, 100.0 * i, 100.0 * i * 1.04));
+    const double local = 100.0 * i;
+    observe(table, reading(1, local, local * (1.0 + 1.5e-5)));
   }
-  ASSERT_FALSE(monitor.dissonant().empty());
-  monitor.on_local_reset();
-  EXPECT_FALSE(monitor.rate_interval(1).has_value());
-  EXPECT_TRUE(monitor.dissonant().empty());
+  EXPECT_TRUE(table.dissonant().empty());
 }
 
-TEST(RateMonitor, RefinedOwnRateFromConsonantNeighbours) {
+TEST(PeerTableRates, LocalResetClearsWindows) {
+  PeerTable table = rate_table(1e-5);
+  table.set_claimed_delta(1, 1e-5);
+  for (int i = 0; i <= 5; ++i) {
+    observe(table, reading(1, 100.0 * i, 100.0 * i * 1.04));
+  }
+  ASSERT_FALSE(table.dissonant().empty());
+  table.rebase(core::Duration{0.0});
+  EXPECT_FALSE(table.rate_interval(1).has_value());
+  EXPECT_TRUE(table.dissonant().empty());
+}
+
+TEST(PeerTableRates, ForgetDropsEstimatorAndClaim) {
+  PeerTable table = rate_table(1e-5);
+  table.set_claimed_delta(1, 1e-5);
+  for (int i = 0; i <= 5; ++i) {
+    observe(table, reading(1, 100.0 * i, 100.0 * i * 1.04));
+  }
+  ASSERT_EQ(table.rate_neighbours(), 1u);
+  table.forget(1);
+  EXPECT_EQ(table.rate_neighbours(), 0u);
+  EXPECT_FALSE(table.rate_interval(1).has_value());
+  // A later server reusing the id starts with no claim either.
+  for (int i = 0; i <= 5; ++i) {
+    observe(table, reading(1, 100.0 * i, 100.0 * i * 1.04));
+  }
+  EXPECT_TRUE(table.dissonant().empty());
+}
+
+TEST(PeerTableRates, RefinedOwnRateFromConsonantNeighbours) {
   // Our clock is actually 2e-5 fast; three accurate neighbours all appear
   // ~2e-5 SLOW relative to us.  The refined own-rate interval must contain
   // +2e-5 and exclude rates far outside.
-  RateMonitor monitor(5e-5);
+  PeerTable table = rate_table(5e-5);
   for (core::ServerId j = 1; j <= 3; ++j) {
-    monitor.set_claimed_delta(j, 1e-6);
+    table.set_claimed_delta(j, 1e-6);
     for (int i = 0; i <= 5; ++i) {
       const double local = 200.0 * i;
-      monitor.observe(reading(j, local, local * (1.0 - 2e-5)));
+      observe(table, reading(j, local, local * (1.0 - 2e-5)));
     }
   }
-  const auto own = monitor.refined_own_rate();
+  const auto own = table.refined_own_rate();
   ASSERT_TRUE(own.has_value());
   EXPECT_TRUE(own->contains(2e-5)) << own->str();
   EXPECT_LT(own->length(), 1e-4);
   EXPECT_FALSE(own->contains(1e-3));
 }
 
-TEST(RateMonitor, RefinedOwnRateSkipsDissonantNeighbour) {
-  RateMonitor monitor(5e-5);
-  monitor.set_claimed_delta(1, 1e-6);
-  monitor.set_claimed_delta(2, 1e-6);
+TEST(PeerTableRates, RefinedOwnRateSkipsDissonantNeighbour) {
+  PeerTable table = rate_table(5e-5);
+  table.set_claimed_delta(1, 1e-6);
+  table.set_claimed_delta(2, 1e-6);
   for (int i = 0; i <= 5; ++i) {
     const double local = 200.0 * i;
-    monitor.observe(reading(1, local, local * (1.0 - 2e-5)));  // honest
-    monitor.observe(reading(2, local, local * 1.04));          // 4% liar
+    observe(table, reading(1, local, local * (1.0 - 2e-5)));  // honest
+    observe(table, reading(2, local, local * 1.04));          // 4% liar
   }
-  const auto own = monitor.refined_own_rate();
+  const auto own = table.refined_own_rate();
   ASSERT_TRUE(own.has_value());
   // The liar, being dissonant, is excluded; the estimate still brackets our
   // true rate error.
   EXPECT_TRUE(own->contains(2e-5)) << own->str();
 }
 
-TEST(RateMonitorService, FlagsInvalidBoundWhileIntervalsStillConsistent) {
+TEST(PeerTableRatesService, FlagsInvalidBoundWhileIntervalsStillConsistent) {
   // Section 5's punchline: the 4%-fast server is detected by RATE analysis
   // long before (and independently of) interval inconsistency.
   ServiceConfig cfg;
@@ -137,13 +181,13 @@ TEST(RateMonitorService, FlagsInvalidBoundWhileIntervalsStillConsistent) {
   TimeService service(cfg);
   service.run_until(200.0);
 
-  const auto* monitor = service.server(0).rate_monitor();
-  ASSERT_NE(monitor, nullptr);
-  EXPECT_EQ(monitor->neighbours(), 2u);
+  const PeerTable& peers = service.server(0).peers();
+  ASSERT_TRUE(peers.rates_on());
+  EXPECT_EQ(peers.rate_neighbours(), 2u);
   // Intervals are all consistent (errors are 10 s, offsets < 8 s)...
   EXPECT_TRUE(service.all_correct());
   // ...yet the rate monitor has already convicted server 2.
-  const auto bad = monitor->dissonant();
+  const auto bad = peers.dissonant();
   ASSERT_EQ(bad.size(), 1u);
   EXPECT_EQ(bad[0], 2u);
 }

@@ -1,8 +1,9 @@
-#include "service/sample_filter.h"
-
+// PeerTable's filter column: minimum-round-trip sample selection, alone
+// and inside a running service.
 #include <gtest/gtest.h>
 
 #include "service/invariants.h"
+#include "service/peer_table.h"
 #include "service/time_service.h"
 
 namespace mtds::service {
@@ -13,19 +14,41 @@ core::TimeReading reading(core::ServerId from, double c, double e, double rtt,
   return core::TimeReading{from, c, e, rtt, local_receive};
 }
 
-TEST(SampleFilter, EmptyHasNothing) {
-  SampleFilter filter;
-  EXPECT_FALSE(filter.best(1, 100.0, 1e-5).has_value());
-  EXPECT_TRUE(filter.best_all(100.0, 1e-5).empty());
-  EXPECT_EQ(filter.size(1), 0u);
+// A table with only the filter column.
+PeerTable filter_table(std::size_t window = 8, double max_age = 120.0) {
+  PeerTableOptions options;
+  options.sample_filter = true;
+  options.filter_window = window;
+  options.filter_max_age = core::Duration{max_age};
+  return PeerTable(options, nullptr);
 }
 
-TEST(SampleFilter, PicksMinimumDelaySample) {
-  SampleFilter filter;
-  filter.add(reading(1, 100.00, 0.01, 0.050, 100.0));  // slow round trip
-  filter.add(reading(1, 100.50, 0.01, 0.002, 100.5));  // fast round trip
-  filter.add(reading(1, 101.00, 0.01, 0.030, 101.0));  // medium
-  const auto best = filter.best(1, 101.0, 1e-5);
+void add(PeerTable& table, const core::TimeReading& r) {
+  table.add_sample(table.row(r.from), r);
+}
+
+core::Readings best_all(const PeerTable& table, double local_now,
+                        double delta) {
+  core::Readings out;
+  table.best_all_into(core::ClockTime{local_now}, delta, out);
+  return out;
+}
+
+TEST(PeerTableFilter, EmptyHasNothing) {
+  PeerTable table = filter_table();
+  EXPECT_TRUE(best_all(table, 100.0, 1e-5).empty());
+  const PeerTable::Row peer = table.row(1);
+  EXPECT_FALSE(table.best(peer, 100.0, 1e-5).has_value());
+  EXPECT_EQ(table.samples(peer), 0u);
+  EXPECT_TRUE(best_all(table, 100.0, 1e-5).empty());
+}
+
+TEST(PeerTableFilter, PicksMinimumDelaySample) {
+  PeerTable table = filter_table();
+  add(table, reading(1, 100.00, 0.01, 0.050, 100.0));  // slow round trip
+  add(table, reading(1, 100.50, 0.01, 0.002, 100.5));  // fast round trip
+  add(table, reading(1, 101.00, 0.01, 0.030, 101.0));  // medium
+  const auto best = table.best(table.find(1), 101.0, 1e-5);
   ASSERT_TRUE(best.has_value());
   EXPECT_DOUBLE_EQ(best->rtt_own.seconds(), 0.002);
   // Aged to local_now = 101.0: the sample was taken at 100.5.
@@ -34,57 +57,70 @@ TEST(SampleFilter, PicksMinimumDelaySample) {
   EXPECT_DOUBLE_EQ(best->local_receive.seconds(), 101.0);
 }
 
-TEST(SampleFilter, AgingCanDisqualifyOldFastSample) {
+TEST(PeerTableFilter, AgingCanDisqualifyOldFastSample) {
   // A very old fast sample accrues delta*age width; a fresh slightly slower
   // sample wins once the aging penalty dominates.
-  SampleFilter filter(8, /*max_age=*/1e9);
+  PeerTable table = filter_table(8, /*max_age=*/1e9);
   const double delta = 1e-3;
-  filter.add(reading(1, 0.0, 0.01, 0.001, 0.0));     // fast but ancient
-  filter.add(reading(1, 1000.0, 0.01, 0.004, 1000.0));  // slower but fresh
-  const auto best = filter.best(1, 1000.0, delta);
+  add(table, reading(1, 0.0, 0.01, 0.001, 0.0));        // fast but ancient
+  add(table, reading(1, 1000.0, 0.01, 0.004, 1000.0));  // slower but fresh
+  const auto best = table.best(table.find(1), 1000.0, delta);
   ASSERT_TRUE(best.has_value());
   EXPECT_DOUBLE_EQ(best->rtt_own.seconds(), 0.004);
 }
 
-TEST(SampleFilter, MaxAgeEvicts) {
-  SampleFilter filter(8, /*max_age=*/10.0);
-  filter.add(reading(1, 100.0, 0.01, 0.001, 100.0));
-  EXPECT_TRUE(filter.best(1, 105.0, 1e-5).has_value());
-  EXPECT_FALSE(filter.best(1, 150.0, 1e-5).has_value());
+TEST(PeerTableFilter, MaxAgeEvicts) {
+  PeerTable table = filter_table(8, /*max_age=*/10.0);
+  add(table, reading(1, 100.0, 0.01, 0.001, 100.0));
+  EXPECT_TRUE(table.best(table.find(1), 105.0, 1e-5).has_value());
+  EXPECT_FALSE(table.best(table.find(1), 150.0, 1e-5).has_value());
 }
 
-TEST(SampleFilter, WindowBoundsMemory) {
-  SampleFilter filter(/*window=*/3);
+TEST(PeerTableFilter, WindowBoundsMemory) {
+  PeerTable table = filter_table(/*window=*/3);
   for (int i = 0; i < 10; ++i) {
-    filter.add(reading(1, 100.0 + i, 0.01, 0.01, 100.0 + i));
+    add(table, reading(1, 100.0 + i, 0.01, 0.01, 100.0 + i));
   }
-  EXPECT_EQ(filter.size(1), 3u);
+  EXPECT_EQ(table.samples(table.find(1)), 3u);
 }
 
-TEST(SampleFilter, BestAllCoversEveryNeighbour) {
-  SampleFilter filter;
-  filter.add(reading(1, 100.0, 0.01, 0.01, 100.0));
-  filter.add(reading(2, 100.1, 0.02, 0.02, 100.0));
-  const auto all = filter.best_all(100.0, 1e-5);
-  EXPECT_EQ(all.size(), 2u);
+TEST(PeerTableFilter, BestAllCoversEveryNeighbourInIdOrder) {
+  PeerTable table = filter_table();
+  add(table, reading(2, 100.1, 0.02, 0.02, 100.0));
+  add(table, reading(1, 100.0, 0.01, 0.01, 100.0));
+  const auto all = best_all(table, 100.0, 1e-5);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].from, 1u);
+  EXPECT_EQ(all[1].from, 2u);
 }
 
-TEST(SampleFilter, LocalResetRebasesSamples) {
-  SampleFilter filter;
-  filter.add(reading(1, 100.2, 0.01, 0.001, 100.0));  // offset +0.2
+TEST(PeerTableFilter, LocalResetRebasesSamples) {
+  PeerTable table = filter_table();
+  add(table, reading(1, 100.2, 0.01, 0.001, 100.0));  // offset +0.2
   // Local clock jumps backward by 1.0: at the same instant our clock now
   // reads 99.0, so the neighbour's offset in the NEW timescale is +1.2.
-  filter.on_local_reset(-1.0);
-  const auto best = filter.best(1, 99.0, 0.0);
+  table.rebase(core::Duration{-1.0});
+  const auto best = table.best(table.find(1), 99.0, 0.0);
   ASSERT_TRUE(best.has_value());
   EXPECT_NEAR(best->c.seconds() - best->local_receive.seconds(), 1.2, 1e-12);
   // And the aged offset stays stable as the new timescale advances.
-  const auto later = filter.best(1, 104.0, 0.0);
+  const auto later = table.best(table.find(1), 104.0, 0.0);
   ASSERT_TRUE(later.has_value());
   EXPECT_NEAR(later->c.seconds() - later->local_receive.seconds(), 1.2, 1e-12);
 }
 
-TEST(SampleFilter, FilterSustainsIMRoundsThroughHeavyLoss) {
+TEST(PeerTableFilter, ForgetDropsTheWindow) {
+  PeerTable table = filter_table();
+  add(table, reading(1, 100.0, 0.01, 0.01, 100.0));
+  add(table, reading(2, 100.1, 0.02, 0.02, 100.0));
+  table.forget(1);
+  const auto all = best_all(table, 100.0, 1e-5);
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].from, 2u);
+  EXPECT_EQ(table.samples(table.row(1)), 0u);
+}
+
+TEST(PeerTableFilter, FilterSustainsIMRoundsThroughHeavyLoss) {
   // MM's acceptance predicate already behaves as a running minimum over
   // round trips, so at equilibrium the filter cannot beat it.  Its genuine
   // edge is availability during convergence: under heavy message loss, a
@@ -135,7 +171,7 @@ TEST(SampleFilter, FilterSustainsIMRoundsThroughHeavyLoss) {
   EXPECT_TRUE(filtered.correct);
 }
 
-TEST(SampleFilter, ServiceStaysCorrectWithFilterOn) {
+TEST(PeerTableFilter, ServiceStaysCorrectWithFilterOn) {
   // The filter must not break the safety proofs: aged samples are sound.
   for (auto algo : {core::SyncAlgorithm::kMM, core::SyncAlgorithm::kIM}) {
     ServiceConfig cfg;

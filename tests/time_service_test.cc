@@ -24,13 +24,6 @@ ServerSpec spec_mm(double claimed, double actual, double e0, double offset,
   return s;
 }
 
-ServerSpec spec_im(double claimed, double actual, double e0, double offset,
-                   double tau = 5.0) {
-  ServerSpec s = spec_mm(claimed, actual, e0, offset, tau);
-  s.algo = core::SyncAlgorithm::kIM;
-  return s;
-}
-
 ServiceConfig small_config(core::SyncAlgorithm algo, std::uint64_t seed = 7) {
   ServiceConfig cfg;
   cfg.seed = seed;

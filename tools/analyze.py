@@ -283,7 +283,7 @@ class Program:
 
 def _type_key(type_text: str) -> str:
     """`const std::vector<Pending>&` -> `std::vector`; `util::InlineVec<T,4>`
-    -> `InlineVec`; `PeerHealth*` -> `PeerHealth`.  std:: keys keep their
+    -> `InlineVec`; `PeerTable*` -> `PeerTable`.  std:: keys keep their
     namespace (the external policy matches on it); first-party keys drop it
     (class names are unique in this codebase)."""
     t = re.sub(r"\s*::\s*", "::", type_text.strip())
