@@ -72,7 +72,7 @@ UdpTimeServer::UdpTimeServer(UdpServerConfig config)
                            ? static_cast<runtime::Transport*>(chaos_.get())
                            : static_cast<runtime::Transport*>(runtime_.get()),
                        runtime_.get(), runtime_.get()},
-      /*observer=*/nullptr, sim::Rng(0x5DEECE66Dull + config_.id));
+      /*trace=*/nullptr, sim::Rng(0x5DEECE66Dull + config_.id));
   if (config_.client_threads > 0) {
     ServingPlaneConfig sp;
     sp.port = config_.client_port;

@@ -90,13 +90,6 @@ struct ServerSpec {
   // delay spikes, corruption, partitions, crash-stop) - the shells
   // (service::TimeServer, net::UdpTimeServer) do the wrapping.
   runtime::FaultPlan chaos;
-
-  // Gossip cross-notes: forward fresh first-hand readings (plus a
-  // self-note) to every other server each round, and cross-check incoming
-  // notes against first-hand memory (see ProtocolEngine::set_gossip_peers).
-  // The service-level ServiceConfig::gossip switch turns it on fleet-wide;
-  // this per-server flag adds individual servers.
-  bool gossip = false;
 };
 
 enum class Topology : std::uint8_t { kFull, kRing, kStar, kLine, kCustom };
@@ -115,10 +108,13 @@ struct ServiceConfig {
 
   std::uint64_t seed = 42;
 
-  // Fleet-wide gossip cross-notes switch (DSL: `gossip on`).  Gossip
-  // messages go directly to every other server regardless of topology -
-  // cross-notes model an out-of-band channel, which is exactly what lets a
-  // star's leaves compare notes about the hub.
+  // Fleet-wide gossip cross-notes switch (DSL: `gossip on`): every server
+  // forwards fresh first-hand readings (plus a self-note) to every other
+  // server each round, and cross-checks incoming notes against first-hand
+  // memory (see ProtocolEngine::set_gossip_peers).  Gossip messages go
+  // directly to every other server regardless of topology - cross-notes
+  // model an out-of-band channel, which is exactly what lets a star's
+  // leaves compare notes about the hub.
   bool gossip = false;
 
   // Trace sampling period in real time; <= 0 disables sampling.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/log.h"
-
 namespace mtds::service {
 
 using core::ClockReset;
@@ -12,7 +10,7 @@ using core::ClockTime;
 using core::LocalState;
 using core::SyncMode;
 using core::TimeReading;
-using util::LogLevel;
+using sim::TraceEventKind;
 
 namespace {
 
@@ -32,7 +30,7 @@ constexpr core::Duration kEquivocationSlack{1e-6};
 
 ProtocolEngine::ProtocolEngine(ServerId id, std::unique_ptr<core::Clock> clock,
                                const ServerSpec& spec, runtime::Runtime rt,
-                               EngineObserver* observer, sim::Rng rng)
+                               sim::Trace* trace, sim::Rng rng)
     : id_(id),
       clock_(std::move(clock)),
       tracker_(spec.claimed_delta, spec.initial_error,
@@ -44,7 +42,7 @@ ProtocolEngine::ProtocolEngine(ServerId id, std::unique_ptr<core::Clock> clock,
       transport_(rt.transport),
       timers_(rt.timers),
       wall_(rt.wall),
-      observer_(observer),
+      trace_(trace),
       rng_(rng),
       current_period_(spec.poll_period),
       next_tag_(1),
@@ -68,12 +66,8 @@ ProtocolEngine::ProtocolEngine(ServerId id, std::unique_ptr<core::Clock> clock,
               (from == PeerState::kSuspect || from == PeerState::kDead)) {
             ++counters_.peer_recoveries;
           }
-          const RealTime now = wall_->now();
-          if (observer_ != nullptr) {
-            observer_->on_peer_state(now, id_, peer, from, to);
-          }
-          util::logt(LogLevel::kDebug, now.seconds(), "S%u peer S%u: %s -> %s",
-                     id_, peer, to_string(from), to_string(to));
+          record(wall_->now(), TraceEventKind::kPeerState, peer,
+                 static_cast<double>(static_cast<int>(to)));
         });
   }
 }
@@ -92,7 +86,7 @@ void ProtocolEngine::start(const std::vector<ServerId>& neighbors) {
   transport_->open(id_, [this](RealTime t, const ServiceMessage& msg) {
     handle(t, msg);
   });
-  if (observer_ != nullptr) observer_->on_join(wall_->now(), id_);
+  record(wall_->now(), TraceEventKind::kJoin, core::kInvalidServer, 0.0);
   // First publication: the serving plane answers from the start-up state
   // until the first round lands a reset.
   publish_snapshot(wall_->now());
@@ -112,7 +106,7 @@ void ProtocolEngine::stop() {
   if (degraded_) set_degraded(false);
   recovery_attempts_ = 0;
   recovery_wait_rounds_ = 0;
-  if (observer_ != nullptr) observer_->on_leave(wall_->now(), id_);
+  record(wall_->now(), TraceEventKind::kLeave, core::kInvalidServer, 0.0);
 }
 
 void ProtocolEngine::add_neighbor(ServerId peer) {
@@ -355,15 +349,8 @@ void ProtocolEngine::handle_gossip(RealTime t, const ServiceMessage& msg) {
     if (a_i >= Duration{0.0} && a_i <= horizon && gap > budget) {
       ++counters_.gossip_convictions;
       const Duration excess = gap - budget;
-      const RealTime now = wall_->now();
-      if (observer_ != nullptr) {
-        observer_->on_gossip_conviction(now, id_, msg.source, msg.from,
-                                        excess);
-      }
-      util::logt(LogLevel::kInfo, now.seconds(),
-                 "S%u gossip-conviction S%u (via S%u): cross-note "
-                 "contradicts first-hand story by %.6g s",
-                 id_, msg.source, msg.from, excess.seconds());
+      record(wall_->now(), TraceEventKind::kGossipConviction, msg.source,
+             excess.seconds());
       if (peers_.health_on()) peers_.note_byzantine(row);
     }
   }
@@ -544,10 +531,8 @@ void ProtocolEngine::set_degraded(bool degraded) {
   if (degraded_ == degraded) return;
   degraded_ = degraded;
   if (degraded) ++counters_.degraded_entries;
-  const RealTime now = wall_->now();
-  if (observer_ != nullptr) observer_->on_degraded(now, id_, degraded);
-  util::logt(LogLevel::kInfo, now.seconds(), "S%u %s degraded mode", id_,
-             degraded ? "entered" : "left");
+  record(wall_->now(), TraceEventKind::kDegraded, core::kInvalidServer,
+         degraded ? 1.0 : 0.0);
 }
 
 // mtds:no-alloc
@@ -689,14 +674,8 @@ bool ProtocolEngine::note_reading_impossible(PeerTable::Row row,
       row, {reading.c, reading.e, reading.local_receive, reading.rtt_own});
   if (impossible) {
     ++counters_.byzantine_suspects;
-    const RealTime now = wall_->now();
-    if (observer_ != nullptr) {
-      observer_->on_byzantine_suspect(now, id_, reading.from, excess);
-    }
-    util::logt(LogLevel::kInfo, now.seconds(),
-               "S%u byzantine-suspect S%u: cross-round advance impossible "
-               "by %.6g s",
-               id_, reading.from, excess.seconds());
+    record(wall_->now(), TraceEventKind::kByzantineSuspect, reading.from,
+           excess.seconds());
   }
   return impossible;
 }
@@ -757,15 +736,9 @@ void ProtocolEngine::apply_reset(const ClockReset& reset, bool is_recovery) {
   // names; the invariant checkers surface the resulting incorrectness.
   tracker_.reset(reset.clock, reset.error);
   ++counters_.resets;
-  if (observer_ != nullptr) {
-    observer_->on_reset(now, id_,
-                        reset.sources.empty() ? core::kInvalidServer
-                                              : reset.sources.front(),
-                        reset.error, is_recovery);
-  }
-  util::logt(LogLevel::kDebug, now.seconds(), "S%u reset: C=%.6f eps=%.6g%s",
-             id_, reset.clock.seconds(), reset.error.seconds(),
-             is_recovery ? " (recovery)" : "");
+  record(now, is_recovery ? TraceEventKind::kRecovery : TraceEventKind::kReset,
+         reset.sources.empty() ? core::kInvalidServer : reset.sources.front(),
+         reset.error.seconds());
   // The serving plane must never answer from the pre-reset state longer
   // than one publication.
   publish_snapshot(now);
@@ -836,9 +809,7 @@ void ProtocolEngine::corrupt_state(std::uint64_t nonce) {
   }
   ++counters_.state_corruptions;
   awaiting_recovery_ = true;
-  if (observer_ != nullptr) observer_->on_state_corrupt(now, id_);
-  util::logt(LogLevel::kInfo, now.seconds(),
-             "S%u corrupt-state: clock/error/peer-memory scrambled", id_);
+  record(now, TraceEventKind::kStateCorrupt, core::kInvalidServer, 0.0);
   // The serving plane sees the corruption immediately - and the recovery
   // (the next reset) immediately after; hiding it would just mean stale
   // torn-looking answers instead of honest bad ones.
@@ -862,14 +833,15 @@ void ProtocolEngine::publish_snapshot(RealTime now) {
   snapshot_sink_->publish_snapshot(snap);
 }
 
+// mtds:alloc-ok(trace buffers are pre-sized by TimeService::reserve_trace; alloc_test proves steady-state recording allocates nothing)
+void ProtocolEngine::record(RealTime t, TraceEventKind kind, ServerId peer,
+                            double detail) {
+  if (trace_ != nullptr) trace_->record({t, id_, kind, peer, detail});
+}
+
 void ProtocolEngine::note_inconsistency(const core::ServerIdVec& peers) {
-  const RealTime now = wall_->now();
-  if (observer_ != nullptr) {
-    observer_->on_inconsistent(
-        now, id_, peers.empty() ? core::kInvalidServer : peers.front());
-  }
-  util::logt(LogLevel::kDebug, now.seconds(), "S%u inconsistent with %zu peer(s)",
-             id_, peers.size());
+  record(wall_->now(), TraceEventKind::kInconsistent,
+         peers.empty() ? core::kInvalidServer : peers.front(), 0.0);
   if (peers_.health_on()) {
     // Section 4: persistent disagreement eventually quarantines the peer -
     // the local model of "not in my consistency group".

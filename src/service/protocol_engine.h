@@ -28,6 +28,7 @@
 #include "service/peer_table.h"
 #include "service/snapshot.h"
 #include "sim/rng.h"
+#include "sim/trace.h"
 
 namespace mtds::service {
 
@@ -79,51 +80,15 @@ struct ServerCounters {
                                         // clock was provably re-contained
 };
 
-// Lifecycle notifications for embedders (the simulated shell adapts these
-// to sim::Trace; the UDP shell ignores them or logs).  All callbacks fire
-// inside the runtime's serialization domain.
-class EngineObserver {
- public:
-  virtual ~EngineObserver() = default;
-  virtual void on_join(core::RealTime, core::ServerId) {}
-  virtual void on_leave(core::RealTime, core::ServerId) {}
-  virtual void on_reset(core::RealTime, core::ServerId /*id*/,
-                        core::ServerId /*source*/, core::Duration /*error*/,
-                        bool /*is_recovery*/) {}
-  virtual void on_inconsistent(core::RealTime, core::ServerId /*id*/,
-                               core::ServerId /*peer*/) {}
-  // Peer-health transition (only with spec.health.enabled).
-  virtual void on_peer_state(core::RealTime, core::ServerId /*id*/,
-                             core::ServerId /*peer*/, PeerState /*from*/,
-                             PeerState /*to*/) {}
-  // Degraded mode toggled: no neighbour is reachable (entered = true) or a
-  // peer answered again (entered = false).  While degraded the clock free
-  // runs and the reported error grows at the drift bound.
-  virtual void on_degraded(core::RealTime, core::ServerId /*id*/,
-                           bool /*entered*/) {}
-  // Cross-round equivocation detected: `peer`'s latest reading is mutually
-  // impossible with its previous one under the declared drift bound;
-  // `excess` is how far past the drift/error/rtt budget the advance landed.
-  virtual void on_byzantine_suspect(core::RealTime, core::ServerId /*id*/,
-                                    core::ServerId /*peer*/,
-                                    core::Duration /*excess*/) {}
-  // Same-round equivocation caught through gossip: `via`'s cross-note about
-  // `source` is mutually impossible with what `source` told us first-hand.
-  virtual void on_gossip_conviction(core::RealTime, core::ServerId /*id*/,
-                                    core::ServerId /*source*/,
-                                    core::ServerId /*via*/,
-                                    core::Duration /*excess*/) {}
-  // A corrupt-state fault scrambled this server's volatile sync state.
-  virtual void on_state_corrupt(core::RealTime, core::ServerId /*id*/) {}
-};
-
 class ProtocolEngine {
  public:
-  // The engine owns its clock; runtime planes and observer are borrowed and
-  // must outlive it.  `observer` may be null.
+  // The engine owns its clock; runtime planes and trace are borrowed and
+  // must outlive it.  `trace` may be null (the UDP daemon records nothing);
+  // otherwise the engine records its lifecycle events into it (the set is
+  // documented in docs/TRACING.md).
   ProtocolEngine(ServerId id, std::unique_ptr<core::Clock> clock,
                  const ServerSpec& spec, runtime::Runtime rt,
-                 EngineObserver* observer, sim::Rng rng);
+                 sim::Trace* trace, sim::Rng rng);
   ~ProtocolEngine();
 
   ProtocolEngine(const ProtocolEngine&) = delete;
@@ -223,6 +188,9 @@ class ProtocolEngine {
   void age_recovery_requests();
   void set_degraded(bool degraded);
   void publish_snapshot(RealTime now);
+  // Records one lifecycle event for this server (no-op without a trace).
+  void record(RealTime t, sim::TraceEventKind kind, ServerId peer,
+              double detail);
 
   ServerId id_;
   std::unique_ptr<core::Clock> clock_;
@@ -232,7 +200,7 @@ class ProtocolEngine {
   runtime::Transport* transport_;
   runtime::Timers* timers_;
   runtime::WallSource* wall_;
-  EngineObserver* observer_;
+  sim::Trace* trace_;
   sim::Rng rng_;
 
   std::vector<ServerId> neighbors_;

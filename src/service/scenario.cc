@@ -124,8 +124,6 @@ ServerSpec parse_server_spec(const std::vector<std::string>& tokens,
       const double n = parse_double(value, line);
       if (n < 1) fail(line, "probation must be >= 1");
       spec.health.probation_rounds = static_cast<std::uint32_t>(n);
-    } else if (key == "gossip") {
-      spec.gossip = value != "0" && value != "false";
     } else {
       fail(line, "unknown server attribute: " + key);
     }

@@ -34,8 +34,8 @@
 // Server specs also accept health=1 (peer-health layer on), quarantine=N
 // (consecutive inconsistencies before quarantine; implies health=1),
 // release=N (quarantine rounds before probation; 0 = sticky, the default),
-// probation=N (consecutive consistent probation rounds to rehabilitate)
-// and gossip=1 (per-server cross-notes, additive to `gossip on`).
+// and probation=N (consecutive consistent probation rounds to
+// rehabilitate).
 //
 // Byzantine adversaries (runtime/adversary.h) attach to declared servers:
 //

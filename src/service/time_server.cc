@@ -11,99 +11,16 @@ TimeServer::TimeServer(ServerId id, std::unique_ptr<core::Clock> clock,
                        runtime_.transport(), runtime_.timers(),
                        runtime_.wall(), spec.chaos)
                  : nullptr),
-      observer_(trace),
       engine_(id, std::move(clock), spec,
               runtime::Runtime{chaos_ != nullptr
                                    ? static_cast<runtime::Transport*>(
                                          chaos_.get())
                                    : &runtime_.transport(),
                                &runtime_.timers(), &runtime_.wall()},
-              &observer_, rng) {
+              trace, rng) {
   if (chaos_ != nullptr) {
     chaos_->set_state_corruptor(
         [this](std::uint64_t nonce) { engine_.corrupt_state(nonce); });
-  }
-}
-
-void TimeServer::TraceObserver::on_join(core::RealTime t, core::ServerId id) {
-  if (trace_ != nullptr) {
-    trace_->record(
-        {t, id, sim::TraceEventKind::kJoin, core::kInvalidServer, 0.0});
-  }
-}
-
-void TimeServer::TraceObserver::on_leave(core::RealTime t, core::ServerId id) {
-  if (trace_ != nullptr) {
-    trace_->record(
-        {t, id, sim::TraceEventKind::kLeave, core::kInvalidServer, 0.0});
-  }
-}
-
-void TimeServer::TraceObserver::on_reset(core::RealTime t, core::ServerId id,
-                                         core::ServerId source,
-                                         core::Duration error,
-                                         bool is_recovery) {
-  if (trace_ != nullptr) {
-    trace_->record({t, id,
-                    is_recovery ? sim::TraceEventKind::kRecovery
-                                : sim::TraceEventKind::kReset,
-                    source, error.seconds()});
-  }
-}
-
-void TimeServer::TraceObserver::on_inconsistent(core::RealTime t,
-                                                core::ServerId id,
-                                                core::ServerId peer) {
-  if (trace_ != nullptr) {
-    trace_->record({t, id, sim::TraceEventKind::kInconsistent, peer, 0.0});
-  }
-}
-
-void TimeServer::TraceObserver::on_peer_state(core::RealTime t,
-                                              core::ServerId id,
-                                              core::ServerId peer,
-                                              PeerState /*from*/,
-                                              PeerState to) {
-  if (trace_ != nullptr) {
-    trace_->record({t, id, sim::TraceEventKind::kPeerState, peer,
-                    static_cast<double>(static_cast<int>(to))});
-  }
-}
-
-void TimeServer::TraceObserver::on_degraded(core::RealTime t,
-                                            core::ServerId id, bool entered) {
-  if (trace_ != nullptr) {
-    trace_->record({t, id, sim::TraceEventKind::kDegraded,
-                    core::kInvalidServer, entered ? 1.0 : 0.0});
-  }
-}
-
-void TimeServer::TraceObserver::on_byzantine_suspect(core::RealTime t,
-                                                     core::ServerId id,
-                                                     core::ServerId peer,
-                                                     core::Duration excess) {
-  if (trace_ != nullptr) {
-    trace_->record({t, id, sim::TraceEventKind::kByzantineSuspect, peer,
-                    excess.seconds()});
-  }
-}
-
-void TimeServer::TraceObserver::on_gossip_conviction(core::RealTime t,
-                                                     core::ServerId id,
-                                                     core::ServerId source,
-                                                     core::ServerId /*via*/,
-                                                     core::Duration excess) {
-  if (trace_ != nullptr) {
-    trace_->record({t, id, sim::TraceEventKind::kGossipConviction, source,
-                    excess.seconds()});
-  }
-}
-
-void TimeServer::TraceObserver::on_state_corrupt(core::RealTime t,
-                                                 core::ServerId id) {
-  if (trace_ != nullptr) {
-    trace_->record({t, id, sim::TraceEventKind::kStateCorrupt,
-                    core::kInvalidServer, 0.0});
   }
 }
 

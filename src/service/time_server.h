@@ -1,6 +1,6 @@
 // A simulated time server: a thin shell composing the shared ProtocolEngine
-// with the discrete-event runtime (runtime::SimRuntime) and adapting engine
-// lifecycle events to the simulation trace.
+// with the discrete-event runtime (runtime::SimRuntime).  The engine records
+// its lifecycle events straight into the simulation trace.
 //
 // All protocol behavior - the rule MM-1/IM-1 responder, the rule MM-2/IM-2
 // synchronization loop, adaptive polling, sample filtering, broadcast
@@ -105,35 +105,8 @@ class TimeServer {
   ProtocolEngine& engine() noexcept { return engine_; }
 
  private:
-  // Adapts engine lifecycle callbacks to sim::Trace records.
-  class TraceObserver final : public EngineObserver {
-   public:
-    explicit TraceObserver(sim::Trace* trace) : trace_(trace) {}
-    void on_join(core::RealTime t, core::ServerId id) override;
-    void on_leave(core::RealTime t, core::ServerId id) override;
-    void on_reset(core::RealTime t, core::ServerId id, core::ServerId source,
-                  core::Duration error, bool is_recovery) override;
-    void on_inconsistent(core::RealTime t, core::ServerId id,
-                         core::ServerId peer) override;
-    void on_peer_state(core::RealTime t, core::ServerId id, core::ServerId peer,
-                       PeerState from, PeerState to) override;
-    void on_degraded(core::RealTime t, core::ServerId id,
-                     bool entered) override;
-    void on_byzantine_suspect(core::RealTime t, core::ServerId id,
-                              core::ServerId peer,
-                              core::Duration excess) override;
-    void on_gossip_conviction(core::RealTime t, core::ServerId id,
-                              core::ServerId source, core::ServerId via,
-                              core::Duration excess) override;
-    void on_state_corrupt(core::RealTime t, core::ServerId id) override;
-
-   private:
-    sim::Trace* trace_;
-  };
-
   runtime::SimRuntime runtime_;
   std::unique_ptr<runtime::FaultInjector> chaos_;  // null unless chaos.active()
-  TraceObserver observer_;
   ProtocolEngine engine_;
 };
 

@@ -146,9 +146,9 @@ void TimeService::wire_gossip() {
   // Gossip cross-notes go to every other server regardless of the polling
   // topology: they model an out-of-band channel (see config.h).  Recomputed
   // in full after membership changes - set_gossip_peers replaces the list.
+  if (!config_.gossip) return;
   const auto n = static_cast<ServerId>(servers_.size());
   for (ServerId i = 0; i < n; ++i) {
-    if (!(config_.gossip || config_.servers[i].gossip)) continue;
     std::vector<ServerId> peers;
     peers.reserve(n - 1);
     for (ServerId j = 0; j < n; ++j) {

@@ -34,13 +34,4 @@ std::unique_ptr<DelayModel> make_uniform_delay(Duration lo, Duration hi) {
   return std::make_unique<UniformDelay>(lo, hi);
 }
 
-std::unique_ptr<DelayModel> make_fixed_delay(Duration d) {
-  return std::make_unique<FixedDelay>(d);
-}
-
-std::unique_ptr<DelayModel> make_truncated_exponential_delay(Duration mean,
-                                                             Duration cap) {
-  return std::make_unique<TruncatedExponentialDelay>(mean, cap);
-}
-
 }  // namespace mtds::sim

@@ -69,8 +69,5 @@ class TruncatedExponentialDelay final : public DelayModel {
 };
 
 std::unique_ptr<DelayModel> make_uniform_delay(Duration lo, Duration hi);
-std::unique_ptr<DelayModel> make_fixed_delay(Duration d);
-std::unique_ptr<DelayModel> make_truncated_exponential_delay(Duration mean,
-                                                             Duration cap);
 
 }  // namespace mtds::sim

@@ -28,7 +28,6 @@
 #include "sim/delay_model.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "util/log.h"
 #include "util/spsc_ring.h"
 
 namespace mtds::sim {
@@ -123,10 +122,6 @@ class Network {
 
   void unregister_node(ServerId id) {
     if (id < handlers_.size()) handlers_[id] = nullptr;
-  }
-
-  bool is_registered(ServerId id) const {
-    return id < handlers_.size() && static_cast<bool>(handlers_[id]);
   }
 
   // Loses each message independently with probability p.

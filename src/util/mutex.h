@@ -24,7 +24,6 @@ class CAPABILITY("mutex") Mutex {
 
   void lock() ACQUIRE() { mu_.lock(); }
   void unlock() RELEASE() { mu_.unlock(); }
-  bool try_lock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -47,8 +47,6 @@
 #define RELEASE(...) MTDS_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
 #define RELEASE_SHARED(...) \
   MTDS_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) \
-  MTDS_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
 
 // The function must NOT be called with the capability held (it acquires the
 // lock itself; calling it under the lock would self-deadlock a plain mutex).

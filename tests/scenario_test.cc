@@ -92,6 +92,9 @@ TEST(ParseScenario, RejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW(parse_scenario("server algo=MM tau=10 color=red\nrun 1\n"),
                std::invalid_argument);
+  // Gossip is fleet-wide only (`gossip on`); there is no per-server key.
+  EXPECT_THROW(parse_scenario("server algo=MM tau=10 gossip=1\nrun 1\n"),
+               std::invalid_argument);
   EXPECT_THROW(parse_scenario("server algo=MM tau=10\nloss 1.5\nrun 1\n"),
                std::invalid_argument);
   EXPECT_THROW(parse_scenario("server algo=MM tau=10\ndelay 0.2 0.1\nrun 1\n"),

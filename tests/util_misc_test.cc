@@ -1,68 +1,11 @@
-// Tests for histogram, ascii_plot, csv, log and flags.
+// Tests for ascii_plot and flags.
 #include <gtest/gtest.h>
 
 #include "util/ascii_plot.h"
-#include "util/csv.h"
 #include "util/flags.h"
-#include "util/histogram.h"
-#include "util/log.h"
 
 namespace mtds::util {
 namespace {
-
-TEST(Histogram, CountsBucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bucket 0
-  h.add(5.5);    // bucket 5
-  h.add(9.999);  // bucket 9
-  h.add(10.0);   // overflow (hi is exclusive)
-  h.add(42.0);   // overflow
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(5), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);
-}
-
-TEST(Histogram, BucketEdges) {
-  Histogram h(1.0, 3.0, 4);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 1.5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 2.5);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(3), 3.0);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.5);
-  h.reset();
-  EXPECT_EQ(h.total(), 0u);
-  EXPECT_EQ(h.bucket(1), 0u);
-}
-
-TEST(Histogram, RenderShowsNonEmptyBuckets) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(0.6);
-  const std::string out = h.render(20);
-  EXPECT_NE(out.find('#'), std::string::npos);
-  EXPECT_NE(out.find("[0, 1)"), std::string::npos);
-  EXPECT_EQ(out.find("[1, 2)"), std::string::npos);  // empty bucket hidden
-}
 
 TEST(AsciiPlot, EmptyPlot) {
   EXPECT_EQ(plot({}), "(empty plot)\n");
@@ -95,46 +38,6 @@ TEST(AsciiPlot, IntervalDiagramShowsEdgesAndMarker) {
   EXPECT_NE(out.find("S2"), std::string::npos);
   EXPECT_NE(out.find('|'), std::string::npos);
   EXPECT_NE(out.find("true time"), std::string::npos);
-}
-
-TEST(Csv, EscapesSpecialCells) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-}
-
-TEST(Csv, BuildsRowsInMemory) {
-  CsvWriter csv;
-  csv.header({"t", "err"});
-  csv.row({1.0, 0.5});
-  csv.raw_row({"x", "y,z"});
-  ASSERT_EQ(csv.lines().size(), 3u);
-  EXPECT_EQ(csv.lines()[0], "t,err");
-  EXPECT_EQ(csv.lines()[1], "1,0.5");
-  EXPECT_EQ(csv.lines()[2], "x,\"y,z\"");
-}
-
-TEST(Log, LevelsFilterMessages) {
-  set_log_level(LogLevel::kWarn);
-  LogCapture capture;
-  log(LogLevel::kInfo, "hidden %d", 1);
-  log(LogLevel::kError, "shown %d", 2);
-  EXPECT_EQ(capture.text().find("hidden"), std::string::npos);
-  EXPECT_NE(capture.text().find("shown 2"), std::string::npos);
-  EXPECT_NE(capture.text().find("[ERROR]"), std::string::npos);
-}
-
-TEST(Log, TimestampedVariant) {
-  set_log_level(LogLevel::kDebug);
-  LogCapture capture;
-  logt(LogLevel::kInfo, 12.5, "at time");
-  EXPECT_NE(capture.text().find("t=12.5"), std::string::npos);
-  set_log_level(LogLevel::kWarn);
-}
-
-TEST(Log, LevelNames) {
-  EXPECT_STREQ(level_name(LogLevel::kTrace), "TRACE");
-  EXPECT_STREQ(level_name(LogLevel::kError), "ERROR");
 }
 
 TEST(Flags, ParsesAllForms) {

@@ -334,6 +334,7 @@ _KEYWORDS_NOT_CALLS = {
     "static_assert", "alignas", "noexcept", "return", "defined", "assert",
     "co_await", "co_return", "throw", "delete", "new", "operator",
 }
+_ACCESS = {"public", "protected", "private"}
 _SPECIFIERS = {
     "inline", "static", "virtual", "constexpr", "explicit", "friend",
     "extern", "typedef", "const", "volatile", "mutable", "register",
@@ -527,6 +528,11 @@ class BuiltinFrontend:
     def _classify(self, prog: Program, rel: str, header: list[_Tok],
                   tags, cur, depth: int) -> dict:
         words = [t.text for t in header]
+        # A scope opened right after an access label ("private: class X
+        # {") starts its statement at the label: no ';' separates them.
+        while len(words) > 1 and words[0] in _ACCESS and words[1] == ":":
+            header = header[2:]
+            words = words[2:]
         # strip template<...> prefixes
         while words and words[0] == "template":
             d, j = 0, 1

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project lint gate: protocol-level rules clang cannot express.
 
-Eight rules, each a pure function over file text so --self-test can exercise
+Nine rules, each a pure function over file text so --self-test can exercise
 them on synthetic inputs:
 
   bare-double         public time-quantity signatures in src/service and
@@ -16,8 +16,10 @@ them on synthetic inputs:
                       directly, or via a `transport-coverage: Name` marker
                       when exercised through a wrapper).
   trace-docs          every trace event name emitted by
-                      src/sim/trace.cc::to_string must be documented in
-                      docs/ (appearing in backticks in some .md file).
+                      src/sim/trace.cc::to_string must be a row of the
+                      event table in docs/TRACING.md (a table line whose
+                      first cell is the name in backticks); a mention in
+                      some other document does not count.
   lock-order          state_mutex_ is the outer lock, timer_mutex_ the
                       inner: no scope may acquire state_mutex_ while
                       timer_mutex_ is held, and std::recursive_mutex must
@@ -53,6 +55,12 @@ them on synthetic inputs:
                       attack whose failure boundary is undocumented reads
                       as unconditionally fatal (see runtime/adversary.h and
                       docs/FAULTS.md).
+  src-reachable       every src/**/*.{h,cc} must be reachable by #include
+                      from a program root: the .cc/.cpp files under
+                      examples/, bench/, perfbench/ and tools/ (tests/ is
+                      not a root).  A reached header also reaches its
+                      same-named .cc.  A module only tests include is dead
+                      code: delete it with its tests.
 
 Exit status 0 = clean, 1 = violations (printed one per line), 2 = usage.
 Run from anywhere: paths are resolved relative to the repo root (the parent
@@ -179,19 +187,20 @@ def trace_event_names(trace_cc_text: str) -> list[str]:
     return _EVENT_NAME.findall(trace_cc_text)
 
 
-def check_trace_docs(
-    names: list[str], docs: dict[str, str]
-) -> list[Violation]:
-    """Every event name must appear in backticks in some docs/*.md."""
+_TABLE_ROW = re.compile(r"^\|\s*`([a-z-]+)`\s*\|", re.MULTILINE)
+
+
+def check_trace_docs(names: list[str], tracing_md: str) -> list[Violation]:
+    """Every event name must head a row of docs/TRACING.md's table."""
+    rows = set(_TABLE_ROW.findall(tracing_md))
     out = []
     for name in names:
-        needle = f"`{name}`"
-        if not any(needle in text for text in docs.values()):
+        if name not in rows:
             out.append(
                 Violation(
                     "src/sim/trace.cc", 1, "trace-docs",
-                    f"trace event '{name}' is not documented in docs/ "
-                    f"(no .md file contains {needle})",
+                    f"trace event '{name}' has no row in the event table of "
+                    f"docs/TRACING.md (no line starting '| `{name}` |')",
                 )
             )
     return out
@@ -423,6 +432,42 @@ def check_adversary_docs(path: str, text: str) -> list[Violation]:
 
 
 # --------------------------------------------------------------------------
+# Rule 9: src-reachable
+# --------------------------------------------------------------------------
+
+_INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+_ROOT_DIRS = ("examples", "bench", "perfbench", "tools")
+
+
+def check_src_reachable(
+    sources: dict[str, str], roots: list[str]
+) -> list[Violation]:
+    """sources: src-relative path ("util/stats.h") -> text for every src/
+    file; roots: texts of the program root files.  Follows quoted includes
+    (resolved against src/) from the roots; a reached header pulls in its
+    same-named .cc.  Every src/ file left unreached is reported."""
+    reached: set[str] = set()
+    work = [inc for text in roots for inc in _INCLUDE.findall(text)]
+    while work:
+        path = work.pop()
+        if path in reached or path not in sources:
+            continue
+        reached.add(path)
+        work += _INCLUDE.findall(sources[path])
+        if path.endswith(".h"):
+            work.append(path[:-2] + ".cc")
+    return [
+        Violation(
+            f"src/{path}", 1, "src-reachable",
+            "no program reaches this file by #include from examples/, "
+            "bench/, perfbench/ or tools/; delete it (and the tests that "
+            "exercise only it) or use it",
+        )
+        for path in sorted(set(sources) - reached)
+    ]
+
+
+# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -430,13 +475,15 @@ RULES = {
     "bare-double": "public time-quantity signatures use core:: strong types",
     "transport-coverage": "every Transport impl is exercised by the parity "
                           "test",
-    "trace-docs": "every trace event name is documented in docs/",
+    "trace-docs": "every trace event name is a row of docs/TRACING.md",
     "lock-order": "state_mutex_ before timer_mutex_, never the reverse",
     "cross-thread": "annotated wrappers or a documented lock-free protocol",
     "bench-items": "every benchmark reports items/sec for the tracked "
                    "baseline",
     "tag-grammar": "mtds: analysis tags are well-formed (bare vs (reason))",
     "adversary-docs": "every adversary strategy documents its fault-bound",
+    "src-reachable": "every src/ file is reachable by #include from a "
+                     "program",
 }
 
 
@@ -460,11 +507,10 @@ def run_repo() -> list[Violation]:
     )
 
     trace_cc = REPO / "src" / "sim" / "trace.cc"
-    docs = {
-        str(p.relative_to(REPO)): p.read_text()
-        for p in sorted((REPO / "docs").glob("*.md"))
-    }
-    out += check_trace_docs(trace_event_names(trace_cc.read_text()), docs)
+    out += check_trace_docs(
+        trace_event_names(trace_cc.read_text()),
+        (REPO / "docs" / "TRACING.md").read_text(),
+    )
 
     for cc in sorted((REPO / "src").rglob("*.cc")):
         out += check_lock_order(str(cc.relative_to(REPO)), cc.read_text())
@@ -499,6 +545,20 @@ def run_repo() -> list[Violation]:
         out += check_tag_grammar(
             str(source.relative_to(REPO)), source.read_text()
         )
+
+    src = REPO / "src"
+    sources = {
+        str(p.relative_to(src)): p.read_text()
+        for p in sorted(list(src.rglob("*.h")) + list(src.rglob("*.cc")))
+    }
+    roots = [
+        p.read_text()
+        for d in _ROOT_DIRS
+        for p in sorted(
+            list((REPO / d).rglob("*.cc")) + list((REPO / d).rglob("*.cpp"))
+        )
+    ]
+    out += check_src_reachable(sources, roots)
     return out
 
 
@@ -533,11 +593,21 @@ def self_test() -> int:
         impls, parity + "// transport-coverage: GhostTransport\n"),
         "transport-coverage: marker not honoured")
 
-    trace_cc = 'case A: return "reset";\ncase B: return "phantom-event";\n'
-    docs = {"docs/TRACING.md": "the `reset` event means ..."}
-    got = check_trace_docs(trace_event_names(trace_cc), docs)
-    expect(len(got) == 1 and "phantom-event" in got[0].message,
+    trace_cc = ('case A: return "reset";\ncase B: return "phantom-event";\n'
+                'case C: return "elsewhere";\n')
+    tracing_md = (
+        "| event | emitted when |\n|---|---|\n"
+        "| `reset` | a round rebased the clock |\n"
+        "Prose mentions `elsewhere` but gives it no row.\n"
+    )
+    got = check_trace_docs(trace_event_names(trace_cc), tracing_md)
+    expect(len(got) == 2 and "phantom-event" in got[0].message,
            "trace-docs: undocumented event not caught")
+    expect(len(got) == 2 and "elsewhere" in got[1].message,
+           "trace-docs: event named outside the table not caught")
+    expect(not check_trace_docs(
+        ["reset"], tracing_md + "| `elsewhere` | ... |\n"),
+        "trace-docs: tabled event flagged")
 
     bad_cc = (
         "void f() {\n"
@@ -634,6 +704,23 @@ def self_test() -> int:
            f"tag-grammar: expected 5 hits, got {len(got)}")
     expect(not check_tag_grammar("fake.h", good_tags),
            "tag-grammar: well-formed tags flagged")
+
+    sources = {
+        "core/a.h": '#include "core/b.h"\n',
+        "core/a.cc": '#include "core/a.h"\n',
+        "core/b.h": "",
+        "util/orphan.h": "",
+        "util/orphan.cc": '#include "util/orphan.h"\n',
+    }
+    roots = ['#include "core/a.h"\n#include <vector>\n']
+    got = check_src_reachable(sources, roots)
+    expect([v.path for v in got] == ["src/util/orphan.cc",
+                                     "src/util/orphan.h"],
+           f"src-reachable: expected the orphan pair, got "
+           f"{[v.path for v in got]}")
+    expect(not check_src_reachable(
+        sources, roots + ['#include "util/orphan.h"\n']),
+        "src-reachable: reached module flagged")
 
     if failures:
         for f in failures:
