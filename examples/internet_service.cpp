@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     } else {
       const auto victim = static_cast<core::ServerId>(
           rng.uniform_index(service.size()));
-      service.remove_server(victim);
+      service.crash_server(victim);
       ++leaves;
     }
   }

@@ -59,19 +59,12 @@ UdpTimeServer::UdpTimeServer(UdpServerConfig config)
       config_.simulated_drift,
       core::ClockTime{host_seconds()} + config_.initial_offset,
       host_seconds());
-  if (config_.chaos.active()) {
-    // The injector lives in the runtime's serialization domain: every
-    // delivery, timer fire and (locked) engine call already serializes
-    // through the state mutex, so it needs no locking of its own.
-    chaos_ = std::make_unique<runtime::FaultInjector>(
-        *runtime_, *runtime_, *runtime_, config_.chaos);
-  }
+  // With config.chaos active the engine wraps the runtime in its own
+  // injector, which lives in the runtime's serialization domain: every
+  // delivery, timer fire and (locked) engine call already serializes
+  // through the state mutex, so it needs no locking of its own.
   engine_ = std::make_unique<service::ProtocolEngine>(
-      config_.id, std::move(clock), make_spec(config_),
-      runtime::Runtime{chaos_ != nullptr
-                           ? static_cast<runtime::Transport*>(chaos_.get())
-                           : static_cast<runtime::Transport*>(runtime_.get()),
-                       runtime_.get(), runtime_.get()},
+      config_.id, std::move(clock), make_spec(config_), *runtime_,
       /*trace=*/nullptr, sim::Rng(0x5DEECE66Dull + config_.id));
   if (config_.client_threads > 0) {
     ServingPlaneConfig sp;
@@ -159,14 +152,21 @@ bool UdpTimeServer::degraded() const {
   return engine_->degraded();
 }
 
+runtime::FaultInjector* UdpTimeServer::fault_injector() {
+  util::MutexLock lock(state_mu_);
+  return engine_->fault_injector();
+}
+
 runtime::FaultStats UdpTimeServer::fault_stats() const {
   util::MutexLock lock(state_mu_);
-  return chaos_ != nullptr ? chaos_->stats() : runtime::FaultStats{};
+  const runtime::FaultInjector* chaos = engine_->fault_injector();
+  return chaos != nullptr ? chaos->stats() : runtime::FaultStats{};
 }
 
 void UdpTimeServer::set_crashed(bool crashed) {
   util::MutexLock lock(state_mu_);
-  if (chaos_ != nullptr) chaos_->set_crashed(crashed);
+  runtime::FaultInjector* chaos = engine_->fault_injector();
+  if (chaos != nullptr) chaos->set_crashed(crashed);
 }
 
 std::uint16_t UdpTimeServer::client_port() const noexcept {

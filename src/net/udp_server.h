@@ -4,7 +4,7 @@
 // The protocol logic - rule MM-1 responder, rule MM-2/IM-2 synchronization
 // loop, adaptive polling, sample filtering, broadcast rounds, rate
 // monitoring, third-server recovery - is service::ProtocolEngine, the exact
-// code the simulator validates (service::TimeServer runs it over
+// code the simulator validates (service::TimeService runs it over
 // runtime::SimRuntime).  This shell only plumbs configuration: it builds
 // the virtualized clock (a core::DriftingClock layered over CLOCK_MONOTONIC
 // so drift and offset can be injected for demonstrations), maps peer ports
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "net/serving_plane.h"
-#include "runtime/fault_injector.h"
 #include "runtime/udp_runtime.h"
 #include "service/config.h"
 #include "service/protocol_engine.h"
@@ -54,9 +53,10 @@ struct UdpServerConfig {
   bool use_broadcast = false;                  // one-tag broadcast rounds
   bool monitor_rates = false;                  // Section 5 rate monitor
 
-  // Chaos plane: when chaos.active() the UDP runtime is wrapped in a
-  // runtime::FaultInjector (loss, duplication, delay spikes, corruption,
-  // partitions, crash-stop) - the same decorator the simulator uses.
+  // Chaos plane: when chaos.active() the engine wraps the UDP runtime in
+  // its runtime::FaultInjector (loss, duplication, delay spikes,
+  // corruption, partitions, crash-stop) - the same decorator the simulator
+  // uses.
   runtime::FaultPlan chaos;
   // Peer-health / graceful-degradation policy (see service/peer_table.h).
   service::PeerHealthPolicy health;
@@ -106,9 +106,11 @@ class UdpTimeServer {
   service::PeerState peer_state(core::ServerId peer) const;
   bool degraded() const;
 
-  // Chaos plane (null unless config.chaos.active()).  Control calls
-  // (set_crashed, partition) are thread-safe.
-  runtime::FaultInjector* fault_injector() noexcept { return chaos_.get(); }
+  // Chaos plane: the engine's injector (null unless
+  // config.chaos.active()).  fault_stats() and set_crashed() are
+  // thread-safe; calls through the returned pointer must hold the
+  // runtime's state mutex.
+  runtime::FaultInjector* fault_injector();
   runtime::FaultStats fault_stats() const;
   void set_crashed(bool crashed);
 
@@ -122,14 +124,11 @@ class UdpTimeServer {
   std::vector<std::uint16_t> peer_ports_;
   std::unique_ptr<runtime::UdpRuntime> runtime_;
   // The runtime's serialization mutex, bound once at construction so the
-  // engine/injector pointees below can be declared PT_GUARDED_BY it and
-  // every introspection method is statically checked to lock it.
+  // engine pointee below can be declared PT_GUARDED_BY it and every
+  // introspection method is statically checked to lock it.  The engine's
+  // fault injector is unsynchronized by design - it lives entirely inside
+  // the runtime's serialization domain - so it is only reached under it.
   util::Mutex& state_mu_;
-  // Null unless chaos.active().  The injector itself is unsynchronized by
-  // design - it lives entirely inside the runtime's serialization domain -
-  // so its pointee may only be touched under state_mu_ (the locked wrappers
-  // below; the bare pointer from fault_injector() may be read freely).
-  std::unique_ptr<runtime::FaultInjector> chaos_ PT_GUARDED_BY(state_mu_);
   std::unique_ptr<service::ProtocolEngine> engine_ PT_GUARDED_BY(state_mu_);
   // Client serving plane (null unless config.client_threads > 0).  Not
   // guarded: its own API is thread-safe (the engine writes through the

@@ -13,31 +13,11 @@
 
 namespace mtds::net {
 
-namespace {
-
-// Default on: the vectored syscalls are strictly a fast path; the knob
-// exists so tests can pin the fallback.
-// mtds:lock-free(config flag set before traffic starts; either value is correct)
-// Tests flip it up front; the send path reads it with no ordering
-// requirement.
-std::atomic<bool> g_batching_enabled{true};
-
-}  // namespace
-
-void UdpSocket::set_batching_enabled(bool enabled) noexcept {
-  g_batching_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool UdpSocket::batching_enabled() noexcept {
-  return g_batching_enabled.load(std::memory_order_relaxed);
-}
-
 RecvBatch::RecvBatch(std::size_t capacity, std::size_t datagram_size)
     : capacity_(capacity == 0 ? 1 : capacity), datagram_size_(datagram_size) {
   storage_.resize(capacity_ * datagram_size_);
   lengths_.resize(capacity_);
   froms_.resize(capacity_);
-#ifdef __linux__
   iovecs_.resize(capacity_);
   headers_.resize(capacity_);
   for (std::size_t i = 0; i < capacity_; ++i) {
@@ -50,7 +30,6 @@ RecvBatch::RecvBatch(std::size_t capacity, std::size_t datagram_size)
     h.msg_hdr.msg_iov = &iovecs_[i];
     h.msg_hdr.msg_iovlen = 1;
   }
-#endif
 }
 
 SendBatch::SendBatch(std::size_t capacity, std::size_t datagram_size)
@@ -58,7 +37,6 @@ SendBatch::SendBatch(std::size_t capacity, std::size_t datagram_size)
   storage_.resize(capacity_ * datagram_size_);
   lengths_.resize(capacity_);
   tos_.resize(capacity_);
-#ifdef __linux__
   iovecs_.resize(capacity_);
   headers_.resize(capacity_);
   for (std::size_t i = 0; i < capacity_; ++i) {
@@ -71,7 +49,6 @@ SendBatch::SendBatch(std::size_t capacity, std::size_t datagram_size)
     h.msg_hdr.msg_iov = &iovecs_[i];
     h.msg_hdr.msg_iovlen = 1;
   }
-#endif
 }
 
 // mtds:no-alloc
@@ -173,36 +150,25 @@ bool UdpSocket::send_to(const sockaddr_in& addr,
 std::size_t UdpSocket::send_to_many(std::span<const sockaddr_in> addrs,
                                     std::span<const std::uint8_t> data) {
   if (fd_ < 0 || addrs.empty()) return 0;
-#ifdef __linux__
-  if (batching_enabled()) {
-    // One shared iovec; per-destination headers built in fixed-size chunks
-    // on the stack, so the fan-out allocates nothing.
-    constexpr std::size_t kChunk = 64;
-    iovec iov{const_cast<std::uint8_t*>(data.data()), data.size()};
-    mmsghdr headers[kChunk];
-    std::size_t sent = 0;
-    for (std::size_t base = 0; base < addrs.size(); base += kChunk) {
-      const std::size_t n = std::min(kChunk, addrs.size() - base);
-      std::memset(headers, 0, n * sizeof(mmsghdr));
-      for (std::size_t i = 0; i < n; ++i) {
-        headers[i].msg_hdr.msg_name =
-            const_cast<sockaddr_in*>(&addrs[base + i]);
-        headers[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-        headers[i].msg_hdr.msg_iov = &iov;
-        headers[i].msg_hdr.msg_iovlen = 1;
-      }
-      const int done =
-          ::sendmmsg(fd_, headers, static_cast<unsigned int>(n), 0);
-      if (done < 0) break;
-      sent += static_cast<std::size_t>(done);
-      if (static_cast<std::size_t>(done) < n) break;
-    }
-    return sent;
-  }
-#endif
+  // One shared iovec; per-destination headers built in fixed-size chunks
+  // on the stack, so the fan-out allocates nothing.
+  constexpr std::size_t kChunk = 64;
+  iovec iov{const_cast<std::uint8_t*>(data.data()), data.size()};
+  mmsghdr headers[kChunk];
   std::size_t sent = 0;
-  for (const sockaddr_in& addr : addrs) {
-    if (send_to(addr, data)) ++sent;
+  for (std::size_t base = 0; base < addrs.size(); base += kChunk) {
+    const std::size_t n = std::min(kChunk, addrs.size() - base);
+    std::memset(headers, 0, n * sizeof(mmsghdr));
+    for (std::size_t i = 0; i < n; ++i) {
+      headers[i].msg_hdr.msg_name = const_cast<sockaddr_in*>(&addrs[base + i]);
+      headers[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+      headers[i].msg_hdr.msg_iov = &iov;
+      headers[i].msg_hdr.msg_iovlen = 1;
+    }
+    const int done = ::sendmmsg(fd_, headers, static_cast<unsigned int>(n), 0);
+    if (done < 0) break;
+    sent += static_cast<std::size_t>(done);
+    if (static_cast<std::size_t>(done) < n) break;
   }
   return sent;
 }
@@ -210,27 +176,18 @@ std::size_t UdpSocket::send_to_many(std::span<const sockaddr_in> addrs,
 // mtds:no-alloc
 std::size_t UdpSocket::send_batch(SendBatch& batch) {
   if (fd_ < 0 || batch.count_ == 0) return 0;
-#ifdef __linux__
-  if (batching_enabled()) {
-    for (std::size_t i = 0; i < batch.count_; ++i) {
-      batch.iovecs_[i].iov_len = batch.lengths_[i];
-      // sendmmsg may rewrite msg_len; name/iov stay bound to the slots.
-      batch.headers_[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-    }
-    std::size_t sent = 0;
-    while (sent < batch.count_) {
-      const int done = ::sendmmsg(fd_, batch.headers_.data() + sent,
-                                  static_cast<unsigned int>(batch.count_ - sent),
-                                  0);
-      if (done <= 0) break;
-      sent += static_cast<std::size_t>(done);
-    }
-    return sent;
-  }
-#endif
-  std::size_t sent = 0;
   for (std::size_t i = 0; i < batch.count_; ++i) {
-    if (send_to(batch.tos_[i], batch.payload(i))) ++sent;
+    batch.iovecs_[i].iov_len = batch.lengths_[i];
+    // sendmmsg may rewrite msg_len; name/iov stay bound to the slots.
+    batch.headers_[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
+  }
+  std::size_t sent = 0;
+  while (sent < batch.count_) {
+    const int done = ::sendmmsg(fd_, batch.headers_.data() + sent,
+                                static_cast<unsigned int>(batch.count_ - sent),
+                                0);
+    if (done <= 0) break;
+    sent += static_cast<std::size_t>(done);
   }
   return sent;
 }
@@ -239,15 +196,6 @@ bool UdpSocket::wait_readable(int timeout_ms) noexcept {
   pollfd pfd{fd_, POLLIN, 0};
   const int ready = ::poll(&pfd, 1, timeout_ms);
   return ready > 0 && (pfd.revents & POLLIN) != 0;
-}
-
-std::optional<Datagram> UdpSocket::receive(int timeout_ms) {
-  Datagram dgram;
-  dgram.payload.resize(2048);
-  const auto n = receive_into(dgram.payload, &dgram.from, timeout_ms);
-  if (!n) return std::nullopt;
-  dgram.payload.resize(*n);
-  return dgram;
 }
 
 std::optional<std::size_t> UdpSocket::receive_into(std::span<std::uint8_t> buf,
@@ -274,42 +222,22 @@ std::size_t UdpSocket::receive_batch(RecvBatch& batch, int timeout_ms) {
   // skip the poll and go straight to a non-blocking drain.  A stale guess
   // costs one EWOULDBLOCK read, not a stall.
   if (!likely_more_queued_ && !wait_readable(timeout_ms)) return 0;
-#ifdef __linux__
-  if (batching_enabled()) {
-    // recvmmsg rewrites msg_namelen (and may set msg_flags); restore the
-    // reusable headers before every call.
-    for (std::size_t i = 0; i < batch.capacity_; ++i) {
-      batch.headers_[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-    }
-    const int n = ::recvmmsg(fd_, batch.headers_.data(),
-                             static_cast<unsigned int>(batch.capacity_),
-                             MSG_DONTWAIT, nullptr);
-    if (n <= 0) {
-      likely_more_queued_ = false;
-      return 0;
-    }
-    for (int i = 0; i < n; ++i) {
-      batch.lengths_[i] = batch.headers_[i].msg_len;
-    }
-    batch.count_ = static_cast<std::size_t>(n);
-    likely_more_queued_ = batch.count_ == batch.capacity_;
-    return batch.count_;
+  // recvmmsg rewrites msg_namelen (and may set msg_flags); restore the
+  // reusable headers before every call.
+  for (std::size_t i = 0; i < batch.capacity_; ++i) {
+    batch.headers_[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
   }
-#endif
-  // Fallback: drain with one recvfrom per datagram until the batch fills or
-  // the socket runs dry.
-  while (batch.count_ < batch.capacity_) {
-    sockaddr_in& src = batch.froms_[batch.count_];
-    src = sockaddr_in{};
-    socklen_t len = sizeof(src);
-    const ssize_t n = ::recvfrom(
-        fd_, batch.storage_.data() + batch.count_ * batch.datagram_size_,
-        batch.datagram_size_, MSG_DONTWAIT,
-        reinterpret_cast<sockaddr*>(&src), &len);
-    if (n < 0) break;
-    batch.lengths_[batch.count_] = static_cast<std::size_t>(n);
-    ++batch.count_;
+  const int n = ::recvmmsg(fd_, batch.headers_.data(),
+                           static_cast<unsigned int>(batch.capacity_),
+                           MSG_DONTWAIT, nullptr);
+  if (n <= 0) {
+    likely_more_queued_ = false;
+    return 0;
   }
+  for (int i = 0; i < n; ++i) {
+    batch.lengths_[i] = batch.headers_[i].msg_len;
+  }
+  batch.count_ = static_cast<std::size_t>(n);
   likely_more_queued_ = batch.count_ == batch.capacity_;
   return batch.count_;
 }

@@ -1,32 +1,21 @@
 // RAII UDP socket bound to the loopback interface.
 //
 // Hot-path I/O is batched: receive_batch() drains up to a whole RecvBatch of
-// datagrams per wakeup with one recvmmsg(2) syscall, and send_to_many()
-// fans one payload out with sendmmsg(2).  Both degrade gracefully to the
-// classic one-datagram syscalls when the vectored calls are unavailable
-// (non-Linux) or disabled via set_batching_enabled(false) - the test knob
-// that proves the fallback path stays correct.  RecvBatch owns reusable
-// buffers, so steady-state receive allocates nothing.
+// datagrams per wakeup with one recvmmsg(2) syscall, and send_to_many() /
+// send_batch() fan out with sendmmsg(2) (Linux only, like SOCK_CLOEXEC in
+// the constructor).  RecvBatch owns reusable buffers, so steady-state
+// receive allocates nothing.
 #pragma once
 
 #include <netinet/in.h>
+#include <sys/socket.h>  // mmsghdr
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
-#ifdef __linux__
-#include <sys/socket.h>  // mmsghdr
-#endif
-
 namespace mtds::net {
-
-struct Datagram {
-  std::vector<std::uint8_t> payload;
-  sockaddr_in from{};
-};
 
 // Reusable receive buffers for UdpSocket::receive_batch.  One flat storage
 // block holds `capacity` slots of `datagram_size` bytes; the returned
@@ -54,10 +43,8 @@ class RecvBatch {
   std::vector<std::uint8_t> storage_;   // capacity_ * datagram_size_ bytes
   std::vector<std::size_t> lengths_;
   std::vector<sockaddr_in> froms_;
-#ifdef __linux__
   std::vector<iovec> iovecs_;
   std::vector<mmsghdr> headers_;
-#endif
 };
 
 // Reusable send buffers for UdpSocket::send_batch: per-slot payload and
@@ -100,10 +87,8 @@ class SendBatch {
   std::vector<std::uint8_t> storage_;  // capacity_ * datagram_size_ bytes
   std::vector<std::size_t> lengths_;
   std::vector<sockaddr_in> tos_;
-#ifdef __linux__
   std::vector<iovec> iovecs_;
   std::vector<mmsghdr> headers_;
-#endif
 };
 
 class UdpSocket {
@@ -127,23 +112,18 @@ class UdpSocket {
   bool send_to(std::uint16_t port, std::span<const std::uint8_t> data);
   bool send_to(const sockaddr_in& addr, std::span<const std::uint8_t> data);
 
-  // Sends the same payload to every address - one sendmmsg where available,
-  // a send_to loop otherwise.  Returns the number reported sent.
+  // Sends the same payload to every address with sendmmsg.  Returns the
+  // number reported sent.
   std::size_t send_to_many(std::span<const sockaddr_in> addrs,
                            std::span<const std::uint8_t> data);
 
-  // Sends every queued (payload, destination) pair in `batch` - one
-  // sendmmsg where available, a send_to loop otherwise.  Returns the number
-  // reported sent; does not clear the batch.
+  // Sends every queued (payload, destination) pair in `batch` with
+  // sendmmsg.  Returns the number reported sent; does not clear the batch.
   std::size_t send_batch(SendBatch& batch);
 
-  // Blocks up to timeout_ms (0 = poll without blocking, negative = block
-  // indefinitely); nullopt on timeout.  Allocates a payload per call -
-  // prefer receive_into / receive_batch on hot paths.
-  std::optional<Datagram> receive(int timeout_ms);
-
-  // Caller-owned-buffer receive: waits like receive(), reads one datagram
-  // into `buf`, fills `*from` when non-null.  Returns the datagram length
+  // Caller-owned-buffer receive: blocks up to timeout_ms (0 = poll without
+  // blocking, negative = block indefinitely), reads one datagram into
+  // `buf`, fills `*from` when non-null.  Returns the datagram length
   // (possibly truncated to buf.size()), or nullopt on timeout/closure.
   std::optional<std::size_t> receive_into(std::span<std::uint8_t> buf,
                                           sockaddr_in* from, int timeout_ms);
@@ -155,17 +135,11 @@ class UdpSocket {
   // read.
   std::size_t receive_batch(RecvBatch& batch, int timeout_ms);
 
-  // Unblocks pending receive() calls from another thread.
+  // Unblocks pending receive calls from another thread.
   void close() noexcept;
   bool closed() const noexcept { return fd_ < 0; }
 
   static sockaddr_in loopback(std::uint16_t port) noexcept;
-
-  // Process-wide switch forcing the single-datagram fallback syscalls even
-  // where recvmmsg/sendmmsg exist; runtime_parity_test runs its scenarios
-  // both ways.
-  static void set_batching_enabled(bool enabled) noexcept;
-  static bool batching_enabled() noexcept;
 
  private:
   bool wait_readable(int timeout_ms) noexcept;

@@ -12,10 +12,8 @@ constexpr double kMaxClockSkew = 500.0;
 
 }  // namespace
 
-FaultInjector::FaultInjector(Transport& inner, Timers& timers,
-                             WallSource& wall, FaultPlan plan)
-    : inner_(&inner), timers_(&timers), wall_(&wall), plan_(plan),
-      rng_(plan.seed) {}
+FaultInjector::FaultInjector(Runtime& inner, FaultPlan plan)
+    : inner_(&inner), plan_(plan), rng_(plan.seed) {}
 
 void FaultInjector::open(ServerId self, Handler handler) {
   self_ = self;
@@ -38,7 +36,7 @@ void FaultInjector::close() {
 
 void FaultInjector::send(ServerId to, const ServiceMessage& msg) {
   ++stats_.outbound;
-  process(Dir::kOutbound, to, msg, wall_->now());
+  process(Dir::kOutbound, to, msg, inner_->now());
 }
 
 std::size_t FaultInjector::broadcast(const std::vector<ServerId>& targets,
@@ -144,19 +142,19 @@ void FaultInjector::process(Dir dir, ServerId peer, ServiceMessage msg,
     dispatch(dir, peer, msg, t);
   }
   if (chance(plan_.delay)) {
-    // Delay spike: hold the copy and re-dispatch through the timer plane.
+    // Delay spike: hold the copy and re-dispatch through the inner timers.
     // The runtime serializes timer fires with message delivery, so the late
     // copy re-enters the engine exactly like a slow network would deliver
     // it - possibly after the requesting round closed (a stale reply).
     ++stats_.delayed;
     const Duration spike =
         rng_.uniform(plan_.delay_lo, plan_.delay_hi);
-    timers_->after(spike, [this, dir, peer, msg] {
+    inner_->after(spike, [this, dir, peer, msg] {
       if (crashed_) {
         ++stats_.dropped_crash;
         return;
       }
-      dispatch(dir, peer, msg, wall_->now());
+      dispatch(dir, peer, msg, inner_->now());
     });
     return;
   }

@@ -1,13 +1,14 @@
-// FaultInjector: a chaos plane for any runtime::Transport.
+// FaultInjector: a chaos plane for any runtime::Runtime.
 //
-// A decorator that wraps an inner transport (sim or UDP) and injects the
+// A decorator that wraps an inner runtime (sim or UDP) and injects the
 // paper's "communication failures" (Section 1) deterministically from a
 // seeded sim::Rng: message loss, duplication, delay spikes (re-dispatched
-// through runtime::Timers, so a delayed reply can arrive after the round
-// that requested it closed - the stale-reply case), per-peer asymmetric
-// partitions, field corruption, and crash-stop/restart of the local
-// endpoint.  Both directions are intercepted: outbound via send()/
+// through the inner runtime's timers, so a delayed reply can arrive after
+// the round that requested it closed - the stale-reply case), per-peer
+// asymmetric partitions, field corruption, and crash-stop/restart of the
+// local endpoint.  Both directions are intercepted: outbound via send()/
 // broadcast(), inbound by interposing on the handler installed at open().
+// Timers and now() pass straight through to the inner runtime.
 //
 // Every injected fault is accounted for in a FaultStats ledger mirroring
 // sim::NetworkStats, so a test can assert exactly what the chaos plane did
@@ -17,15 +18,17 @@
 //
 // Threading: the injector is intentionally unsynchronized - it lives inside
 // the runtime's serialization domain exactly like the engine (see
-// runtime/runtime.h).  Over UDP, embedders must hold the runtime's state
-// mutex around control calls (set_crashed, partition_*) and stats reads;
-// net::UdpTimeServer exposes locked wrappers.
+// runtime/runtime.h).  service::ProtocolEngine builds one over its runtime
+// when its spec's chaos plan is active.  Over UDP, embedders must hold the
+// runtime's state mutex around control calls (set_crashed, partition_*)
+// and stats reads; net::UdpTimeServer exposes locked wrappers.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "runtime/adversary.h"
@@ -68,7 +71,7 @@ struct FaultPlan {
 // minted itself) is either dispatched or dropped for an attributed reason.
 struct FaultStats {
   std::uint64_t outbound = 0;           // copies presented by the engine
-  std::uint64_t inbound = 0;            // copies presented by the inner transport
+  std::uint64_t inbound = 0;            // copies presented by the inner runtime
   std::uint64_t forwarded = 0;          // copies dispatched (either direction)
   std::uint64_t dropped_loss = 0;       // random loss
   std::uint64_t dropped_partition = 0;  // per-peer directional block
@@ -92,16 +95,14 @@ struct FaultStats {
   bool operator==(const FaultStats&) const = default;
 };
 
-class FaultInjector final : public Transport {
+class FaultInjector final : public Runtime {
  public:
-  // Borrows the inner transport and the timer/wall planes (used to
-  // re-dispatch delayed copies); all must outlive the injector.  The RNG
+  // Borrows the inner runtime, which must outlive the injector.  The RNG
   // stream is derived from plan.seed and the endpoint id at open(), so two
   // endpoints sharing one plan still draw independent fault sequences.
-  FaultInjector(Transport& inner, Timers& timers, WallSource& wall,
-                FaultPlan plan);
+  FaultInjector(Runtime& inner, FaultPlan plan);
 
-  // Transport.
+  // Messages: every copy runs the fault gauntlet.
   void open(ServerId self, Handler handler) override;
   void close() override;
   void send(ServerId to, const ServiceMessage& msg) override;
@@ -111,13 +112,20 @@ class FaultInjector final : public Transport {
   // covers delayed (but not stale) replies.
   Duration max_one_way_delay() const override;
 
+  // Timers and the real-time axis: the inner runtime's, unchanged.
+  TimerId after(Duration delay, std::function<void()> cb) override {
+    return inner_->after(delay, std::move(cb));
+  }
+  bool cancel(TimerId id) override { return inner_->cancel(id); }
+  RealTime now() override { return inner_->now(); }
+
   // Crash-stop / restart of the local endpoint: while crashed, every copy
   // in both directions is dropped (the endpoint neither sends nor hears).
   void set_crashed(bool crashed) noexcept { crashed_ = crashed; }
   bool crashed() const noexcept { return crashed_; }
 
   // Corrupt-state fault: the injector cannot reach inside the engine, so
-  // the embedder installs a corruptor hook (the engine's corrupt_state).
+  // the engine installs a corruptor hook (its corrupt_state(nonce)).
   // corrupt_state() draws a nonce from the injector's own fault stream and
   // invokes the hook with it - same seed, same scramble, every run.
   using StateCorruptor = std::function<void(std::uint64_t)>;
@@ -146,9 +154,7 @@ class FaultInjector final : public Transport {
   void corrupt_fields(ServiceMessage& msg);
   bool chance(double p) noexcept { return p > 0 && rng_.bernoulli(p); }
 
-  Transport* inner_;
-  Timers* timers_;
-  WallSource* wall_;
+  Runtime* inner_;
   FaultPlan plan_;
   sim::Rng rng_;
 

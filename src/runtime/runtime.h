@@ -1,17 +1,21 @@
-// Runtime abstraction: the three narrow interfaces a ProtocolEngine needs
-// from its host environment.
+// Runtime abstraction: the one interface a ProtocolEngine needs from its
+// host environment.
 //
 // The paper's synchronization rules (MM-1/MM-2, IM-1/IM-2) are pure protocol
 // logic: send a request, pair the reply by tag, evaluate a synchronization
 // function, maybe reset the clock, schedule the next round.  Nothing in
 // them cares whether "send" is a simulated event or a UDP datagram, or
-// whether "in 10 seconds" is an event-queue entry or a timer thread.  These
-// interfaces capture exactly that seam so one engine runs unchanged over
+// whether "in 10 seconds" is an event-queue entry or a timer thread.  This
+// interface captures exactly that seam - messages, timers and the
+// real-time axis - so one engine runs unchanged over
 //
-//   SimRuntime  - sim::EventQueue + sim::Network (discrete-event, single
-//                 threaded, deterministic; see sim_runtime.h), and
-//   UdpRuntime  - net::UdpSocket + a timer thread over CLOCK_MONOTONIC
-//                 (real sockets, real elapsed time; see udp_runtime.h).
+//   SimRuntime    - sim::EventQueue + sim::Network (discrete-event, single
+//                   threaded, deterministic; see sim_runtime.h), and
+//   UdpRuntime    - net::UdpSocket + a timer thread over CLOCK_MONOTONIC
+//                   (real sockets, real elapsed time; see udp_runtime.h),
+//
+// and a decorator can wrap either once: FaultInjector (fault_injector.h)
+// runs the message plane through its chaos gauntlet and forwards the rest.
 //
 // Threading contract: the runtime serializes every callback it delivers
 // (inbound messages and timer fires) with respect to each other.  The sim
@@ -37,15 +41,16 @@ using service::ServiceMessage;
 using TimerId = std::uint64_t;
 inline constexpr TimerId kInvalidTimer = ~TimerId{0};
 
-// Message plane: deliver ServiceMessages to peers addressed by ServerId.
-class Transport {
+class Runtime {
  public:
   using Handler = std::function<void(RealTime, const ServiceMessage&)>;
 
-  virtual ~Transport() = default;
+  virtual ~Runtime() = default;
+
+  // --- Messages: ServiceMessages to peers addressed by ServerId. ---
 
   // Attaches the engine: messages addressed to `self` flow into `handler`
-  // until close().  A UDP transport starts its delivery threads here.
+  // until close().  A UDP runtime starts its delivery threads here.
   virtual void open(ServerId self, Handler handler) = 0;
 
   // Detaches the handler; further inbound messages are dropped.  Idempotent.
@@ -60,15 +65,11 @@ class Transport {
   virtual std::size_t broadcast(const std::vector<ServerId>& targets,
                                 const ServiceMessage& msg) = 0;
 
-  // Largest one-way delay the transport can produce; the engine sizes its
+  // Largest one-way delay the runtime can produce; the engine sizes its
   // reply-collection window as 2x this bound (the round-trip bound xi).
   virtual Duration max_one_way_delay() const = 0;
-};
 
-// Timer plane: run a callback after a real-time delay.
-class Timers {
- public:
-  virtual ~Timers() = default;
+  // --- Timers: run a callback after a real-time delay. ---
 
   // Schedules `cb` after `delay` (>= 0) seconds of real time; the engine
   // converts own-clock delays through its clock's rate before calling this.
@@ -76,25 +77,14 @@ class Timers {
 
   // Cancels a pending timer; false if it already fired or was cancelled.
   virtual bool cancel(TimerId id) = 0;
-};
 
-// The runtime's notion of "now" on the real-time axis.  In the simulator
-// this is ground truth; over UDP it is CLOCK_MONOTONIC, which the engine
-// only ever feeds back into its own Clock/tracker (a deployed server never
-// observes true time, exactly as the paper requires).
-class WallSource {
- public:
-  virtual ~WallSource() = default;
+  // --- The real-time axis. ---
+
+  // In the simulator this is ground truth; over UDP it is CLOCK_MONOTONIC,
+  // which the engine only ever feeds back into its own Clock/tracker (a
+  // deployed server never observes true time, exactly as the paper
+  // requires).
   virtual RealTime now() = 0;
-};
-
-// A runtime is just the three planes bundled; implementations typically
-// derive from all three (UdpRuntime) or own three small adapters
-// (SimRuntime).  Pointers are borrowed and must outlive the engine.
-struct Runtime {
-  Transport* transport = nullptr;
-  Timers* timers = nullptr;
-  WallSource* wall = nullptr;
 };
 
 }  // namespace mtds::runtime

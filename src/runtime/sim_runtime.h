@@ -1,9 +1,9 @@
-// SimRuntime: the discrete-event implementation of the runtime interfaces.
+// SimRuntime: the discrete-event implementation of runtime::Runtime.
 //
-// Thin, allocation-free adapters over the existing simulator pieces:
-// Transport -> sim::Network<ServiceMessage>, Timers -> sim::EventQueue,
-// WallSource -> EventQueue::now().  The adapters add no behavior of their
-// own - every tier-1 simulation test must pass bit-for-bit against them.
+// A thin, allocation-free adapter over the existing simulator pieces:
+// messages -> sim::Network<ServiceMessage>, timers -> sim::EventQueue,
+// now() -> EventQueue::now().  It adds no behavior of its own - every
+// tier-1 simulation test must pass bit-for-bit against it.
 //
 // Threading: the num_threads knob lives behind this layer, not inside it.
 // Every simulated service runs on the sharded engine (sim/sharded_engine.h,
@@ -22,9 +22,12 @@ namespace mtds::runtime {
 
 using SimServiceNetwork = sim::Network<ServiceMessage>;
 
-class SimTransport final : public Transport {
+// Borrows the queue and network; the enclosing service owns both and they
+// must outlive the runtime.
+class SimRuntime final : public Runtime {
  public:
-  explicit SimTransport(SimServiceNetwork& network) : network_(&network) {}
+  SimRuntime(sim::EventQueue& queue, SimServiceNetwork& network)
+      : queue_(&queue), network_(&network) {}
 
   void open(ServerId self, Handler handler) override {
     self_ = self;
@@ -46,51 +49,18 @@ class SimTransport final : public Transport {
     return network_->max_one_way_delay();
   }
 
- private:
-  SimServiceNetwork* network_;
-  ServerId self_ = core::kInvalidServer;
-};
-
-class SimTimers final : public Timers {
- public:
-  explicit SimTimers(sim::EventQueue& queue) : queue_(&queue) {}
-
   TimerId after(Duration delay, std::function<void()> cb) override {
     return queue_->after(delay, std::move(cb));
   }
 
   bool cancel(TimerId id) override { return queue_->cancel(id); }
 
- private:
-  sim::EventQueue* queue_;
-};
-
-class SimWallSource final : public WallSource {
- public:
-  explicit SimWallSource(const sim::EventQueue& queue) : queue_(&queue) {}
   RealTime now() override { return queue_->now(); }
 
  private:
-  const sim::EventQueue* queue_;
-};
-
-// Bundles the three adapters over a borrowed queue + network (the enclosing
-// service owns both and must outlive the runtime).
-class SimRuntime {
- public:
-  SimRuntime(sim::EventQueue& queue, SimServiceNetwork& network)
-      : transport_(network), timers_(queue), wall_(queue) {}
-
-  Runtime runtime() noexcept { return {&transport_, &timers_, &wall_}; }
-
-  SimTransport& transport() noexcept { return transport_; }
-  SimTimers& timers() noexcept { return timers_; }
-  SimWallSource& wall() noexcept { return wall_; }
-
- private:
-  SimTransport transport_;
-  SimTimers timers_;
-  SimWallSource wall_;
+  sim::EventQueue* queue_;
+  SimServiceNetwork* network_;
+  ServerId self_ = core::kInvalidServer;
 };
 
 }  // namespace mtds::runtime

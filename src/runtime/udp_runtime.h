@@ -1,4 +1,4 @@
-// UdpRuntime: the real-socket implementation of the runtime interfaces.
+// UdpRuntime: the real-socket implementation of runtime::Runtime.
 //
 // One UDP socket bound to loopback carries everything: rule MM-1 requests
 // from clients, the engine's own poll requests to peers, and the replies to
@@ -6,7 +6,7 @@
 // (recvmmsg where available), decodes the datagrams (net/protocol.{h,cc})
 // into ServiceMessages and delivers them to the engine handler under ONE
 // state-mutex acquisition; a timer thread fires the engine's scheduled
-// callbacks; WallSource is CLOCK_MONOTONIC.
+// callbacks; now() is CLOCK_MONOTONIC.
 //
 // Addressing: the engine speaks ServerIds, the wire speaks ports.
 //   * Configured peers (sync targets and recovery servers) are a static
@@ -14,7 +14,7 @@
 //   * Anybody else who sends us a request (e.g. a UdpTimeClient on an
 //     ephemeral socket, or an unlisted server) is assigned a pseudo id on
 //     first contact, keyed by source address, so the engine can answer via
-//     plain Transport::send.  Inbound replies are attributed by source
+//     plain Runtime::send.  Inbound replies are attributed by source
 //     address when it matches a configured peer - the robust choice, since
 //     request packets carry no sender id.
 //
@@ -65,7 +65,7 @@ struct UdpRuntimeConfig {
   std::vector<UdpPeer> peers;
 };
 
-class UdpRuntime final : public Transport, public Timers, public WallSource {
+class UdpRuntime final : public Runtime {
  public:
   // Binds the socket immediately (so port() is valid before open()).
   explicit UdpRuntime(UdpRuntimeConfig config);
@@ -79,7 +79,7 @@ class UdpRuntime final : public Transport, public Timers, public WallSource {
   // Serializes engine callbacks; embedders hold it around engine calls.
   //
   // A plain (non-recursive) mutex: engine calls made under it re-enter the
-  // transport (start -> open, stop -> close, handle -> send), so those
+  // runtime (start -> open, stop -> close, handle -> send), so those
   // re-entrant overrides are REQUIRES(state_mutex_) - they assume the
   // caller's lock instead of re-acquiring.  The annotations make clang
   // reject any path that would have needed the old recursive_mutex.
@@ -96,7 +96,7 @@ class UdpRuntime final : public Transport, public Timers, public WallSource {
   // between construction and open() as the peer set becomes known.
   void add_peer(const UdpPeer& peer) EXCLUDES(state_mutex_);
 
-  // Transport.  open() starts the receiver and timer threads.  All four are
+  // Messages.  open() starts the receiver and timer threads.  All four are
   // called by the engine from inside the serialization domain, i.e. with
   // state_mutex_ already held:
   //   open  <- ProtocolEngine::start  <- UdpTimeServer::start  (locked)
@@ -118,7 +118,7 @@ class UdpRuntime final : public Transport, public Timers, public WallSource {
       EXCLUDES(timer_mutex_);
   bool cancel(TimerId id) override EXCLUDES(timer_mutex_);
 
-  // WallSource.
+  // The real-time axis.
   RealTime now() override { return host_seconds(); }
 
  private:
@@ -136,7 +136,7 @@ class UdpRuntime final : public Transport, public Timers, public WallSource {
   net::UdpSocket socket_;
 
   util::Mutex state_mutex_;  // engine serialization domain (outer lock)
-  Transport::Handler handler_ GUARDED_BY(state_mutex_);
+  Runtime::Handler handler_ GUARDED_BY(state_mutex_);
   ServerId self_ GUARDED_BY(state_mutex_) = core::kInvalidServer;
   bool open_ GUARDED_BY(state_mutex_) = false;
 

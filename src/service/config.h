@@ -85,10 +85,9 @@ struct ServerSpec {
   // exactly as before this layer existed.
   PeerHealthPolicy health;
 
-  // Transport-level chaos plane: when active(), the server's transport is
-  // wrapped in a runtime::FaultInjector with this plan (loss, duplication,
-  // delay spikes, corruption, partitions, crash-stop) - the shells
-  // (service::TimeServer, net::UdpTimeServer) do the wrapping.
+  // Chaos plane: when active(), the engine wraps its runtime in its own
+  // runtime::FaultInjector with this plan (loss, duplication, delay
+  // spikes, corruption, partitions, crash-stop), on either runtime.
   runtime::FaultPlan chaos;
 };
 

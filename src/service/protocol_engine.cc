@@ -29,19 +29,20 @@ constexpr core::Duration kEquivocationSlack{1e-6};
 }  // namespace
 
 ProtocolEngine::ProtocolEngine(ServerId id, std::unique_ptr<core::Clock> clock,
-                               const ServerSpec& spec, runtime::Runtime rt,
+                               const ServerSpec& spec, runtime::Runtime& rt,
                                sim::Trace* trace, sim::Rng rng)
     : id_(id),
       clock_(std::move(clock)),
       tracker_(spec.claimed_delta, spec.initial_error,
-               clock_ ? clock_->read(rt.wall->now()) : 0.0),
+               clock_ ? clock_->read(rt.now()) : 0.0),
       spec_(spec),
       sync_(spec.algo == SyncAlgorithm::kNone
                 ? nullptr
                 : core::make_sync_function(spec.algo)),
-      transport_(rt.transport),
-      timers_(rt.timers),
-      wall_(rt.wall),
+      chaos_(spec.chaos.active()
+                 ? std::make_unique<runtime::FaultInjector>(rt, spec.chaos)
+                 : nullptr),
+      rt_(chaos_ != nullptr ? chaos_.get() : &rt),
       trace_(trace),
       rng_(rng),
       current_period_(spec.poll_period),
@@ -52,7 +53,10 @@ ProtocolEngine::ProtocolEngine(ServerId id, std::unique_ptr<core::Clock> clock,
                               .own_delta = spec.claimed_delta},
              &rng_) {
   assert(clock_ != nullptr);
-  assert(transport_ != nullptr && timers_ != nullptr && wall_ != nullptr);
+  if (chaos_ != nullptr) {
+    chaos_->set_state_corruptor(
+        [this](std::uint64_t nonce) { corrupt_state(nonce); });
+  }
   if (peers_.health_on()) {
     peers_.set_transition_hook(
         [this](ServerId peer, PeerState from, PeerState to) {
@@ -66,7 +70,7 @@ ProtocolEngine::ProtocolEngine(ServerId id, std::unique_ptr<core::Clock> clock,
               (from == PeerState::kSuspect || from == PeerState::kDead)) {
             ++counters_.peer_recoveries;
           }
-          record(wall_->now(), TraceEventKind::kPeerState, peer,
+          record(rt_->now(), TraceEventKind::kPeerState, peer,
                  static_cast<double>(static_cast<int>(to)));
         });
   }
@@ -83,13 +87,13 @@ void ProtocolEngine::start(const std::vector<ServerId>& neighbors) {
     if (peer != id_) peers_.row(peer);
   }
   running_ = true;
-  transport_->open(id_, [this](RealTime t, const ServiceMessage& msg) {
+  rt_->open(id_, [this](RealTime t, const ServiceMessage& msg) {
     handle(t, msg);
   });
-  record(wall_->now(), TraceEventKind::kJoin, core::kInvalidServer, 0.0);
+  record(rt_->now(), TraceEventKind::kJoin, core::kInvalidServer, 0.0);
   // First publication: the serving plane answers from the start-up state
   // until the first round lands a reset.
-  publish_snapshot(wall_->now());
+  publish_snapshot(rt_->now());
   if (sync_ != nullptr && !neighbors_.empty()) {
     // Jitter the first round so the service's rounds don't run in lockstep.
     schedule_next_poll(rng_.uniform(core::Duration{0.0}, spec_.poll_period));
@@ -98,7 +102,11 @@ void ProtocolEngine::start(const std::vector<ServerId>& neighbors) {
 
 void ProtocolEngine::stop() {
   running_ = false;
-  transport_->close();
+  rt_->close();
+  if (poll_timer_ != runtime::kInvalidTimer) {
+    rt_->cancel(poll_timer_);
+    poll_timer_ = runtime::kInvalidTimer;
+  }
   pending_.clear();
   peers_.clear_memories();  // a restart must not compare across incarnations
   awaiting_recovery_ = false;
@@ -106,7 +114,7 @@ void ProtocolEngine::stop() {
   if (degraded_) set_degraded(false);
   recovery_attempts_ = 0;
   recovery_wait_rounds_ = 0;
-  record(wall_->now(), TraceEventKind::kLeave, core::kInvalidServer, 0.0);
+  record(rt_->now(), TraceEventKind::kLeave, core::kInvalidServer, 0.0);
 }
 
 void ProtocolEngine::add_neighbor(ServerId peer) {
@@ -159,8 +167,12 @@ void ProtocolEngine::schedule_next_poll(Duration own_clock_delay) {
   // clock polls slightly faster or slower in real time.  A (faulty) stopped
   // clock would never fire its timer; cap the conversion so the simulation
   // still terminates, which models a hardware timer that keeps ticking.
-  const double rate = std::max(clock_->rate(wall_->now()), 0.1);
-  timers_->after(own_clock_delay / rate, [this] {
+  // One chain per engine: a pending poll (say, from before an isolation)
+  // is replaced, never run alongside.
+  const double rate = std::max(clock_->rate(rt_->now()), 0.1);
+  if (poll_timer_ != runtime::kInvalidTimer) rt_->cancel(poll_timer_);
+  poll_timer_ = rt_->after(own_clock_delay / rate, [this] {
+    poll_timer_ = runtime::kInvalidTimer;
     if (running_) begin_round();
   });
 }
@@ -180,11 +192,11 @@ void ProtocolEngine::begin_round() {
   // rounds happen when a fast/racing clock polls quicker than the reply
   // wait); it must not close the round we are about to open.
   if (round_end_timer_ != runtime::kInvalidTimer) {
-    timers_->cancel(round_end_timer_);
+    rt_->cancel(round_end_timer_);
     round_end_timer_ = runtime::kInvalidTimer;
   }
 
-  const RealTime now = wall_->now();
+  const RealTime now = rt_->now();
   const ClockTime local = clock_->read(now);
 
   // Peer-health filter: healthy and suspect peers are polled every round;
@@ -226,13 +238,13 @@ void ProtocolEngine::begin_round() {
                 return a.to < b.to;
               });
     req.tag = shared_tag;
-    counters_.requests_sent += transport_->broadcast(round_targets_, req);
+    counters_.requests_sent += rt_->broadcast(round_targets_, req);
   } else {
     for (std::size_t i = first; i < pending_.size(); ++i) {
       req.to = pending_[i].to;
       req.tag = pending_[i].tag;
       ++counters_.requests_sent;
-      transport_->send(req.to, req);
+      rt_->send(req.to, req);
     }
   }
 
@@ -245,9 +257,9 @@ void ProtocolEngine::begin_round() {
   // is at most twice the one-way bound.  Keep strictly inside tau so rounds
   // do not overlap.
   const Duration wait =
-      std::min(2.0 * transport_->max_one_way_delay() * 1.5 + 1e-6,
+      std::min(2.0 * rt_->max_one_way_delay() * 1.5 + 1e-6,
                current_period_ * 0.9);
-  round_end_timer_ = timers_->after(wait, [this] {
+  round_end_timer_ = rt_->after(wait, [this] {
     if (running_) end_round();
   });
 
@@ -287,7 +299,7 @@ void ProtocolEngine::send_gossip(ClockTime local) {
     note.e = self_error;
     note.age = Duration{0.0};
     note.rtt = Duration{0.0};
-    transport_->send(to, note);
+    rt_->send(to, note);
     ++counters_.gossip_sent;
     for (PeerTable::Row row : peers_.first_hand_rows()) {
       if (peers_.id(row) == to) continue;  // the target knows its own clock
@@ -299,7 +311,7 @@ void ProtocolEngine::send_gossip(ClockTime local) {
       note.e = mem.e;
       note.age = age;
       note.rtt = mem.rtt;
-      transport_->send(to, note);
+      rt_->send(to, note);
       ++counters_.gossip_sent;
     }
   }
@@ -323,7 +335,7 @@ void ProtocolEngine::handle_gossip(RealTime t, const ServiceMessage& msg) {
   }
 
   const ClockTime local = clock_->read(t);
-  const Duration transit = transport_->max_one_way_delay();
+  const Duration transit = rt_->max_one_way_delay();
   // mtds:alloc-ok(first note about a server outside the neighbour list adds its row, once)
   const PeerTable::Row row = peers_.row(msg.source);
 
@@ -349,7 +361,7 @@ void ProtocolEngine::handle_gossip(RealTime t, const ServiceMessage& msg) {
     if (a_i >= Duration{0.0} && a_i <= horizon && gap > budget) {
       ++counters_.gossip_convictions;
       const Duration excess = gap - budget;
-      record(wall_->now(), TraceEventKind::kGossipConviction, msg.source,
+      record(rt_->now(), TraceEventKind::kGossipConviction, msg.source,
              excess.seconds());
       if (peers_.health_on()) peers_.note_byzantine(row);
     }
@@ -408,11 +420,11 @@ void ProtocolEngine::end_round() {
     // Per-reply modes reset (and publish) from handle(); the round close
     // still refreshes published_at so serving-plane staleness is bounded
     // by the poll period, not by reply luck.
-    publish_snapshot(wall_->now());
+    publish_snapshot(rt_->now());
     return;
   }
 
-  const RealTime now = wall_->now();
+  const RealTime now = rt_->now();
   std::span<const TimeReading> round_input = round_replies_;
   if (peers_.filter_on()) {
     // Serve the filtered best per neighbour instead of the raw replies.
@@ -497,7 +509,7 @@ void ProtocolEngine::end_round() {
   round_replies_.clear();
   // Round complete (apply_reset already published the post-reset state if
   // one landed; this refresh re-stamps published_at either way).
-  publish_snapshot(wall_->now());
+  publish_snapshot(rt_->now());
 }
 
 // mtds:no-alloc
@@ -531,7 +543,7 @@ void ProtocolEngine::set_degraded(bool degraded) {
   if (degraded_ == degraded) return;
   degraded_ = degraded;
   if (degraded) ++counters_.degraded_entries;
-  record(wall_->now(), TraceEventKind::kDegraded, core::kInvalidServer,
+  record(rt_->now(), TraceEventKind::kDegraded, core::kInvalidServer,
          degraded ? 1.0 : 0.0);
 }
 
@@ -560,7 +572,7 @@ void ProtocolEngine::handle(RealTime t, const ServiceMessage& msg) {
       // Count before sending: a fast client must never observe its own
       // reply while the counter still reads the old value.
       ++counters_.responses_sent;
-      transport_->send(msg.from, resp);
+      rt_->send(msg.from, resp);
       return;
     }
     case ServiceMessage::Type::kTimeResponse: {
@@ -674,7 +686,7 @@ bool ProtocolEngine::note_reading_impossible(PeerTable::Row row,
       row, {reading.c, reading.e, reading.local_receive, reading.rtt_own});
   if (impossible) {
     ++counters_.byzantine_suspects;
-    record(wall_->now(), TraceEventKind::kByzantineSuspect, reading.from,
+    record(rt_->now(), TraceEventKind::kByzantineSuspect, reading.from,
            excess.seconds());
   }
   return impossible;
@@ -700,7 +712,7 @@ void ProtocolEngine::process_reading(PeerTable::Row row,
       effective = *best;
     }
   }
-  const auto outcome = sync_->on_reply(local_state(wall_->now()), effective);
+  const auto outcome = sync_->on_reply(local_state(rt_->now()), effective);
   if (outcome.reset) {
     apply_reset(*outcome.reset, /*is_recovery=*/false);
   }
@@ -715,7 +727,7 @@ void ProtocolEngine::process_reading(PeerTable::Row row,
 
 // mtds:no-alloc
 void ProtocolEngine::apply_reset(const ClockReset& reset, bool is_recovery) {
-  const RealTime now = wall_->now();
+  const RealTime now = rt_->now();
   // Outstanding requests recorded their send time on the pre-reset clock;
   // rebase them so xi^i_j (measured as C(recv) - C(send)) stays the elapsed
   // own-clock time rather than absorbing the jump.  Without this, a
@@ -747,7 +759,13 @@ void ProtocolEngine::apply_reset(const ClockReset& reset, bool is_recovery) {
   if (awaiting_recovery_ && correct(now)) awaiting_recovery_ = false;
 }
 
-void ProtocolEngine::corrupt_state() { corrupt_state(rng_.next_u64()); }
+void ProtocolEngine::corrupt_state() {
+  if (chaos_ != nullptr) {
+    chaos_->corrupt_state();
+  } else {
+    corrupt_state(rng_.next_u64());
+  }
+}
 
 void ProtocolEngine::corrupt_state(std::uint64_t nonce) {
   if (!running_) return;
@@ -766,7 +784,7 @@ void ProtocolEngine::corrupt_state(std::uint64_t nonce) {
   const auto scramble = [&](double mag) {
     return mag * (static_cast<double>(next() % 2001) - 1000.0) / 1000.0;
   };
-  const RealTime now = wall_->now();
+  const RealTime now = rt_->now();
   // The clock is thrown 1-30 s off - never less.  A macroscopic throw is
   // part of the fault model: BYZ's carried error arm is only sound while
   // the previous bound was (see core/byz_sync.cc), so the corruption must
@@ -840,7 +858,7 @@ void ProtocolEngine::record(RealTime t, TraceEventKind kind, ServerId peer,
 }
 
 void ProtocolEngine::note_inconsistency(const core::ServerIdVec& peers) {
-  record(wall_->now(), TraceEventKind::kInconsistent,
+  record(rt_->now(), TraceEventKind::kInconsistent,
          peers.empty() ? core::kInvalidServer : peers.front(), 0.0);
   if (peers_.health_on()) {
     // Section 4: persistent disagreement eventually quarantines the peer -
@@ -895,9 +913,9 @@ void ProtocolEngine::request_recovery(ServerId exclude) {
   req.to = target;
   req.tag = next_tag_++;
   pending_.push_back(
-      Pending{req.tag, target, clock_->read(wall_->now()), /*recovery=*/true});
+      Pending{req.tag, target, clock_->read(rt_->now()), /*recovery=*/true});
   ++counters_.requests_sent;
-  transport_->send(target, req);
+  rt_->send(target, req);
 }
 
 // mtds:no-alloc

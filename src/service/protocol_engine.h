@@ -4,11 +4,12 @@
 // plus the periodic rule MM-2/IM-2 synchronization loop, with pluggable
 // synchronization function, adaptive polling, sample filtering, broadcast
 // rounds, Section 5 rate monitoring and Section 3 third-server recovery -
-// driven entirely through the narrow runtime::Transport / Timers /
-// WallSource interfaces.  The same engine runs inside the discrete-event
-// simulator (service::TimeServer over runtime::SimRuntime) and inside the
-// UDP daemon (net::UdpTimeServer over runtime::UdpRuntime), so the deployed
-// loop is exactly the loop the simulator validates.
+// driven entirely through the one runtime::Runtime interface.  The same
+// engine is a simulated server (service::TimeService builds one per server
+// over runtime::SimRuntime) and the core of the UDP daemon
+// (net::UdpTimeServer over runtime::UdpRuntime), so the deployed loop is
+// exactly the loop the simulator validates.  When the spec arms a chaos
+// plan, the engine wraps its runtime in its own runtime::FaultInjector.
 //
 // Concurrency: the engine is not internally synchronized; the runtime
 // serializes message delivery and timer fires (see runtime/runtime.h).
@@ -22,6 +23,7 @@
 #include "core/error_tracker.h"
 #include "core/reading.h"
 #include "core/sync_function.h"
+#include "runtime/fault_injector.h"
 #include "runtime/runtime.h"
 #include "service/config.h"
 #include "service/message.h"
@@ -82,24 +84,26 @@ struct ServerCounters {
 
 class ProtocolEngine {
  public:
-  // The engine owns its clock; runtime planes and trace are borrowed and
-  // must outlive it.  `trace` may be null (the UDP daemon records nothing);
-  // otherwise the engine records its lifecycle events into it (the set is
-  // documented in docs/TRACING.md).
+  // The engine owns its clock (and its chaos plane, when spec.chaos is
+  // active); the runtime and trace are borrowed and must outlive it.
+  // `trace` may be null (the UDP daemon records nothing); otherwise the
+  // engine records its lifecycle events into it (the set is documented in
+  // docs/TRACING.md).
   ProtocolEngine(ServerId id, std::unique_ptr<core::Clock> clock,
-                 const ServerSpec& spec, runtime::Runtime rt,
+                 const ServerSpec& spec, runtime::Runtime& rt,
                  sim::Trace* trace, sim::Rng rng);
   ~ProtocolEngine();
 
   ProtocolEngine(const ProtocolEngine&) = delete;
   ProtocolEngine& operator=(const ProtocolEngine&) = delete;
 
-  // Opens the transport and schedules the first poll round.  The first poll
+  // Opens the runtime and schedules the first poll round.  The first poll
   // is jittered uniformly within one poll period so that a service's rounds
   // don't run in lockstep.
   void start(const std::vector<ServerId>& neighbors);
 
-  // Leaves the service: closes the transport and stops polling.
+  // Leaves the service: closes the runtime and cancels the pending poll, so
+  // a later start() drives exactly one poll chain.
   void stop();
 
   // Membership update: future rounds will also poll `peer`.
@@ -129,7 +133,7 @@ class ProtocolEngine {
   // Whether the interval currently contains true time.
   bool correct(RealTime t);
 
-  // Message entry point (installed as the transport handler by start()).
+  // Message entry point (installed as the runtime handler by start()).
   void handle(RealTime t, const ServiceMessage& msg);
 
   // Everything the engine keeps per peer: reading memories, health state,
@@ -159,11 +163,19 @@ class ProtocolEngine {
   // conviction.  Empty (the default) disables the plane entirely.
   void set_gossip_peers(const std::vector<ServerId>& peers);
 
+  // Chaos plane; non-null only when spec().chaos.active().
+  runtime::FaultInjector* fault_injector() noexcept { return chaos_.get(); }
+  const runtime::FaultInjector* fault_injector() const noexcept {
+    return chaos_.get();
+  }
+
   // Deterministic corrupt-state fault: scrambles the volatile sync state
   // (clock, error tracker, peer reading memory, second-hand notes, pending
   // timestamps) as a pure function of `nonce`.  The parameterless overload
-  // draws the nonce from the engine's own stream.  Recovery is accounted in
-  // counters().recovery_rounds until the clock is provably re-contained.
+  // routes through the chaos plane when one is armed (its ledger and nonce
+  // stream account the fault) and draws the nonce from the engine's own
+  // stream otherwise.  Recovery is accounted in counters().recovery_rounds
+  // until the clock is provably re-contained.
   void corrupt_state();
   void corrupt_state(std::uint64_t nonce);
 
@@ -197,9 +209,10 @@ class ProtocolEngine {
   core::ErrorTracker tracker_;
   ServerSpec spec_;
   std::unique_ptr<core::SyncFunction> sync_;  // null for kNone
-  runtime::Transport* transport_;
-  runtime::Timers* timers_;
-  runtime::WallSource* wall_;
+  // Null unless spec.chaos.active(); then it wraps the borrowed runtime and
+  // rt_ points at it, so every message runs the fault gauntlet.
+  std::unique_ptr<runtime::FaultInjector> chaos_;
+  runtime::Runtime* rt_;
   sim::Trace* trace_;
   sim::Rng rng_;
 
@@ -251,6 +264,9 @@ class ProtocolEngine {
   core::Readings filter_scratch_;  // per-round filter output (best_all_into)
   bool round_open_ = false;
   runtime::TimerId round_end_timer_ = runtime::kInvalidTimer;
+  // The pending poll: one chain per engine (replaced by each schedule,
+  // cancelled by stop()).
+  runtime::TimerId poll_timer_ = runtime::kInvalidTimer;
 
   ServerCounters counters_;
 };

@@ -384,12 +384,10 @@ TimeService& ScenarioRunner::run(core::RealTime override_horizon) {
       case ScenarioAction::Kind::kJoin:
         service_->add_server(action.spec);
         break;
-      case ScenarioAction::Kind::kLeave:
-        service_->remove_server(action.a);
-        break;
       case ScenarioAction::Kind::kLoss:
         service_->network().set_loss_probability(action.value);
         break;
+      case ScenarioAction::Kind::kLeave:  // leaving is a crash-stop
       case ScenarioAction::Kind::kCrash:
         service_->crash_server(action.a);
         break;

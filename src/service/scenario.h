@@ -19,7 +19,7 @@
 //   at 150 partition 0 1     # timeline events applied while running
 //   at 250 heal 0 1
 //   at 300 join algo=IM delta=1e-4 error=1.0 tau=10
-//   at 400 leave 1
+//   at 400 leave 1           # a leave is a crash-stop (peers are not told)
 //   at 420 loss 0.2          # network-wide loss probability becomes 0.2
 //   at 450 crash 0           # server 0 crash-stops (peers are not told)
 //   at 500 restart 0         # ... and restarts with its old neighbours

@@ -111,16 +111,20 @@ sim::Rng TimeService::fork_rng_for(ServerId id) {
   return shards_[shard_of(id)]->rng.fork();
 }
 
+void TimeService::make_server(ServerId id, const ServerSpec& spec) {
+  runtimes_.push_back(
+      std::make_unique<runtime::SimRuntime>(queue_for(id), *network_));
+  servers_.push_back(std::make_unique<ProtocolEngine>(
+      id, make_clock(spec), spec, *runtimes_.back(), trace_for(id),
+      fork_rng_for(id)));
+}
+
 void TimeService::build() {
   const std::size_t n = config_.servers.size();
   adjacency_ = build_adjacency(n, config_.topology, config_.custom_edges);
+  runtimes_.reserve(n);
   servers_.reserve(n);
-  for (ServerId i = 0; i < n; ++i) {
-    const ServerSpec& spec = config_.servers[i];
-    servers_.push_back(std::make_unique<TimeServer>(
-        i, make_clock(spec), spec, queue_for(i), *network_, trace_for(i),
-        fork_rng_for(i)));
-  }
+  for (ServerId i = 0; i < n; ++i) make_server(i, config_.servers[i]);
   for (ServerId i = 0; i < n; ++i) {
     servers_[i]->start(adjacency_[i]);
     // A server's rate monitor needs its neighbours' claimed bounds (a real
@@ -154,7 +158,7 @@ void TimeService::wire_gossip() {
     for (ServerId j = 0; j < n; ++j) {
       if (j != i) peers.push_back(j);
     }
-    servers_[i]->engine().set_gossip_peers(peers);
+    servers_[i]->set_gossip_peers(peers);
   }
 }
 
@@ -182,9 +186,7 @@ void TimeService::run_until(RealTime t) {
 ServerId TimeService::add_server(const ServerSpec& spec, bool announce) {
   const auto id = static_cast<ServerId>(servers_.size());
   config_.servers.push_back(spec);
-  servers_.push_back(std::make_unique<TimeServer>(
-      id, make_clock(spec), spec, queue_for(id), *network_, trace_for(id),
-      fork_rng_for(id)));
+  make_server(id, spec);
   std::vector<ServerId> neighbors;
   for (const auto& existing : servers_) {
     if (existing->id() != id && existing->running()) {
@@ -203,12 +205,6 @@ ServerId TimeService::add_server(const ServerSpec& spec, bool announce) {
   }
   wire_gossip();
   return id;
-}
-
-void TimeService::remove_server(ServerId id) {
-  if (id < servers_.size() && servers_[id]->running()) {
-    servers_[id]->stop();
-  }
 }
 
 void TimeService::crash_server(ServerId id) {

@@ -2,15 +2,18 @@
 //
 // Owns the shards (event queue, RNG stream, trace buffer each), the
 // sharded engine that runs them, the delay model, network, merged trace and
-// every server; provides service-wide observations (offsets, errors,
-// asynchronism) used by the invariant checkers and the benches.
+// every server - a ProtocolEngine over its own runtime::SimRuntime, which
+// records its lifecycle events into its shard's trace; provides
+// service-wide observations (offsets, errors, asynchronism) used by the
+// invariant checkers and the benches.
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "runtime/sim_runtime.h"
 #include "service/config.h"
-#include "service/time_server.h"
+#include "service/protocol_engine.h"
 #include "sim/delay_model.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
@@ -20,6 +23,8 @@
 
 namespace mtds::service {
 
+using ServiceNetwork = runtime::SimServiceNetwork;
+
 class TimeService {
  public:
   explicit TimeService(ServiceConfig config);
@@ -28,8 +33,8 @@ class TimeService {
   void run_until(RealTime t);
 
   std::size_t size() const noexcept { return servers_.size(); }
-  TimeServer& server(std::size_t i) { return *servers_.at(i); }
-  const TimeServer& server(std::size_t i) const { return *servers_.at(i); }
+  ProtocolEngine& server(std::size_t i) { return *servers_.at(i); }
+  const ProtocolEngine& server(std::size_t i) const { return *servers_.at(i); }
 
   // Shard 0's clock: the event time inside a run, the run_until target
   // between runs (the engine aligns every shard clock at its end).
@@ -58,12 +63,11 @@ class TimeService {
   // automatically unless `announce` is set, which appends it to every
   // running server's neighbour list.
   ServerId add_server(const ServerSpec& spec, bool announce = true);
-  void remove_server(ServerId id);
 
-  // Fault-plane lifecycle: crash-stop a server (it silently stops answering;
-  // peers keep polling the corpse and must discover the death themselves)
-  // and later restart it in place with its original neighbour list.  Unlike
-  // remove_server, neighbours are never told.
+  // Crash-stop a server (it silently stops answering; peers keep polling
+  // the corpse and must discover the death themselves) and later restart
+  // it in place with its original neighbour list.  Leaving the service is
+  // a crash-stop in this model: neighbours are never told.
   void crash_server(ServerId id);
   void restart_server(ServerId id);
 
@@ -86,6 +90,8 @@ class TimeService {
   void wire_gossip();
   void sample_shard(std::uint32_t shard);
   std::unique_ptr<core::Clock> make_clock(const ServerSpec& spec);
+  // Appends server `id` (== size()) and its runtime; does not start it.
+  void make_server(ServerId id, const ServerSpec& spec);
 
   // The shard (queue, RNG, trace) a server id maps to.
   std::uint32_t shard_of(ServerId id) const noexcept {
@@ -100,8 +106,8 @@ class TimeService {
   // Each shard owns an event queue, an RNG stream and a private trace
   // buffer merged into trace_ at run_until barriers.  With one shard its
   // RNG is the root stream itself; with more, each forks from the root in
-  // shard order.  Declared BEFORE servers_: a dying TimeServer still
-  // records its leave event into its shard's trace and unregisters from the
+  // shard order.  Declared BEFORE servers_: a dying server still records
+  // its leave event into its shard's trace and unregisters from the
   // network, so both must outlive the servers.  engine_ follows shards_ so
   // its helper threads stop before the queues they execute are torn down.
   struct Shard {
@@ -116,7 +122,10 @@ class TimeService {
   std::unique_ptr<sim::ShardedEngine> engine_;
   std::unique_ptr<sim::TraceMerger> trace_merger_;
 
-  std::vector<std::unique_ptr<TimeServer>> servers_;
+  // runtimes_[i] is server i's SimRuntime; declared before servers_ so
+  // each runtime outlives its engine's final stop().
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes_;
+  std::vector<std::unique_ptr<ProtocolEngine>> servers_;
   std::vector<std::vector<ServerId>> adjacency_;
 };
 

@@ -28,7 +28,6 @@
 #include "sim/delay_model.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-#include "util/spsc_ring.h"
 
 namespace mtds::sim {
 
@@ -64,30 +63,27 @@ class Network {
   // Servers are split across S shards (id % S).  The sender's shard
   // supplies the RNG stream for loss and delay draws and the stats bucket;
   // a same-shard message is scheduled directly on the receiver's queue, a
-  // cross-shard one is posted to the (sender, receiver) SPSC mailbox and
+  // cross-shard one is appended to the (sender, receiver) mailbox and
   // scheduled by flush_mailboxes() at the next epoch barrier
-  // (sharded_engine.h).  All mutating control methods (register/unregister,
-  // partitions, link delays, loss) are barrier-only: they touch tables that
-  // the parallel windows read.
+  // (sharded_engine.h).  A mailbox is a plain vector: during a window only
+  // the thread running its sender shard appends, and only the coordinator
+  // drains, after the barrier mutex hand-off has ordered every append.
+  // All mutating control methods (register/unregister, partitions, link
+  // delays, loss) are barrier-only: they touch tables that the parallel
+  // windows read.
   //
   // Determinism: shard RNG streams, mailbox indices and the flush order
   // (receiver-major, then sender, each in push order) are all functions of
   // the shard count alone - never of the worker thread count.
   Network(std::vector<EventQueue*> shard_queues, const DelayModel& delays,
-          std::vector<Rng*> shard_rngs, std::size_t mailbox_capacity = 256)
+          std::vector<Rng*> shard_rngs)
       : num_shards_(static_cast<std::uint32_t>(shard_queues.size())),
         queues_(std::move(shard_queues)),
         rngs_(std::move(shard_rngs)),
         delays_(&delays),
-        stats_(num_shards_) {
-    mailboxes_.reserve(static_cast<std::size_t>(num_shards_) * num_shards_);
-    for (std::uint32_t src = 0; src < num_shards_; ++src) {
-      for (std::uint32_t dst = 0; dst < num_shards_; ++dst) {
+        stats_(num_shards_),
         // Same-shard sends bypass the mailboxes, so the diagonal stays empty.
-        mailboxes_.emplace_back(src == dst ? 0 : mailbox_capacity);
-      }
-    }
-  }
+        mailboxes_(static_cast<std::size_t>(num_shards_) * num_shards_) {}
 
   // One shard: every message goes straight onto `queue`.
   Network(EventQueue& queue, const DelayModel& delays, Rng& rng)
@@ -106,11 +102,13 @@ class Network {
     for (std::uint32_t dst = 0; dst < num_shards_; ++dst) {
       EventQueue* q = queues_[dst];
       for (std::uint32_t src = 0; src < num_shards_; ++src) {
-        mailboxes_[src * num_shards_ + dst].drain([this, q](InFlight&& item) {
+        std::vector<InFlight>& box = mailboxes_[src * num_shards_ + dst];
+        for (InFlight& item : box) {
           q->at(item.t, [this, to = item.to, m = std::move(item.msg)]() {
             deliver(to, m);
           });
-        });
+        }
+        box.clear();  // keeps its capacity for the next window
       }
     }
   }
@@ -183,8 +181,8 @@ class Network {
     if (dst == src) {
       sq->at(arrival, [this, to, m = std::move(msg)]() { deliver(to, m); });
     } else {
-      // mtds:alloc-ok(SpscRing push into the shard mailbox; its only allocating branch is the hatched overflow lane in spsc_ring.h)
-      mailboxes_[src * num_shards_ + dst].push(
+      // mtds:alloc-ok(mailbox append; grows only while a window outruns every earlier one, and clear() keeps the capacity across drains)
+      mailboxes_[src * num_shards_ + dst].push_back(
           InFlight{arrival, to, std::move(msg)});
     }
     return delay;
@@ -298,7 +296,7 @@ class Network {
   std::vector<LinkKey> partitions_;                                 // sorted
   double loss_probability_ = 0.0;
   std::vector<PaddedStats> stats_;
-  std::vector<util::SpscRing<InFlight>> mailboxes_;  // [src * S + dst]
+  std::vector<std::vector<InFlight>> mailboxes_;  // [src * S + dst]
   mutable NetworkStats agg_stats_;                   // stats() scratch
 };
 

@@ -119,7 +119,7 @@ TEST(AdversarialNetwork, ReplyAfterServerLeftIsHarmless) {
   auto cfg = base_config(core::SyncAlgorithm::kMM, 75);
   TimeService service(cfg);
   service.run_until(12.0);  // mid-flight traffic exists
-  service.remove_server(0);
+  service.crash_server(0);
   // Draining the remaining events must not crash or corrupt anyone.
   service.run_until(100.0);
   EXPECT_EQ(service.running_count(), 2u);

@@ -1,12 +1,11 @@
 // FaultInjector: the chaos plane decorator in isolation, against a fake
-// inner transport - every fault mode, the accounting invariant, and
+// inner runtime - every fault mode, the accounting invariant, and
 // same-seed determinism.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "runtime/fault_injector.h"
-#include "runtime/sim_runtime.h"
 #include "sim/event_queue.h"
 
 namespace mtds::runtime {
@@ -14,13 +13,16 @@ namespace {
 
 using service::ServiceMessage;
 
-// Records outbound sends and lets the test inject inbound deliveries.
-class FakeTransport final : public Transport {
+// Records outbound sends and lets the test inject inbound deliveries;
+// timers and the clock run on its event queue.
+class FakeRuntime final : public Runtime {
  public:
   struct Sent {
     ServerId to;
     ServiceMessage msg;
   };
+
+  explicit FakeRuntime(sim::EventQueue& queue) : queue_(&queue) {}
 
   void open(ServerId self, Handler handler) override {
     self_ = self;
@@ -41,6 +43,11 @@ class FakeTransport final : public Transport {
     return n;
   }
   Duration max_one_way_delay() const override { return 0.01; }
+  TimerId after(Duration delay, std::function<void()> cb) override {
+    return queue_->after(delay, std::move(cb));
+  }
+  bool cancel(TimerId id) override { return queue_->cancel(id); }
+  RealTime now() override { return queue_->now(); }
 
   // What the network would do: hand an inbound message to whatever handler
   // open() installed (the injector's interposer).
@@ -51,6 +58,7 @@ class FakeTransport final : public Transport {
   std::vector<Sent> sent;
 
  private:
+  sim::EventQueue* queue_;
   ServerId self_ = core::kInvalidServer;
   Handler handler_;
 };
@@ -69,7 +77,7 @@ ServiceMessage response(ServerId from, ServerId to, std::uint64_t tag,
 
 struct Harness {
   explicit Harness(FaultPlan plan)
-      : timers(queue), wall(queue), injector(inner, timers, wall, plan) {
+      : inner(queue), injector(inner, plan) {
     injector.open(0, [this](RealTime t, const ServiceMessage& msg) {
       received.push_back(msg);
       receive_times.push_back(t);
@@ -77,9 +85,7 @@ struct Harness {
   }
 
   sim::EventQueue queue;
-  FakeTransport inner;
-  SimTimers timers;
-  SimWallSource wall;
+  FakeRuntime inner;
   FaultInjector injector;
   std::vector<ServiceMessage> received;
   std::vector<RealTime> receive_times;

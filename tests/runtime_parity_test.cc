@@ -1,31 +1,27 @@
 // Runtime parity: the same ProtocolEngine scenarios through both runtimes.
 //
-// The tentpole claim of the runtime refactor is that service::TimeServer
-// (runtime::SimRuntime, discrete-event) and net::UdpTimeServer
-// (runtime::UdpRuntime, loopback sockets + threads) are thin shells around
-// ONE engine.  These tests run the same 3-server MM-with-recovery scenario
-// and the same IM scenario through both runtimes and assert that both paths
-// converge and exercise every ServerCounters field - so a protocol feature
-// that regresses on one path but not the other fails here.
-//
-// transport-coverage: SimTransport (exercised through SimRuntime, which owns
-// one per simulated server; every sim-side scenario below routes through it)
+// A simulated server is a service::ProtocolEngine over runtime::SimRuntime
+// (discrete-event); net::UdpTimeServer is a thin shell around the same
+// engine over runtime::UdpRuntime (loopback sockets + threads).  These
+// tests run the same 3-server MM-with-recovery scenario and the same IM
+// scenario through both runtimes and assert that both paths converge and
+// exercise every ServerCounters field - so a protocol feature that
+// regresses on one path but not the other fails here.  The chaos scenarios
+// run the engine's runtime::FaultInjector decorator over both.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "net/protocol.h"
-#include "net/serving_plane.h"
 #include "net/udp_client.h"
 #include "net/udp_server.h"
-#include "net/udp_socket.h"
 #include "runtime/adversary.h"
-#include "service/time_server.h"
+#include "runtime/sim_runtime.h"
+#include "service/protocol_engine.h"
+#include "service/time_service.h"
 #include "sim/delay_model.h"
 
 namespace mtds {
@@ -64,13 +60,17 @@ ScenarioResult run_mm_recovery_sim() {
   sim::FixedDelay delay{0.01};
   service::ServiceNetwork network{queue, delay, rng};
   sim::Trace trace;
+  // One runtime per server, declared before the engines so each outlives
+  // its engine's final stop().
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
 
   auto make = [&](ServerId id, const service::ServerSpec& spec,
                   double offset) {
     auto clock = std::make_unique<core::DriftingClock>(
         0.0, core::ClockTime{queue.now().seconds() + offset}, queue.now());
-    return std::make_unique<service::TimeServer>(
-        id, std::move(clock), spec, queue, network, &trace, rng.fork());
+    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
+    return std::make_unique<service::ProtocolEngine>(
+        id, std::move(clock), spec, *runtimes.back(), &trace, rng.fork());
   };
 
   service::ServerSpec liar;
@@ -205,13 +205,17 @@ ScenarioResult run_im_sim() {
   sim::FixedDelay delay{0.01};
   service::ServiceNetwork network{queue, delay, rng};
   sim::Trace trace;
+  // One runtime per server, declared before the engines so each outlives
+  // its engine's final stop().
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
 
   auto make = [&](ServerId id, const service::ServerSpec& spec,
                   double offset) {
     auto clock = std::make_unique<core::DriftingClock>(
         0.0, core::ClockTime{queue.now().seconds() + offset}, queue.now());
-    return std::make_unique<service::TimeServer>(
-        id, std::move(clock), spec, queue, network, &trace, rng.fork());
+    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
+    return std::make_unique<service::ProtocolEngine>(
+        id, std::move(clock), spec, *runtimes.back(), &trace, rng.fork());
   };
 
   service::ServerSpec responder;
@@ -313,31 +317,6 @@ TEST(RuntimeParity, IMScenarioConvergesOnBothRuntimes) {
   }
 }
 
-// The receive path batches with recvmmsg and broadcasts with sendmmsg where
-// available; the single-syscall fallback must behave identically.  Rerun the
-// full UDP scenarios with the fallback forced.
-TEST(RuntimeParity, UdpScenariosConvergeWithBatchingFallbackForced) {
-  struct Guard {
-    Guard() { net::UdpSocket::set_batching_enabled(false); }
-    ~Guard() { net::UdpSocket::set_batching_enabled(true); }
-  } guard;
-  ASSERT_FALSE(net::UdpSocket::batching_enabled());
-  {
-    SCOPED_TRACE("UdpRuntime, fallback, IM");
-    const auto udp = run_im_udp();
-    expect_sync_counters_populated(udp, /*error_before=*/0.25,
-                                   /*error_bound=*/0.05);
-  }
-  {
-    SCOPED_TRACE("UdpRuntime, fallback, MM recovery");
-    const auto udp = run_mm_recovery_udp();
-    expect_all_counters_populated(udp.learner);
-    EXPECT_LT(std::abs(udp.true_offset), 0.05);
-    EXPECT_LT(udp.error, 0.2);
-    EXPECT_GT(udp.responder_responses, 0u);
-  }
-}
-
 // --- Engine extensions over UDP ------------------------------------------
 //
 // Adaptive polling, the sample filter and broadcast rounds used to be
@@ -358,13 +337,17 @@ TEST(RuntimeParity, ChaosWrappedLearnerConvergesInSim) {
   sim::FixedDelay delay{0.01};
   service::ServiceNetwork network{queue, delay, rng};
   sim::Trace trace;
+  // One runtime per server, declared before the engines so each outlives
+  // its engine's final stop().
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
 
   auto make = [&](ServerId id, const service::ServerSpec& spec,
                   double offset) {
     auto clock = std::make_unique<core::DriftingClock>(
         0.0, core::ClockTime{queue.now().seconds() + offset}, queue.now());
-    return std::make_unique<service::TimeServer>(
-        id, std::move(clock), spec, queue, network, &trace, rng.fork());
+    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
+    return std::make_unique<service::ProtocolEngine>(
+        id, std::move(clock), spec, *runtimes.back(), &trace, rng.fork());
   };
 
   service::ServerSpec responder;
@@ -464,13 +447,17 @@ TEST(RuntimeParity, ByzantineResponderConvictedInSim) {
   sim::FixedDelay delay{0.01};
   service::ServiceNetwork network{queue, delay, rng};
   sim::Trace trace;
+  // One runtime per server, declared before the engines so each outlives
+  // its engine's final stop().
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
 
   auto make = [&](ServerId id, const service::ServerSpec& spec,
                   double offset) {
     auto clock = std::make_unique<core::DriftingClock>(
         0.0, core::ClockTime{queue.now().seconds() + offset}, queue.now());
-    return std::make_unique<service::TimeServer>(
-        id, std::move(clock), spec, queue, network, &trace, rng.fork());
+    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
+    return std::make_unique<service::ProtocolEngine>(
+        id, std::move(clock), spec, *runtimes.back(), &trace, rng.fork());
   };
 
   service::ServerSpec responder;
@@ -581,64 +568,6 @@ TEST(RuntimeParity, EngineExtensionsRunOverUdp) {
   EXPECT_NE(learner.poll_period(), cfg.poll_period);
   learner.stop();
   reference.stop();
-}
-
-// --- serving-plane transport parity ---------------------------------------
-//
-// The client serving plane runs over batched recvmmsg/sendmmsg, or over the
-// single-datagram fallback syscalls when batching is disabled.  With the
-// wall clock frozen and one fixed snapshot published, a reply is a pure
-// function of the request - so both transports must produce byte-for-byte
-// identical replies.
-
-std::map<std::uint64_t, std::vector<std::uint8_t>> serve_fixed_queries(
-    std::size_t count) {
-  net::ServingPlaneConfig cfg;
-  cfg.threads = 1;
-  cfg.batch = 16;
-  cfg.freeze_wall = true;
-  cfg.frozen_wall_seconds = 123.5;
-  net::ServingPlane plane(cfg);
-
-  service::ClockSnapshot snap;
-  snap.base = core::ClockTime{1000.25};
-  snap.error = core::ErrorBound{3e-3};
-  snap.published_at = core::RealTime{120.0};
-  snap.rate = 1.0 + 2e-5;
-  snap.delta = 1e-4;
-  snap.server_id = 17;
-  plane.publish_snapshot(snap);
-  plane.start();
-
-  std::map<std::uint64_t, std::vector<std::uint8_t>> replies;
-  net::UdpSocket client;
-  std::uint8_t buf[512];
-  for (std::uint64_t tag = 0; tag < count; ++tag) {
-    net::ClientTimeRequest req;
-    req.tag = tag;
-    req.client_send_ns = static_cast<std::int64_t>(tag * 31 + 7);
-    const auto bytes = net::encode(req);
-    EXPECT_TRUE(client.send_to(plane.port(), {bytes.data(), bytes.size()}));
-    const auto n = client.receive_into(buf, nullptr, 2000);
-    EXPECT_TRUE(n.has_value()) << "no reply for tag " << tag;
-    if (n.has_value()) replies[tag] = {buf, buf + *n};
-  }
-  plane.stop();
-  return replies;
-}
-
-TEST(ServingBackendParity, MmsgAndSingleDatagramBytesIdentical) {
-  const auto batched = serve_fixed_queries(64);
-  std::map<std::uint64_t, std::vector<std::uint8_t>> single;
-  {
-    struct Guard {
-      Guard() { net::UdpSocket::set_batching_enabled(false); }
-      ~Guard() { net::UdpSocket::set_batching_enabled(true); }
-    } guard;
-    single = serve_fixed_queries(64);
-  }
-  ASSERT_EQ(batched.size(), 64u);
-  EXPECT_EQ(batched, single);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Unit coverage for the sharded-engine building blocks: the EventQueue
-// window primitives, the SPSC mailbox ring, and the ShardedEngine epoch
-// loop itself (window math, barrier hook ordering, thread-count
-// independence at the engine level).  Whole-service determinism is pinned
-// end-to-end by determinism_test.cc; these tests isolate the pieces so a
-// regression points at the right layer.
+// window primitives and the ShardedEngine epoch loop itself (window math,
+// barrier hook ordering, thread-count independence at the engine level).
+// Whole-service determinism is pinned end-to-end by determinism_test.cc;
+// these tests isolate the pieces so a regression points at the right
+// layer.
 
 #include <atomic>
 #include <string>
@@ -13,7 +13,6 @@
 
 #include "sim/event_queue.h"
 #include "sim/sharded_engine.h"
-#include "util/spsc_ring.h"
 
 namespace mtds {
 namespace {
@@ -76,42 +75,6 @@ TEST(EventQueueWindows, AdvanceToNeverMovesBackwards) {
   EXPECT_EQ(q.now(), RealTime{10.0});
   q.advance_to(RealTime{5.0});
   EXPECT_EQ(q.now(), RealTime{10.0});
-}
-
-// --- SpscRing ---------------------------------------------------------------
-
-TEST(SpscRing, DrainsInPushOrder) {
-  util::SpscRing<int> ring(8);
-  for (int i = 0; i < 5; ++i) ring.push(i);
-  std::vector<int> got;
-  ring.drain([&](int&& v) { got.push_back(v); });
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, OverflowPreservesOrderAcrossTheSeam) {
-  util::SpscRing<int> ring(4);  // 3 usable slots (one sentinel)
-  for (int i = 0; i < 10; ++i) ring.push(i);
-  std::vector<int> got;
-  ring.drain([&](int&& v) { got.push_back(v); });
-  ASSERT_EQ(got.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(got[i], i);
-  EXPECT_TRUE(ring.empty());
-
-  // After a drain the ring is usable again, still in order.
-  for (int i = 100; i < 103; ++i) ring.push(i);
-  got.clear();
-  ring.drain([&](int&& v) { got.push_back(v); });
-  EXPECT_EQ(got, (std::vector<int>{100, 101, 102}));
-}
-
-TEST(SpscRing, MoveOnlyPayloads) {
-  util::SpscRing<std::unique_ptr<int>> ring(2);
-  ring.push(std::make_unique<int>(1));
-  ring.push(std::make_unique<int>(2));  // spills (capacity 2 -> 1 usable)
-  int sum = 0;
-  ring.drain([&](std::unique_ptr<int>&& p) { sum += *p; });
-  EXPECT_EQ(sum, 3);
 }
 
 // --- ShardedEngine ----------------------------------------------------------

@@ -66,7 +66,7 @@ TEST(Stress, FiftyServerMixedServiceSurvivesEverything) {
     fresh.initial_offset = core::Offset{rng.uniform(-0.5, 0.5)};
     fresh.poll_period = 20.0;
     service.add_server(fresh);
-    service.remove_server(static_cast<core::ServerId>(k));
+    service.crash_server(static_cast<core::ServerId>(k));
   }
 
   // Phase 3: a partition slices off a corner of the ring, then heals.

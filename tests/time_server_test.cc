@@ -1,12 +1,15 @@
-// Unit-level tests of a single TimeServer driven directly through the
-// simulated network.
-#include "service/time_server.h"
-
+// Unit-level tests of a single simulated time server - a ProtocolEngine
+// over a runtime::SimRuntime - driven directly through the simulated
+// network.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
+#include <vector>
 
+#include "runtime/sim_runtime.h"
+#include "service/protocol_engine.h"
+#include "service/time_service.h"
 #include "sim/delay_model.h"
 
 namespace mtds::service {
@@ -23,14 +26,26 @@ class TimeServerTest : public ::testing::Test {
   sim::FixedDelay delay{0.01};
   ServiceNetwork network{queue, delay, rng};
   sim::Trace trace;
+  // One runtime per server, kept alive past every engine's final stop().
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
 
-  std::unique_ptr<TimeServer> make_server(ServerId id, ServerSpec spec,
-                                          double drift = 0.0,
-                                          double offset = 0.0) {
-    auto clock = std::make_unique<DriftingClock>(
-        drift, core::ClockTime{queue.now().seconds() + offset}, queue.now());
-    return std::make_unique<TimeServer>(id, std::move(clock), spec, queue,
-                                        network, &trace, rng.fork());
+  std::unique_ptr<ProtocolEngine> make_engine(
+      ServerId id, std::unique_ptr<core::Clock> clock, const ServerSpec& spec) {
+    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
+    return std::make_unique<ProtocolEngine>(id, std::move(clock), spec,
+                                            *runtimes.back(), &trace,
+                                            rng.fork());
+  }
+
+  std::unique_ptr<ProtocolEngine> make_server(ServerId id, ServerSpec spec,
+                                              double drift = 0.0,
+                                              double offset = 0.0) {
+    return make_engine(
+        id,
+        std::make_unique<DriftingClock>(
+            drift, core::ClockTime{queue.now().seconds() + offset},
+            queue.now()),
+        spec);
   }
 
   // Captures one response sent to a probe node.
@@ -358,8 +373,7 @@ TEST_F(TimeServerTest, StickyResetFaultLeavesClockWrong) {
   spec.fault = {ClockFaultKind::kStickyReset, 0.0, 0.0};
   auto clock = std::make_unique<core::FaultyClock>(
       std::make_unique<DriftingClock>(0.0, 0.3, 0.0), spec.fault);
-  auto server = std::make_unique<TimeServer>(0, std::move(clock), spec, queue,
-                                             network, &trace, rng.fork());
+  auto server = make_engine(0, std::move(clock), spec);
   server->start({1});
 
   queue.run_until(5.0);

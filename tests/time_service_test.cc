@@ -275,11 +275,39 @@ TEST(TimeService, ChurnJoinLeave) {
   EXPECT_TRUE(service.server(id).correct(service.now()));
 
   // A server leaves; the rest keep running and stay correct.
-  service.remove_server(0);
+  service.crash_server(0);
   EXPECT_EQ(service.running_count(), 4u);
   service.run_until(300.0);
   EXPECT_TRUE(service.all_correct());
   EXPECT_EQ(service.trace().count_events(sim::TraceEventKind::kLeave), 1u);
+}
+
+TEST(TimeService, QuickRestartKeepsOnePollChain) {
+  // A crash and restart within one tau: the restarted server must poll at
+  // its own period, not run the dead incarnation's pending poll alongside
+  // the new one (which would double its rounds).
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    ServiceConfig cfg;
+    cfg.seed = seed;
+    cfg.delay_lo = 0.0;
+    cfg.delay_hi = 0.005;
+    for (int i = 0; i < 3; ++i) {
+      auto s = spec_mm(1e-5, 0.0, 0.02, 0.0, /*tau=*/10.0);
+      s.algo = core::SyncAlgorithm::kIM;
+      cfg.servers.push_back(s);
+    }
+    TimeService service(cfg);
+    service.run_until(100.0);
+    service.crash_server(0);
+    service.run_until(100.01);
+    service.restart_server(0);
+    const std::uint64_t before = service.server(0).counters().rounds;
+    service.run_until(200.0);
+    const std::uint64_t rounds = service.server(0).counters().rounds - before;
+    EXPECT_GE(rounds, 9u);
+    EXPECT_LE(rounds, 11u);
+  }
 }
 
 TEST(TimeService, MessageLossDelaysButDoesNotBreakSync) {

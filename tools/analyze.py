@@ -9,7 +9,7 @@ checks on it:
   no-alloc-reachability   functions tagged `// mtds:no-alloc` (engine round
                           and receive paths, the sharded epoch loop, the
                           Marzullo scratch overloads, the SlabHeap/InlineVec/
-                          SpscRing/SmallFn hot methods) must not REACH
+                          SmallFn hot methods) must not REACH
                           `operator new`, allocating STL members or throwing
                           paths through any call chain.  This is the static
                           complement of tests/alloc_test.cc: the runtime gate
@@ -303,7 +303,7 @@ def _type_key(type_text: str) -> str:
 def _elem_of(type_text: str) -> str:
     """First top-level template argument of a container type: what a
     subscript yields.  `std::vector<EventQueue*>` -> `EventQueue*`,
-    `std::vector<util::SpscRing<InFlight>>` -> `util::SpscRing<InFlight>`.
+    `std::vector<std::vector<InFlight>>` -> `std::vector<InFlight>`.
     Empty when the type has no template arguments."""
     m = re.search(r"<(.*)>", type_text, re.S)
     if not m:

@@ -11,7 +11,7 @@ them on synthetic inputs:
                       probabilities, tolerances) stay double; a deliberate
                       raw-seconds boundary opts out with
                       `// lint-allow: bare-double` on the declaration line.
-  transport-coverage  every runtime::Transport implementation must be
+  transport-coverage  every runtime::Runtime implementation must be
                       exercised by tests/runtime_parity_test.cc (named
                       directly, or via a `transport-coverage: Name` marker
                       when exercised through a wrapper).
@@ -33,7 +33,7 @@ them on synthetic inputs:
                       and every std::atomic must carry an
                       `mtds:lock-free(...)` comment tag on its line or
                       within the three lines above, naming the protocol
-                      that makes the lock-free access safe (util/spsc_ring.h
+                      that makes the lock-free access safe (util/seqlock.h
                       shows the idiom).
   bench-items         every google-benchmark in bench/ must call
                       SetItemsProcessed: items/sec is the regression metric
@@ -144,12 +144,12 @@ def check_bare_double(path: str, text: str) -> list[Violation]:
 # --------------------------------------------------------------------------
 
 _TRANSPORT_IMPL = re.compile(
-    r"\bclass\s+(\w+)\s*(?:final\s*)?:\s*[^({;]*\bpublic\s+Transport\b"
+    r"\bclass\s+(\w+)\s*(?:final\s*)?:\s*[^({;]*\bpublic\s+Runtime\b"
 )
 
 
 def transport_impls(header_text: str) -> list[str]:
-    """Class names in one header that derive publicly from Transport."""
+    """Class names in one header that derive publicly from Runtime."""
     return _TRANSPORT_IMPL.findall(header_text)
 
 
@@ -166,7 +166,7 @@ def check_transport_coverage(
         out.append(
             Violation(
                 path, 1, "transport-coverage",
-                f"Transport implementation '{name}' is not exercised by "
+                f"Runtime implementation '{name}' is not exercised by "
                 "tests/runtime_parity_test.cc (name it there, or add a "
                 f"'// transport-coverage: {name}' marker next to the code "
                 "that exercises it through a wrapper)",
@@ -286,7 +286,7 @@ def check_cross_thread(path: str, text: str) -> list[Violation]:
                         "std::atomic without an 'mtds:lock-free(...)' tag "
                         "on the line or within the three lines above; "
                         "document the protocol that makes unlocked access "
-                        "safe (see util/spsc_ring.h) or guard the state "
+                        "safe (see util/seqlock.h) or guard the state "
                         "with util::Mutex + GUARDED_BY",
                     )
                 )
@@ -473,7 +473,7 @@ def check_src_reachable(
 
 RULES = {
     "bare-double": "public time-quantity signatures use core:: strong types",
-    "transport-coverage": "every Transport impl is exercised by the parity "
+    "transport-coverage": "every Runtime impl is exercised by the parity "
                           "test",
     "trace-docs": "every trace event name is a row of docs/TRACING.md",
     "lock-order": "state_mutex_ before timer_mutex_, never the reverse",
@@ -584,13 +584,17 @@ def self_test() -> int:
     expect(not check_bare_double("fake.h", good_header),
            "bare-double: clean header flagged")
 
-    impls = [("a.h", "SimTransport"), ("b.h", "GhostTransport")]
-    parity = "uses SimTransport directly\n"
+    expect(transport_impls(
+        "class SimRuntime final : public Runtime {\n"
+        "class Other : public Transport {\n") == ["SimRuntime"],
+        "transport-coverage: Runtime implementations not recognised")
+    impls = [("a.h", "SimRuntime"), ("b.h", "GhostRuntime")]
+    parity = "uses SimRuntime directly\n"
     got = check_transport_coverage(impls, parity)
-    expect(len(got) == 1 and "GhostTransport" in got[0].message,
+    expect(len(got) == 1 and "GhostRuntime" in got[0].message,
            "transport-coverage: missing impl not caught")
     expect(not check_transport_coverage(
-        impls, parity + "// transport-coverage: GhostTransport\n"),
+        impls, parity + "// transport-coverage: GhostRuntime\n"),
         "transport-coverage: marker not honoured")
 
     trace_cc = ('case A: return "reset";\ncase B: return "phantom-event";\n'
