@@ -42,14 +42,14 @@ inline int finish() {
 // A uniform server spec used by several experiments.
 inline service::ServerSpec basic_server(core::SyncAlgorithm algo,
                                         double claimed_delta,
-                                        double actual_drift,
+                                        double simulated_drift,
                                         double initial_error,
                                         double initial_offset,
                                         double poll_period) {
   service::ServerSpec s;
   s.algo = algo;
   s.claimed_delta = claimed_delta;
-  s.actual_drift = actual_drift;
+  s.simulated_drift = simulated_drift;
   s.initial_error = initial_error;
   s.initial_offset = core::Offset{initial_offset};
   s.poll_period = poll_period;

@@ -95,7 +95,7 @@ void end_to_end_comparison() {
       cfg.servers.push_back(bench::basic_server(algo, 1e-5, 0.0, 0.01,
                                                 (i - 1) * 0.002, 10.0));
     }
-    cfg.servers[1].actual_drift = 3e-5;  // slightly past its claimed 1e-5
+    cfg.servers[1].simulated_drift = 3e-5;  // slightly past its claimed 1e-5
     service::TimeService service(cfg);
     service.run_until(3000.0);
     return service::check_correctness(service.trace()).worst_ratio;

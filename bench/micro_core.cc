@@ -196,7 +196,7 @@ void BM_EngineRound(benchmark::State& state) {
     service::ServerSpec s;
     s.algo = core::SyncAlgorithm::kMM;
     s.claimed_delta = 1e-5;
-    s.actual_drift = (i % 2 ? 1 : -1) * 5e-6;
+    s.simulated_drift = (i % 2 ? 1 : -1) * 5e-6;
     s.initial_error = 0.01;
     s.poll_period = 10.0;
     cfg.servers.push_back(s);
@@ -236,7 +236,7 @@ void BM_ShardedEngineRound(benchmark::State& state) {
     service::ServerSpec s;
     s.algo = core::SyncAlgorithm::kMM;
     s.claimed_delta = 1e-5;
-    s.actual_drift = (i % 2 ? 1 : -1) * 5e-6;
+    s.simulated_drift = (i % 2 ? 1 : -1) * 5e-6;
     s.initial_error = 0.01;
     s.poll_period = 10.0;
     cfg.servers.push_back(s);
@@ -266,7 +266,7 @@ void BM_ServiceSimulation(benchmark::State& state) {
       service::ServerSpec s;
       s.algo = core::SyncAlgorithm::kMM;
       s.claimed_delta = 1e-5;
-      s.actual_drift = (i % 2 ? 1 : -1) * 5e-6;
+      s.simulated_drift = (i % 2 ? 1 : -1) * 5e-6;
       s.initial_error = 0.01;
       s.poll_period = 10.0;
       cfg.servers.push_back(s);

@@ -36,7 +36,7 @@ ScenarioResult run(const std::string& name, core::ClockFault fault,
     service::ServerSpec s;
     s.algo = core::SyncAlgorithm::kMM;
     s.claimed_delta = 2e-5;
-    s.actual_drift = (i - 2) * 8e-6;
+    s.simulated_drift = (i - 2) * 8e-6;
     s.initial_error = 0.01;
     s.poll_period = 10.0;
     s.recovery = policy;
@@ -44,7 +44,7 @@ ScenarioResult run(const std::string& name, core::ClockFault fault,
   }
   // Server 4 carries the fault.
   cfg.servers[4].fault = fault;
-  cfg.servers[4].actual_drift = bad_actual_drift;
+  cfg.servers[4].simulated_drift = bad_actual_drift;
 
   service::TimeService service(cfg);
   service.run_until(horizon);
@@ -84,7 +84,7 @@ bool run_chaos(double horizon) {
     service::ServerSpec s;
     s.algo = core::SyncAlgorithm::kMM;
     s.claimed_delta = 2e-5;
-    s.actual_drift = (i - 2) * 8e-6;
+    s.simulated_drift = (i - 2) * 8e-6;
     s.initial_error = 0.01;
     s.poll_period = 10.0;
     s.health.enabled = true;

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     // Three quality tiers: lab-grade, workstation, flaky office machine.
     const double tier = rng.next_double();
     s.claimed_delta = tier < 0.1 ? 1e-6 : tier < 0.8 ? 2e-5 : 2e-4;
-    s.actual_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
+    s.simulated_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
     s.initial_error = rng.uniform(0.005, 0.1);
     s.initial_offset = core::Offset{rng.uniform(-0.004, 0.004)};
     s.poll_period = 30.0;
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       service::ServerSpec s;
       s.algo = core::SyncAlgorithm::kIM;
       s.claimed_delta = 1e-4;
-      s.actual_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
+      s.simulated_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
       s.initial_error = 1.0;  // fresh, poorly-set clock
       s.initial_offset = core::Offset{rng.uniform(-0.5, 0.5)};
       s.poll_period = 30.0;

@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   service::ServerSpec fast;
   fast.algo = core::SyncAlgorithm::kIM;
   fast.claimed_delta = 6e-3;  // deliberately coarse: visible steps
-  fast.actual_drift = 5e-3;
+  fast.simulated_drift = 5e-3;
   fast.initial_error = 0.02;
   fast.poll_period = 10.0;
   cfg.servers.push_back(fast);
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     service::ServerSpec ref;
     ref.algo = core::SyncAlgorithm::kNone;
     ref.claimed_delta = 1e-6;
-    ref.actual_drift = 0.0;
+    ref.simulated_drift = 0.0;
     ref.initial_error = 0.005;
     cfg.servers.push_back(ref);
   }

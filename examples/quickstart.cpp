@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     service::ServerSpec s;
     s.algo = algo;
     s.claimed_delta = 1e-5;                          // drift bound delta_i
-    s.actual_drift = rng.uniform(-8e-6, 8e-6);       // true oscillator drift
+    s.simulated_drift = rng.uniform(-8e-6, 8e-6);    // true oscillator drift
     s.initial_error = 0.01 + 0.01 * static_cast<double>(i);
     s.initial_offset = core::Offset{rng.uniform(-0.005, 0.005)};
     s.poll_period = 10.0;                            // tau

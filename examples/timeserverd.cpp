@@ -2,23 +2,30 @@
 //
 // Serves rule MM-1 replies on a UDP port and optionally synchronizes to
 // peer servers with MM or IM - the shape of a real deployment of the
-// paper's service.  The local clock is virtualized over CLOCK_MONOTONIC so
-// drift and offset can be injected for experiments.
+// paper's service.  The server is described by one --spec string, read by
+// the scenario DSL's server parser (service/scenario.h lists its keys), so
+// a daemon and a simulated server are written the same way.  The local
+// clock is virtualized over CLOCK_MONOTONIC so drift and offset can be
+// injected for experiments.
 //
-//   $ ./timeserverd --port=9001 --id=1 --delta=1e-4 --error=0.005
-//   $ ./timeserverd --port=9002 --id=2 --peers=9001 --algo=MM
-//                   --poll=0.5 --offset=0.05 --seconds=10   (one line)
+//   $ ./timeserverd --port=9001 --id=1 --spec="delta=1e-4 error=0.005"
+//   $ ./timeserverd --port=9002 --id=2 --peers=9001 --seconds=10
+//                   --spec="algo=MM tau=0.5 offset=0.05"   (one line)
 //
 // Runs for --seconds (0 = until SIGINT/SIGTERM), printing a status line per
 // --status-every seconds.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/udp_server.h"
+#include "service/scenario.h"
 #include "util/flags.h"
 
 using namespace mtds;
@@ -29,6 +36,19 @@ std::atomic<bool> g_stop{false};
 
 void handle_signal(int) { g_stop.store(true); }
 
+// A port flag (absent = 0, ephemeral); nullopt unless an integer in
+// [0, 65535].
+std::optional<std::uint16_t> port_flag(const util::Flags& flags,
+                                       const char* name) {
+  const std::string text = flags.get(name, "0");
+  char* end = nullptr;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || v < 0 || v > 65535) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint16_t>(v);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -37,31 +57,14 @@ int main(int argc, char** argv) {
   if (flags.has("help")) {
     std::printf(
         "usage: timeserverd [options]\n"
+        "  --spec=\"K=V ...\"  the server as a scenario-DSL server spec (keys:\n"
+        "                    src/service/scenario.h), e.g. \"algo=IM tau=0.5\n"
+        "                    filter=1 health=1\"; defaults: algo=MM delta=1e-4\n"
+        "                    error=1e-3 tau=0.5 chaos-delay-max=0.1\n"
         "  --port=N          UDP port (default: ephemeral)\n"
         "  --id=N            server id reported in replies (default 0)\n"
-        "  --delta=X         claimed drift bound (default 1e-4)\n"
-        "  --error=X         initial maximum error, seconds (default 1e-3)\n"
-        "  --offset=X        injected initial clock offset (default 0)\n"
-        "  --drift=X         injected clock drift (default 0)\n"
         "  --peers=P1,P2     peer ports to synchronize against\n"
         "  --recovery=P1,P2  third-server recovery ports (Section 3)\n"
-        "  --algo=MM|IM|IMFT sync algorithm (default MM)\n"
-        "  --poll=X          sync period, seconds (default 0.5)\n"
-        "  --adaptive=X      adaptive polling: halve/double the period around\n"
-        "                    error target X seconds (default: off)\n"
-        "  --filter          ntpd-style min-RTT sample filter per neighbour\n"
-        "  --broadcast       collect each round with one broadcast tag\n"
-        "  --monitor-rates   Section 5 per-neighbour rate monitor\n"
-        "  --health          peer-health layer: suspect/dead tracking,\n"
-        "                    backoff probing, degraded mode\n"
-        "  --quarantine=N    quarantine a peer after N consecutive\n"
-        "                    inconsistencies (implies --health)\n"
-        "  --chaos-drop=P    chaos plane: drop each message w.p. P\n"
-        "  --chaos-dup=P     ... duplicate w.p. P\n"
-        "  --chaos-delay=P   ... delay w.p. P (spike up to --chaos-delay-max)\n"
-        "  --chaos-delay-max=X  delay spike upper bound, seconds (default 0.1)\n"
-        "  --chaos-corrupt=P ... corrupt fields w.p. P\n"
-        "  --chaos-seed=N    chaos RNG seed (default 0x5EED)\n"
         "  --client-threads=N serving plane: N SO_REUSEPORT shard threads\n"
         "                    answering client time queries from the latest\n"
         "                    seqlock snapshot (default 0 = off)\n"
@@ -73,53 +76,42 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // The daemon's defaults, under whatever --spec sets.
+  service::ServerSpec defaults;
+  defaults.claimed_delta = 1e-4;
+  defaults.initial_error = 1e-3;
+  defaults.poll_period = 0.5;
+  defaults.chaos.delay_hi = 0.1;
   net::UdpServerConfig cfg;
-  cfg.port = static_cast<std::uint16_t>(flags.get_int("port", 0));
+  try {
+    static_cast<service::ServerSpec&>(cfg) =
+        service::parse_server_spec(flags.get("spec"), defaults);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "timeserverd: --spec: %s\n", e.what());
+    return 2;
+  }
+  if (cfg.recovery != defaults.recovery || !cfg.recovery_pool.empty()) {
+    std::fprintf(stderr, "timeserverd: --spec: use --recovery=PORTS, not "
+                         "recovery=/pool=\n");
+    return 2;
+  }
+  const auto port = port_flag(flags, "port");
+  const auto client_port = port_flag(flags, "client-port");
+  if (!port || !client_port) {
+    std::fprintf(stderr, "timeserverd: ports must be in [0, 65535]\n");
+    return 2;
+  }
+  cfg.port = *port;
+  cfg.client_port = *client_port;
   cfg.id = static_cast<std::uint32_t>(flags.get_int("id", 0));
-  cfg.claimed_delta = flags.get_double("delta", 1e-4);
-  cfg.initial_error = flags.get_double("error", 1e-3);
-  cfg.initial_offset = core::Offset{flags.get_double("offset", 0.0)};
-  cfg.simulated_drift = flags.get_double("drift", 0.0);
-  cfg.poll_period = flags.get_double("poll", 0.5);
   cfg.reply_timeout = std::min<core::Duration>(0.2, cfg.poll_period / 2.0);
-  const std::string algo = flags.get("algo", "MM");
-  cfg.algo = algo == "IM"     ? core::SyncAlgorithm::kIM
-             : algo == "IMFT" ? core::SyncAlgorithm::kIMFT
-             : algo == "NONE" ? core::SyncAlgorithm::kNone
-                              : core::SyncAlgorithm::kMM;
   const auto peers = flags.get_ports("peers");
   cfg.recovery_ports = flags.get_ports("recovery");
   if (peers.empty()) cfg.poll_period = 0;  // respond-only
 
-  // Engine extensions, now available over UDP through the shared engine.
-  if (flags.has("adaptive")) {
-    cfg.adaptive.enabled = true;
-    cfg.adaptive.error_target = flags.get_double("adaptive", 0.05);
-    cfg.adaptive.min_period = cfg.poll_period / 8;
-    cfg.adaptive.max_period = cfg.poll_period * 8;
-  }
-  cfg.use_sample_filter = flags.get_bool("filter", false);
-  cfg.use_broadcast = flags.get_bool("broadcast", false);
-  cfg.monitor_rates = flags.get_bool("monitor-rates", false);
-
-  // Peer-health layer and chaos plane.
-  cfg.health.enabled = flags.get_bool("health", false);
-  cfg.health.quarantine_after =
-      static_cast<std::uint32_t>(flags.get_int("quarantine", 0));
-  if (cfg.health.quarantine_after > 0) cfg.health.enabled = true;
-  cfg.chaos.drop = flags.get_double("chaos-drop", 0.0);
-  cfg.chaos.duplicate = flags.get_double("chaos-dup", 0.0);
-  cfg.chaos.delay = flags.get_double("chaos-delay", 0.0);
-  cfg.chaos.delay_hi = flags.get_double("chaos-delay-max", 0.1);
-  cfg.chaos.corrupt = flags.get_double("chaos-corrupt", 0.0);
-  cfg.chaos.seed =
-      static_cast<std::uint64_t>(flags.get_int("chaos-seed", 0x5EED));
-
   // Serving plane: lock-free client-query shards fed by engine snapshots.
   cfg.client_threads =
       static_cast<std::uint32_t>(flags.get_int("client-threads", 0));
-  cfg.client_port =
-      static_cast<std::uint16_t>(flags.get_int("client-port", 0));
   cfg.client_batch =
       static_cast<std::size_t>(flags.get_int("client-batch", 64));
 
@@ -131,7 +123,8 @@ int main(int argc, char** argv) {
     server.set_peers(peers);
     server.start();
     std::printf("timeserverd: id=%u port=%u algo=%s peers=%zu\n", cfg.id,
-                server.port(), algo.c_str(), peers.size());
+                server.port(), std::string(core::to_string(cfg.algo)).c_str(),
+                peers.size());
     if (cfg.client_threads > 0) {
       std::printf("  serving plane: port=%u threads=%u\n",
                   server.client_port(), cfg.client_threads);

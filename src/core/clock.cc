@@ -33,40 +33,8 @@ void DriftingClock::set_drift(RealTime t, double drift) {
   drift_ = drift;
 }
 
-PiecewiseDriftClock::PiecewiseDriftClock(double initial_drift,
-                                         std::vector<RateChange> changes,
-                                         ClockTime initial, RealTime start)
-    : inner_(initial_drift, initial, start), changes_(std::move(changes)) {
-  for (std::size_t i = 1; i < changes_.size(); ++i) {
-    if (changes_[i].at < changes_[i - 1].at) {
-      throw std::invalid_argument("PiecewiseDriftClock: changes must be sorted");
-    }
-  }
-}
-
-void PiecewiseDriftClock::advance_to(RealTime t) {
-  while (next_change_ < changes_.size() && changes_[next_change_].at <= t) {
-    inner_.set_drift(changes_[next_change_].at, changes_[next_change_].drift);
-    ++next_change_;
-  }
-}
-
-ClockTime PiecewiseDriftClock::read(RealTime t) {
-  advance_to(t);
-  return inner_.read(t);
-}
-
-void PiecewiseDriftClock::set(RealTime t, ClockTime value) {
-  advance_to(t);
-  inner_.set(t, value);
-}
-
-double PiecewiseDriftClock::rate(RealTime t) {
-  advance_to(t);
-  return inner_.rate(t);
-}
-
-FaultyClock::FaultyClock(std::unique_ptr<Clock> inner, ClockFault fault)
+FaultyClock::FaultyClock(std::unique_ptr<DriftingClock> inner,
+                         ClockFault fault)
     : inner_(std::move(inner)), fault_(fault) {
   assert(inner_ != nullptr);
 }
@@ -85,14 +53,10 @@ ClockTime FaultyClock::read(RealTime t) {
     case ClockFaultKind::kRacing:
       if (t >= fault_.start && !applied_) {
         // Install the racing rate exactly at fault start so the value stays
-        // continuous.  Only DriftingClock-backed inners support rate change;
-        // fall back to scaling reads otherwise.
-        if (auto* d = dynamic_cast<DriftingClock*>(inner_.get())) {
-          d->set_drift(fault_.start, (1.0 + d->drift()) * fault_.param - 1.0);
-          applied_ = true;
-        } else {
-          applied_ = true;  // treat as already racing from construction
-        }
+        // continuous.
+        inner_->set_drift(fault_.start,
+                          (1.0 + inner_->drift()) * fault_.param - 1.0);
+        applied_ = true;
       }
       return inner_->read(t);
     case ClockFaultKind::kStickyReset:

@@ -4,14 +4,9 @@
 // between resets.  A perfect clock has C(t) = t; a real clock drifts with
 // |1 - dC/dt| <= delta.  The simulator owns real time t and asks the clock
 // what it reads; a deployment (src/net) derives t from CLOCK_MONOTONIC.
-//
-// Reads must be presented in non-decreasing real-time order (the simulator
-// guarantees this); PiecewiseDriftClock relies on it to advance its rate
-// schedule lazily.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/time_types.h"
 
@@ -60,33 +55,6 @@ class PerfectClock : public DriftingClock {
   PerfectClock() : DriftingClock(0.0, 0.0, 0.0) {}
 };
 
-// A clock whose rate changes at scheduled real times; between change points
-// it behaves like a DriftingClock.  Used to model oscillators whose drift
-// wanders (temperature etc.) while still honouring - or violating - a
-// claimed bound.
-class PiecewiseDriftClock : public Clock {
- public:
-  struct RateChange {
-    RealTime at;
-    double drift;
-  };
-
-  // Changes must be sorted by `at`; initial drift applies before the first
-  // change point.
-  PiecewiseDriftClock(double initial_drift, std::vector<RateChange> changes,
-                      ClockTime initial = 0.0, RealTime start = 0.0);
-
-  ClockTime read(RealTime t) override;
-  void set(RealTime t, ClockTime value) override;
-  double rate(RealTime t) override;
-
- private:
-  void advance_to(RealTime t);
-  DriftingClock inner_;
-  std::vector<RateChange> changes_;
-  std::size_t next_change_ = 0;
-};
-
 // Failure modes from Section 1.1: "a clock may fail in many ways, such as by
 // stopping, racing ahead, or refusing to change its value when reset."
 enum class ClockFaultKind {
@@ -102,10 +70,11 @@ struct ClockFault {
   double param = 1.0;     // meaning depends on kind
 };
 
-// Decorator injecting a failure mode into any clock.
+// Decorator injecting a failure mode into a drifting clock (a racing
+// fault rescales the inner clock's drift at fault start).
 class FaultyClock : public Clock {
  public:
-  FaultyClock(std::unique_ptr<Clock> inner, ClockFault fault);
+  FaultyClock(std::unique_ptr<DriftingClock> inner, ClockFault fault);
 
   ClockTime read(RealTime t) override;
   void set(RealTime t, ClockTime value) override;
@@ -117,7 +86,7 @@ class FaultyClock : public Clock {
   }
 
  private:
-  std::unique_ptr<Clock> inner_;
+  std::unique_ptr<DriftingClock> inner_;
   ClockFault fault_;
   bool applied_ = false;    // racing: rate multiplier installed
   bool frozen_ = false;     // stopped: value latched

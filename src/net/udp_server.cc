@@ -1,6 +1,5 @@
 #include "net/udp_server.h"
 
-#include "core/clock.h"
 #include "sim/rng.h"
 
 namespace mtds::net {
@@ -12,30 +11,6 @@ namespace {
 // these ranges cannot collide with either.
 constexpr core::ServerId kPeerIdBase = 1'000'000;
 constexpr core::ServerId kRecoveryIdBase = 2'000'000;
-
-service::ServerSpec make_spec(const UdpServerConfig& config) {
-  service::ServerSpec spec;
-  spec.algo = config.algo;
-  spec.claimed_delta = config.claimed_delta;
-  spec.actual_drift = config.simulated_drift;
-  spec.initial_error = config.initial_error;
-  spec.initial_offset = config.initial_offset;
-  spec.poll_period = config.poll_period;
-  spec.adaptive = config.adaptive;
-  spec.use_sample_filter = config.use_sample_filter;
-  spec.use_broadcast = config.use_broadcast;
-  spec.monitor_rates = config.monitor_rates;
-  spec.health = config.health;
-  spec.chaos = config.chaos;
-  spec.recovery = config.recovery_ports.empty()
-                      ? service::RecoveryPolicy::kIgnore
-                      : service::RecoveryPolicy::kThirdServer;
-  for (std::size_t j = 0; j < config.recovery_ports.size(); ++j) {
-    spec.recovery_pool.push_back(kRecoveryIdBase +
-                                 static_cast<core::ServerId>(j));
-  }
-  return spec;
-}
 
 std::unique_ptr<runtime::UdpRuntime> make_runtime(
     const UdpServerConfig& config) {
@@ -51,21 +26,22 @@ UdpTimeServer::UdpTimeServer(UdpServerConfig config)
     : config_(std::move(config)),
       runtime_(make_runtime(config_)),
       state_mu_(runtime_->state_mutex()) {
+  config_.recovery = config_.recovery_ports.empty()
+                        ? service::RecoveryPolicy::kIgnore
+                        : service::RecoveryPolicy::kThirdServer;
+  config_.recovery_pool.clear();
   for (std::size_t j = 0; j < config_.recovery_ports.size(); ++j) {
-    runtime_->add_peer({kRecoveryIdBase + static_cast<core::ServerId>(j),
-                        config_.recovery_ports[j]});
+    const core::ServerId id = kRecoveryIdBase + static_cast<core::ServerId>(j);
+    config_.recovery_pool.push_back(id);
+    runtime_->add_peer({id, config_.recovery_ports[j]});
   }
-  auto clock = std::make_unique<core::DriftingClock>(
-      config_.simulated_drift,
-      core::ClockTime{host_seconds()} + config_.initial_offset,
-      host_seconds());
   // With config.chaos active the engine wraps the runtime in its own
   // injector, which lives in the runtime's serialization domain: every
   // delivery, timer fire and (locked) engine call already serializes
   // through the state mutex, so it needs no locking of its own.
   engine_ = std::make_unique<service::ProtocolEngine>(
-      config_.id, std::move(clock), make_spec(config_), *runtime_,
-      /*trace=*/nullptr, sim::Rng(0x5DEECE66Dull + config_.id));
+      config_.id, service::make_clock(config_, host_seconds()), config_,
+      *runtime_, /*trace=*/nullptr, sim::Rng(0x5DEECE66Dull + config_.id));
   if (config_.client_threads > 0) {
     ServingPlaneConfig sp;
     sp.port = config_.client_port;

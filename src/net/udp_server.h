@@ -6,9 +6,9 @@
 // monitoring, third-server recovery - is service::ProtocolEngine, the exact
 // code the simulator validates (service::TimeService runs it over
 // runtime::SimRuntime).  This shell only plumbs configuration: it builds
-// the virtualized clock (a core::DriftingClock layered over CLOCK_MONOTONIC
-// so drift and offset can be injected for demonstrations), maps peer ports
-// to engine ServerIds, and exposes thread-safe introspection.
+// the virtualized clock with service::make_clock at host time (so drift,
+// offset and clock faults can be injected for demonstrations), maps peer
+// ports to engine ServerIds, and exposes thread-safe introspection.
 #pragma once
 
 #include <atomic>
@@ -28,38 +28,23 @@ namespace mtds::net {
 // Monotonic host time in seconds since process-local epoch.
 inline double host_seconds() noexcept { return runtime::host_seconds(); }
 
-struct UdpServerConfig {
+// A server's full description: the service::ServerSpec both planes share
+// (algorithm, claimed delta, simulated drift, initial error and offset,
+// tau, engine extensions, peer health, chaos plan) plus the settings only a
+// deployment has.  The engine receives this as its ServerSpec, with one
+// exception: over UDP, `recovery` and `recovery_pool` are derived from
+// `recovery_ports` (third-server recovery is on iff it is non-empty), so
+// values set on those two fields are overwritten.  poll_period = 0 makes
+// the server respond only: it polls none of its peers.
+struct UdpServerConfig : service::ServerSpec {
   std::uint32_t id = 0;
-  double claimed_delta = 1e-4;   // delta_i the server reports with
-  double simulated_drift = 0.0;  // injected actual drift of the virtual clock
-  core::ErrorBound initial_error = 1e-3;  // epsilon at start
-  core::Offset initial_offset{0.0};       // virtual clock offset at start
-
-  core::SyncAlgorithm algo = core::SyncAlgorithm::kMM;
-  // tau between sync rounds; 0 = respond only.
-  core::Duration poll_period = 0.05;
+  std::uint16_t port = 0;               // 0 = ephemeral
   core::Duration reply_timeout = 0.02;  // wait for replies in a round
-  std::uint16_t port = 0;        // 0 = ephemeral
 
   // Third-server recovery (Section 3): ports of servers on "another
   // network" to reset from unconditionally when the sync round finds this
   // server inconsistent with its peers.  Empty = ignore inconsistency.
   std::vector<std::uint16_t> recovery_ports;
-
-  // Engine extensions, shared with the simulated ServerSpec (the runtime
-  // refactor makes these available over UDP for free).
-  service::ServerSpec::AdaptivePoll adaptive;  // adaptive polling
-  bool use_sample_filter = false;              // ntpd-style clock filter
-  bool use_broadcast = false;                  // one-tag broadcast rounds
-  bool monitor_rates = false;                  // Section 5 rate monitor
-
-  // Chaos plane: when chaos.active() the engine wraps the UDP runtime in
-  // its runtime::FaultInjector (loss, duplication, delay spikes,
-  // corruption, partitions, crash-stop) - the same decorator the simulator
-  // uses.
-  runtime::FaultPlan chaos;
-  // Peer-health / graceful-degradation policy (see service/peer_table.h).
-  service::PeerHealthPolicy health;
 
   // Client serving plane (net/serving_plane.h): 0 = no client port.  With
   // client_threads > 0 the server also answers ClientTimeRequest datagrams
@@ -67,7 +52,7 @@ struct UdpServerConfig {
   // lock-free and allocation-free, off the sync plane entirely.
   std::uint32_t client_threads = 0;
   std::uint16_t client_port = 0;
-  std::size_t client_batch = 64;       // datagrams per shard batch
+  std::size_t client_batch = 64;  // datagrams per shard batch
 };
 
 class UdpTimeServer {

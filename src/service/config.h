@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,13 +33,9 @@ struct ServerSpec {
   // Claimed bound delta_i the server *believes* (drives its error report).
   double claimed_delta = 1e-5;
 
-  // Actual constant drift of the hardware clock; exceeds claimed_delta in
-  // invalid-bound experiments.
-  double actual_drift = 0.0;
-
-  // Piecewise rate changes; when non-empty the clock starts at actual_drift
-  // and follows these (sorted) change points.
-  std::vector<core::PiecewiseDriftClock::RateChange> drift_changes;
+  // Actual constant drift of the (simulated or virtualized) hardware clock;
+  // exceeds claimed_delta in invalid-bound experiments.
+  double simulated_drift = 0.0;
 
   core::ErrorBound initial_error = 0.01;  // epsilon at t = 0
   core::Offset initial_offset{0.0};       // C(0) - 0
@@ -90,6 +87,14 @@ struct ServerSpec {
   // spikes, corruption, partitions, crash-stop), on either runtime.
   runtime::FaultPlan chaos;
 };
+
+// The clock a server built from `spec` starts with at real time `start`:
+// a DriftingClock at rate 1 + simulated_drift reading start +
+// initial_offset, wrapped in a FaultyClock when spec.fault is set.  Both
+// planes build their servers' clocks here (the simulator at its virtual
+// time, net::UdpTimeServer at host time), so one spec means one clock.
+std::unique_ptr<core::Clock> make_clock(const ServerSpec& spec,
+                                        RealTime start);
 
 enum class Topology : std::uint8_t { kFull, kRing, kStar, kLine, kCustom };
 

@@ -479,7 +479,7 @@ void ProtocolEngine::end_round() {
   }
   const auto outcome = sync_->on_round(local_state(now), round_input);
   if (outcome.reset) {
-    apply_reset(*outcome.reset, /*is_recovery=*/false);
+    apply_reset(*outcome.reset, now, /*is_recovery=*/false);
   }
   if (peers_.health_on() && !outcome.round_inconsistent) {
     // Section 4 consistency streaks: on a round that produced a trusted
@@ -637,10 +637,10 @@ void ProtocolEngine::handle(RealTime t, const ServiceMessage& msg) {
         ++counters_.recoveries;
         recovery_attempts_ = 0;  // the burst succeeded
         recovery_wait_rounds_ = 0;
-        apply_reset(reset, /*is_recovery=*/true);
+        apply_reset(reset, t, /*is_recovery=*/true);
         return;
       }
-      process_reading(row, reading);
+      process_reading(row, reading, t);
       return;
     }
     case ServiceMessage::Type::kReadingGossip: {
@@ -694,7 +694,7 @@ bool ProtocolEngine::note_reading_impossible(PeerTable::Row row,
 
 // mtds:no-alloc
 void ProtocolEngine::process_reading(PeerTable::Row row,
-                                     const TimeReading& reading) {
+                                     const TimeReading& reading, RealTime t) {
   if (sync_ == nullptr) return;
   if (peers_.filter_on()) peers_.add_sample(row, reading);
   if (sync_->mode() == SyncMode::kPerRound) {
@@ -712,9 +712,9 @@ void ProtocolEngine::process_reading(PeerTable::Row row,
       effective = *best;
     }
   }
-  const auto outcome = sync_->on_reply(local_state(rt_->now()), effective);
+  const auto outcome = sync_->on_reply(local_state(t), effective);
   if (outcome.reset) {
-    apply_reset(*outcome.reset, /*is_recovery=*/false);
+    apply_reset(*outcome.reset, t, /*is_recovery=*/false);
   }
   if (!outcome.inconsistent_with.empty()) {
     ++counters_.inconsistencies;
@@ -726,37 +726,37 @@ void ProtocolEngine::process_reading(PeerTable::Row row,
 }
 
 // mtds:no-alloc
-void ProtocolEngine::apply_reset(const ClockReset& reset, bool is_recovery) {
-  const RealTime now = rt_->now();
+void ProtocolEngine::apply_reset(const ClockReset& reset, RealTime at,
+                                 bool is_recovery) {
   // Outstanding requests recorded their send time on the pre-reset clock;
   // rebase them so xi^i_j (measured as C(recv) - C(send)) stays the elapsed
   // own-clock time rather than absorbing the jump.  Without this, a
   // backward reset makes later replies in the same round look instantaneous
   // and their inherited error underestimates the delay - a genuine
   // correctness leak.
-  const Duration jump = reset.clock - clock_->read(now);
+  const Duration jump = reset.clock - clock_->read(at);
   for (Pending& pend : pending_) {
     pend.sent_local += jump;
   }
   // Every per-peer stamp lives on the same axis; rebase them too or every
   // peer would look like it jumped by -jump next round.
   peers_.rebase(jump);
-  clock_->set(now, reset.clock);
+  clock_->set(at, reset.clock);
   // The tracker records the *intended* post-reset state.  A faulty clock
   // that refuses the set (kStickyReset) leaves the server's bookkeeping
   // believing the reset happened - precisely the failure mode the paper
   // names; the invariant checkers surface the resulting incorrectness.
   tracker_.reset(reset.clock, reset.error);
   ++counters_.resets;
-  record(now, is_recovery ? TraceEventKind::kRecovery : TraceEventKind::kReset,
+  record(at, is_recovery ? TraceEventKind::kRecovery : TraceEventKind::kReset,
          reset.sources.empty() ? core::kInvalidServer : reset.sources.front(),
          reset.error.seconds());
   // The serving plane must never answer from the pre-reset state longer
   // than one publication.
-  publish_snapshot(now);
+  publish_snapshot(at);
   // Self-stabilization accounting: the first reset that provably
   // re-contains true time ends the corrupt-state recovery window.
-  if (awaiting_recovery_ && correct(now)) awaiting_recovery_ = false;
+  if (awaiting_recovery_ && correct(at)) awaiting_recovery_ = false;
 }
 
 void ProtocolEngine::corrupt_state() {

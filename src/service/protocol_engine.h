@@ -185,14 +185,22 @@ class ProtocolEngine {
   void end_round();
   void send_gossip(core::ClockTime local);
   void handle_gossip(RealTime t, const ServiceMessage& msg);
-  void process_reading(PeerTable::Row row, const core::TimeReading& reading);
+  // `t` is the reading's delivery time.
+  void process_reading(PeerTable::Row row, const core::TimeReading& reading,
+                       RealTime t);
   // Cross-round equivocation detector: compares `reading` against the same
   // peer's previous reading and returns true when the pair is mutually
   // impossible under the declared drift bound (then also records the trace
   // event and updates counters).  Always refreshes the per-peer memory.
   bool note_reading_impossible(PeerTable::Row row,
                                const core::TimeReading& reading);
-  void apply_reset(const core::ClockReset& reset, bool is_recovery);
+  // Applies `reset`, computed from the local state at real time `at`, by
+  // setting the clock to read reset.clock at `at`.  Over UDP real time
+  // moves on while a handler runs, and a preempted handler resumes
+  // milliseconds later; setting the value at a later now() would leave the
+  // clock behind by that gap, outside its own error bound.
+  void apply_reset(const core::ClockReset& reset, RealTime at,
+                   bool is_recovery);
   void note_inconsistency(const core::ServerIdVec& peers);
   void request_recovery(ServerId exclude);
   core::LocalState local_state(RealTime t);

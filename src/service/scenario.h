@@ -31,11 +31,36 @@
 // fleet-wide gossip cross-notes (an out-of-band channel - notes bypass the
 // polling topology).
 //
-// Server specs also accept health=1 (peer-health layer on), quarantine=N
-// (consecutive inconsistencies before quarantine; implies health=1),
-// release=N (quarantine rounds before probation; 0 = sticky, the default),
-// and probation=N (consecutive consistent probation rounds to
-// rehabilitate).
+// A server spec (`server` and `join` lines, and parse_server_spec below) is
+// a list of key=value pairs over a base spec; each key sets one ServerSpec
+// field.  Booleans are 0|1|true|false.
+//
+//   algo=MM|IM|IMFT|BYZ|MAX|MEDIAN|MEAN|NONE   algo
+//   delta=X          claimed_delta (>= 0): the drift bound it reports with
+//   drift=X          simulated_drift: the clock's actual drift
+//   error=X          initial_error (>= 0): epsilon at start
+//   offset=X         initial_offset: C(start) - start
+//   tau=X            poll_period (> 0)
+//   recovery=ignore|third   recovery policy on inconsistency
+//   pool=I,J,...     recovery_pool: third-server recovery ids
+//   adaptive=X       adaptive polling on, error target X (> 0)
+//   adaptive-min=X   adaptive.min_period (> 0, <= adaptive-max)
+//   adaptive-max=X   adaptive.max_period (> 0)
+//   filter=B         use_sample_filter: min-RTT sample per neighbour
+//   broadcast=B      use_broadcast: one request tag per round
+//   monitor=B        monitor_rates: Section 5 rate monitor
+//   health=B         peer-health layer on
+//   quarantine=N     consecutive inconsistencies before quarantine
+//                    (implies health=1)
+//   release=N        quarantine rounds before probation (0 = sticky)
+//   probation=N      consecutive consistent probation rounds to
+//                    rehabilitate (>= 1)
+//   chaos-drop=P     chaos plane: drop each copy w.p. P in [0, 1)
+//   chaos-dup=P      ... duplicate w.p. P in [0, 1)
+//   chaos-delay=P    ... hold for a delay spike w.p. P in [0, 1)
+//   chaos-delay-max=X  delay spike upper bound, seconds (> 0)
+//   chaos-corrupt=P  ... corrupt a field w.p. P in [0, 1)
+//   chaos-seed=N     chaos RNG seed
 //
 // Byzantine adversaries (runtime/adversary.h) attach to declared servers:
 //
@@ -83,6 +108,11 @@ struct Scenario {
   std::vector<ScenarioAction> actions;  // sorted by `at`
   core::RealTime horizon = 0.0;         // from `run`; 0 = not specified
 };
+
+// Parses one server spec (the key=value list above, '#' starts a comment)
+// over `base`; throws std::invalid_argument naming the bad key or value.
+// The scenario DSL and examples/timeserverd both read servers through it.
+ServerSpec parse_server_spec(const std::string& line, const ServerSpec& base);
 
 // Parses the DSL; throws std::invalid_argument with "line N: ..." on any
 // syntax or semantic error.

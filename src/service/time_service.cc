@@ -47,6 +47,19 @@ std::vector<std::vector<ServerId>> build_adjacency(
   return adj;
 }
 
+std::unique_ptr<core::Clock> make_clock(const ServerSpec& spec,
+                                        RealTime start) {
+  // The one sanctioned axis crossing: seed the clock at true time plus
+  // the configured offset.
+  // mtds:seconds-ok(clock genesis; a new clock's initial reading is defined to equal true time before drift accumulates)
+  const core::ClockTime initial =
+      core::ClockTime{start.seconds()} + spec.initial_offset;
+  auto clock = std::make_unique<core::DriftingClock>(spec.simulated_drift,
+                                                     initial, start);
+  if (spec.fault.kind == core::ClockFaultKind::kNone) return clock;
+  return std::make_unique<core::FaultyClock>(std::move(clock), spec.fault);
+}
+
 TimeService::TimeService(ServiceConfig config) : config_(std::move(config)) {
   if (config_.servers.empty()) {
     throw std::invalid_argument("TimeService: no servers configured");
@@ -78,27 +91,6 @@ TimeService::TimeService(ServiceConfig config) : config_(std::move(config)) {
   build();
 }
 
-std::unique_ptr<core::Clock> TimeService::make_clock(const ServerSpec& spec) {
-  const RealTime t = now();
-  std::unique_ptr<core::Clock> clock;
-  if (!spec.drift_changes.empty()) {
-    clock = std::make_unique<core::PiecewiseDriftClock>(
-        spec.actual_drift, spec.drift_changes,
-        core::ClockTime{0.0} + spec.initial_offset, t);
-  } else {
-    // The one sanctioned axis crossing: seed the clock at true time plus
-    // the configured offset.
-    // mtds:seconds-ok(clock genesis; a new clock's initial reading is defined to equal true time before drift accumulates)
-    clock = std::make_unique<core::DriftingClock>(
-        spec.actual_drift, core::ClockTime{t.seconds()} + spec.initial_offset,
-        t);
-  }
-  if (spec.fault.kind != core::ClockFaultKind::kNone) {
-    clock = std::make_unique<core::FaultyClock>(std::move(clock), spec.fault);
-  }
-  return clock;
-}
-
 sim::EventQueue& TimeService::queue_for(ServerId id) {
   return shards_[shard_of(id)]->queue;
 }
@@ -115,7 +107,7 @@ void TimeService::make_server(ServerId id, const ServerSpec& spec) {
   runtimes_.push_back(
       std::make_unique<runtime::SimRuntime>(queue_for(id), *network_));
   servers_.push_back(std::make_unique<ProtocolEngine>(
-      id, make_clock(spec), spec, *runtimes_.back(), trace_for(id),
+      id, make_clock(spec, now()), spec, *runtimes_.back(), trace_for(id),
       fork_rng_for(id)));
 }
 

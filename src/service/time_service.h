@@ -89,7 +89,6 @@ class TimeService {
   void build();
   void wire_gossip();
   void sample_shard(std::uint32_t shard);
-  std::unique_ptr<core::Clock> make_clock(const ServerSpec& spec);
   // Appends server `id` (== size()) and its runtime; does not start it.
   void make_server(ServerId id, const ServerSpec& spec);
 

@@ -19,7 +19,7 @@ ServiceConfig config_with(bool adaptive, double target) {
   ServerSpec coarse;
   coarse.algo = core::SyncAlgorithm::kMM;
   coarse.claimed_delta = 5e-4;  // error grows fast between polls
-  coarse.actual_drift = 2e-4;
+  coarse.simulated_drift = 2e-4;
   coarse.initial_error = 0.02;
   coarse.poll_period = 10.0;
   coarse.adaptive.enabled = adaptive;

@@ -22,7 +22,7 @@ ServiceConfig base_config(core::SyncAlgorithm algo, std::uint64_t seed) {
     ServerSpec s;
     s.algo = algo;
     s.claimed_delta = 1e-5;
-    s.actual_drift = (i - 1) * 6e-6;
+    s.simulated_drift = (i - 1) * 6e-6;
     s.initial_error = 0.02 + 0.03 * i;
     s.poll_period = 5.0;
     cfg.servers.push_back(s);

@@ -75,7 +75,7 @@ ServerSpec spec(core::SyncAlgorithm algo) {
   ServerSpec s;
   s.algo = algo;
   s.claimed_delta = 1e-5;
-  s.actual_drift = 2e-6;
+  s.simulated_drift = 2e-6;
   s.initial_error = 0.01;
   s.poll_period = 1.0;
   return s;

@@ -51,7 +51,7 @@ ServiceConfig config_with_broadcast(bool broadcast, core::SyncAlgorithm algo) {
     ServerSpec s;
     s.algo = algo;
     s.claimed_delta = 1e-5;
-    s.actual_drift = (i - 2) * 5e-6;
+    s.simulated_drift = (i - 2) * 5e-6;
     s.initial_error = 0.02 + 0.02 * i;
     s.poll_period = 5.0;
     s.use_broadcast = broadcast;

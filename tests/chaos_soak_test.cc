@@ -43,7 +43,7 @@ service::ServiceConfig soak_config() {
     service::ServerSpec s;
     s.algo = core::SyncAlgorithm::kMM;
     s.claimed_delta = 2e-5;
-    s.actual_drift = (i % kHonest - 2) * 6e-6;
+    s.simulated_drift = (i % kHonest - 2) * 6e-6;
     s.initial_error = 0.01;
     s.poll_period = 5.0;
     s.health.enabled = true;
@@ -64,7 +64,7 @@ service::ServiceConfig soak_config() {
   // never in any honest consistency group.
   cfg.servers[kLiar].algo = core::SyncAlgorithm::kNone;
   cfg.servers[kLiar].claimed_delta = 1e-6;
-  cfg.servers[kLiar].actual_drift = 0.0;
+  cfg.servers[kLiar].simulated_drift = 0.0;
   cfg.servers[kLiar].initial_offset = core::Offset{-40.0};
   cfg.servers[kLiar].initial_error = 0.001;
   // The liar also equivocates (+/-20 ms by destination parity) through the

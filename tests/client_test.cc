@@ -71,7 +71,7 @@ class ClientIntegrationTest : public ::testing::Test {
       ServerSpec s;
       s.algo = core::SyncAlgorithm::kMM;
       s.claimed_delta = 1e-5;
-      s.actual_drift = (i - 1) * 5e-6;
+      s.simulated_drift = (i - 1) * 5e-6;
       s.initial_error = 0.01 + 0.005 * i;
       s.initial_offset = core::Offset{(i - 1) * 0.002};
       s.poll_period = 5.0;

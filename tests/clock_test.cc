@@ -71,34 +71,6 @@ TEST(DriftingClock, DriftBoundHoldsOverInterval) {
   EXPECT_GE(slow.read(d).seconds(), 0.0 + d - delta * d - 1e-9);
 }
 
-TEST(PiecewiseDriftClock, FollowsSchedule) {
-  PiecewiseDriftClock clock(0.01, {{100.0, -0.01}, {200.0, 0.0}});
-  EXPECT_NEAR(clock.read(100.0).seconds(), 101.0, 1e-12);
-  EXPECT_NEAR(clock.read(200.0).seconds(), 101.0 + 100.0 * 0.99, 1e-9);
-  const double at200 = 101.0 + 99.0;
-  EXPECT_NEAR(clock.read(300.0).seconds(), at200 + 100.0, 1e-9);
-}
-
-TEST(PiecewiseDriftClock, ValueContinuousAcrossChanges) {
-  PiecewiseDriftClock clock(0.05, {{10.0, -0.05}});
-  const double just_before = clock.read(10.0 - 1e-9).seconds();
-  const double just_after = clock.read(10.0 + 1e-9).seconds();
-  EXPECT_NEAR(just_before, just_after, 1e-6);
-}
-
-TEST(PiecewiseDriftClock, RejectsUnsortedChanges) {
-  EXPECT_THROW(
-      PiecewiseDriftClock(0.0, {{20.0, 0.01}, {10.0, 0.02}}),
-      std::invalid_argument);
-}
-
-TEST(PiecewiseDriftClock, SetWorksMidSchedule) {
-  PiecewiseDriftClock clock(0.0, {{50.0, 0.1}});
-  clock.set(60.0, 1000.0);
-  EXPECT_DOUBLE_EQ(clock.read(60.0).seconds(), 1000.0);
-  EXPECT_NEAR(clock.read(70.0).seconds(), 1000.0 + 10.0 * 1.1, 1e-9);
-}
-
 TEST(FaultyClock, StoppedFreezesAtFaultTime) {
   auto clock = std::make_unique<DriftingClock>(0.0);
   FaultyClock faulty(std::move(clock),

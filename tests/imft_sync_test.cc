@@ -154,7 +154,7 @@ TEST(IMFTService, KeepsSyncingThroughALiarWhereIMStalls) {
       service::ServerSpec s;
       s.algo = algo;
       s.claimed_delta = 1e-5;
-      s.actual_drift = (i - 2) * 6e-6;
+      s.simulated_drift = (i - 2) * 6e-6;
       s.initial_error = 0.02;
       s.poll_period = 5.0;
       cfg.servers.push_back(s);

@@ -71,7 +71,7 @@ TEST(Section3Recovery, InvalidDriftBoundRecoversViaThirdNetwork) {
   ServerSpec bad;            // the 4%-fast clock with an invalid bound
   bad.algo = core::SyncAlgorithm::kMM;
   bad.claimed_delta = 1.2e-5;  // "one second a day"
-  bad.actual_drift = 0.04;     // "closer to one hour a day"
+  bad.simulated_drift = 0.04;  // "closer to one hour a day"
   bad.initial_error = 0.01;
   bad.poll_period = 5.0;
   bad.recovery = RecoveryPolicy::kThirdServer;
@@ -80,13 +80,13 @@ TEST(Section3Recovery, InvalidDriftBoundRecoversViaThirdNetwork) {
 
   ServerSpec good = bad;
   good.claimed_delta = 1.2e-5;
-  good.actual_drift = 1e-6;
+  good.simulated_drift = 1e-6;
   cfg.servers.push_back(good);
 
   ServerSpec remote;  // "a server on some other network"
   remote.algo = core::SyncAlgorithm::kNone;
   remote.claimed_delta = 1e-6;
-  remote.actual_drift = 0.0;
+  remote.simulated_drift = 0.0;
   remote.initial_error = 0.005;
   cfg.servers.push_back(remote);
 
@@ -119,13 +119,13 @@ TEST(Section3Recovery, WithoutRecoveryBadClockDriftsAway) {
   ServerSpec bad;
   bad.algo = core::SyncAlgorithm::kMM;
   bad.claimed_delta = 1.2e-5;
-  bad.actual_drift = 0.04;
+  bad.simulated_drift = 0.04;
   bad.initial_error = 0.01;
   bad.poll_period = 5.0;
   bad.recovery = RecoveryPolicy::kIgnore;
   cfg.servers.push_back(bad);
   ServerSpec good = bad;
-  good.actual_drift = 1e-6;
+  good.simulated_drift = 1e-6;
   cfg.servers.push_back(good);
 
   TimeService service(cfg);
@@ -145,7 +145,7 @@ TEST(Theorem4, MostAccurateClockBecomesMostPrecise) {
   ServerSpec accurate;
   accurate.algo = core::SyncAlgorithm::kMM;
   accurate.claimed_delta = 1e-6;
-  accurate.actual_drift = 5e-7;
+  accurate.simulated_drift = 5e-7;
   accurate.initial_error = 1.0;  // worst initial error
   accurate.poll_period = 10.0;
   cfg.servers.push_back(accurate);
@@ -153,7 +153,7 @@ TEST(Theorem4, MostAccurateClockBecomesMostPrecise) {
     ServerSpec coarse;
     coarse.algo = core::SyncAlgorithm::kMM;
     coarse.claimed_delta = 2e-4;
-    coarse.actual_drift = 1e-4 * (i % 2 ? 1 : -1);
+    coarse.simulated_drift = 1e-4 * (i % 2 ? 1 : -1);
     coarse.initial_error = 0.01;  // better initial errors
     coarse.poll_period = 10.0;
     cfg.servers.push_back(coarse);
@@ -193,7 +193,7 @@ TEST(Theorem8Flavor, MoreServersSlowIMErrorGrowth) {
         ServerSpec s;
         s.algo = core::SyncAlgorithm::kIM;
         s.claimed_delta = 1e-4;
-        s.actual_drift = drift_rng.uniform(-1e-4, 1e-4);
+        s.simulated_drift = drift_rng.uniform(-1e-4, 1e-4);
         s.initial_error = 0.001;
         s.poll_period = 10.0;
         cfg.servers.push_back(s);
@@ -221,7 +221,7 @@ TEST(FaultInjection, StoppedClockServiceDetectsInconsistency) {
     ServerSpec s;
     s.algo = core::SyncAlgorithm::kMM;
     s.claimed_delta = 1e-4;
-    s.actual_drift = 1e-5 * (i - 1);
+    s.simulated_drift = 1e-5 * (i - 1);
     s.initial_error = 0.005;
     s.poll_period = 2.0;
     cfg.servers.push_back(s);
@@ -250,7 +250,7 @@ TEST(FaultInjection, RacingClockPullsServiceUnderMax) {
       ServerSpec s;
       s.algo = algo;
       s.claimed_delta = 1e-4;
-      s.actual_drift = 0.0;
+      s.simulated_drift = 0.0;
       s.initial_error = 0.005;
       s.poll_period = 2.0;
       cfg.servers.push_back(s);

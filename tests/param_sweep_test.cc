@@ -37,7 +37,7 @@ class ServiceSweepTest : public ::testing::TestWithParam<ServiceParams> {
       ServerSpec s;
       s.algo = algo;
       s.claimed_delta = 1e-5 * (1.0 + static_cast<double>(i % 3));
-      s.actual_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
+      s.simulated_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
       s.initial_error = rng.uniform(0.01, 0.05);
       s.initial_offset = core::Offset{rng.uniform(-0.008, 0.008)};
       s.poll_period = 8.0;
@@ -202,7 +202,7 @@ TEST_P(ClientSweepTest, EstimateWithinOwnBound) {
     ServerSpec s;
     s.algo = core::SyncAlgorithm::kIM;
     s.claimed_delta = 1e-5;
-    s.actual_drift = (i - 2) * 4e-6;
+    s.simulated_drift = (i - 2) * 4e-6;
     s.initial_error = 0.01 + 0.003 * i;
     s.poll_period = 5.0;
     cfg.servers.push_back(s);

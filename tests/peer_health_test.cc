@@ -338,7 +338,7 @@ TEST(PeerTableHealthEngine, DegradedModeEntersAndExitsWithReachability) {
     ServerSpec s;
     s.algo = core::SyncAlgorithm::kMM;
     s.claimed_delta = 2e-5;
-    s.actual_drift = (i - 1) * 5e-6;
+    s.simulated_drift = (i - 1) * 5e-6;
     s.initial_error = 0.01;
     s.poll_period = 5.0;
     s.health.enabled = true;

@@ -167,7 +167,7 @@ TEST(PeerTableRatesService, FlagsInvalidBoundWhileIntervalsStillConsistent) {
     ServerSpec s;
     s.algo = core::SyncAlgorithm::kNone;  // free-running: pure observation
     s.claimed_delta = 1.2e-5;
-    s.actual_drift = i == 2 ? 0.04 : 1e-6 * i;
+    s.simulated_drift = i == 2 ? 0.04 : 1e-6 * i;
     s.initial_error = 10.0;  // huge errors: intervals stay consistent
     s.poll_period = 5.0;
     cfg.servers.push_back(s);

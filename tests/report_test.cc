@@ -16,7 +16,7 @@ TimeService make_service() {
     ServerSpec s;
     s.algo = core::SyncAlgorithm::kMM;
     s.claimed_delta = 1e-5;
-    s.actual_drift = (i - 1) * 5e-6;
+    s.simulated_drift = (i - 1) * 5e-6;
     s.initial_error = 0.01 + 0.01 * i;
     s.poll_period = 5.0;
     s.monitor_rates = i == 0;
@@ -74,11 +74,11 @@ TEST(Report, UnhealthyServiceGetsFlagged) {
   ServerSpec liar;
   liar.algo = core::SyncAlgorithm::kNone;
   liar.claimed_delta = 1e-6;  // invalid: actual drift is huge
-  liar.actual_drift = 1e-2;
+  liar.simulated_drift = 1e-2;
   liar.initial_error = 0.001;
   cfg.servers.push_back(liar);
   ServerSpec honest = liar;
-  honest.actual_drift = 0.0;
+  honest.simulated_drift = 0.0;
   cfg.servers.push_back(honest);
   TimeService service(cfg);
   service.run_until(100.0);
@@ -104,7 +104,7 @@ TEST(Report, DissonantNeighboursListed) {
   ServerSpec liar;
   liar.algo = core::SyncAlgorithm::kNone;
   liar.claimed_delta = 1e-6;
-  liar.actual_drift = 0.04;
+  liar.simulated_drift = 0.04;
   liar.initial_error = 30.0;
   cfg.servers.push_back(liar);
   TimeService service(cfg);

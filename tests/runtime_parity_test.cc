@@ -36,6 +36,31 @@ struct ScenarioResult {
   std::uint64_t responder_responses = 0;  // replies served by the responders
 };
 
+// One simulated bed: an event queue, a fixed-delay network, a trace and
+// one runtime per server.  Declared before the engines a test holds, so
+// each runtime outlives its engine's final stop().
+struct SimBed {
+  explicit SimBed(std::uint64_t seed) : rng(seed) {}
+
+  // Server `id` built from `spec`, its clock starting `offset` s off.
+  std::unique_ptr<service::ProtocolEngine> make(ServerId id,
+                                                service::ServerSpec spec,
+                                                double offset) {
+    spec.initial_offset = core::Offset{offset};
+    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
+    return std::make_unique<service::ProtocolEngine>(
+        id, service::make_clock(spec, queue.now()), spec, *runtimes.back(),
+        &trace, rng.fork());
+  }
+
+  sim::EventQueue queue;
+  sim::Rng rng;
+  sim::FixedDelay delay{0.01};
+  service::ServiceNetwork network{queue, delay, rng};
+  sim::Trace trace;
+  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
+};
+
 void expect_all_counters_populated(const service::ServerCounters& c) {
   EXPECT_GT(c.rounds, 0u);
   EXPECT_GT(c.requests_sent, 0u);
@@ -55,36 +80,20 @@ void expect_all_counters_populated(const service::ServerCounters& c) {
 // ServerCounters field.
 
 ScenarioResult run_mm_recovery_sim() {
-  sim::EventQueue queue;
-  sim::Rng rng{11};
-  sim::FixedDelay delay{0.01};
-  service::ServiceNetwork network{queue, delay, rng};
-  sim::Trace trace;
-  // One runtime per server, declared before the engines so each outlives
-  // its engine's final stop().
-  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
-
-  auto make = [&](ServerId id, const service::ServerSpec& spec,
-                  double offset) {
-    auto clock = std::make_unique<core::DriftingClock>(
-        0.0, core::ClockTime{queue.now().seconds() + offset}, queue.now());
-    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
-    return std::make_unique<service::ProtocolEngine>(
-        id, std::move(clock), spec, *runtimes.back(), &trace, rng.fork());
-  };
+  SimBed bed{11};
 
   service::ServerSpec liar;
   liar.algo = core::SyncAlgorithm::kNone;
   liar.claimed_delta = 0.0;
   liar.initial_error = 0.0005;
-  auto bad = make(1, liar, /*offset=*/-30.0);
+  auto bad = bed.make(1, liar, /*offset=*/-30.0);
   bad->start({});
 
   service::ServerSpec honest;
   honest.algo = core::SyncAlgorithm::kNone;
   honest.claimed_delta = 0.0;
   honest.initial_error = 0.001;
-  auto remote = make(2, honest, /*offset=*/0.0);
+  auto remote = bed.make(2, honest, /*offset=*/0.0);
   remote->start({});
 
   service::ServerSpec spec;
@@ -94,30 +103,31 @@ ScenarioResult run_mm_recovery_sim() {
   spec.poll_period = 1.0;
   spec.recovery = service::RecoveryPolicy::kThirdServer;
   spec.recovery_pool = {2};
-  auto learner = make(0, spec, /*offset=*/0.02);
+  auto learner = bed.make(0, spec, /*offset=*/0.02);
   learner->start({1});
 
-  queue.run_until(10.0);
+  bed.queue.run_until(10.0);
 
   // Client probe: the learner must answer with its (recovered) pair.
   const ServerId probe_id = 1000;
   std::uint64_t probe_replies = 0;
-  network.register_node(probe_id, [&](core::RealTime, const service::ServiceMessage&) {
-    ++probe_replies;
-  });
+  bed.network.register_node(
+      probe_id, [&](core::RealTime, const service::ServiceMessage&) {
+        ++probe_replies;
+      });
   service::ServiceMessage req;
   req.type = service::ServiceMessage::Type::kTimeRequest;
   req.from = probe_id;
   req.to = 0;
   req.tag = 777;
-  network.send(probe_id, 0, req);
-  queue.run_until(queue.now() + 1.0);
+  bed.network.send(probe_id, 0, req);
+  bed.queue.run_until(bed.queue.now() + 1.0);
   EXPECT_EQ(probe_replies, 1u);
 
   ScenarioResult r;
   r.learner = learner->counters();
-  r.true_offset = learner->true_offset(queue.now()).seconds();
-  r.error = learner->current_error(queue.now()).seconds();
+  r.true_offset = learner->true_offset(bed.queue.now()).seconds();
+  r.error = learner->current_error(bed.queue.now()).seconds();
   r.responder_responses = bad->counters().responses_sent +
                           remote->counters().responses_sent;
   return r;
@@ -200,31 +210,15 @@ TEST(RuntimeParity, MMRecoveryScenarioMatchesAcrossRuntimes) {
 // on both runtimes.
 
 ScenarioResult run_im_sim() {
-  sim::EventQueue queue;
-  sim::Rng rng{23};
-  sim::FixedDelay delay{0.01};
-  service::ServiceNetwork network{queue, delay, rng};
-  sim::Trace trace;
-  // One runtime per server, declared before the engines so each outlives
-  // its engine's final stop().
-  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
-
-  auto make = [&](ServerId id, const service::ServerSpec& spec,
-                  double offset) {
-    auto clock = std::make_unique<core::DriftingClock>(
-        0.0, core::ClockTime{queue.now().seconds() + offset}, queue.now());
-    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
-    return std::make_unique<service::ProtocolEngine>(
-        id, std::move(clock), spec, *runtimes.back(), &trace, rng.fork());
-  };
+  SimBed bed{23};
 
   service::ServerSpec responder;
   responder.algo = core::SyncAlgorithm::kNone;
   responder.claimed_delta = 0.0;
   responder.initial_error = 0.5;
-  auto s1 = make(1, responder, /*offset=*/0.4);
+  auto s1 = bed.make(1, responder, /*offset=*/0.4);
   s1->start({});
-  auto s2 = make(2, responder, /*offset=*/-0.4);
+  auto s2 = bed.make(2, responder, /*offset=*/-0.4);
   s2->start({});
 
   service::ServerSpec spec;
@@ -232,15 +226,15 @@ ScenarioResult run_im_sim() {
   spec.claimed_delta = 0.0;
   spec.initial_error = 3.0;
   spec.poll_period = 1.0;
-  auto learner = make(0, spec, /*offset=*/0.0);
+  auto learner = bed.make(0, spec, /*offset=*/0.0);
   learner->start({1, 2});
 
-  queue.run_until(5.0);
+  bed.queue.run_until(5.0);
 
   ScenarioResult r;
   r.learner = learner->counters();
-  r.true_offset = learner->true_offset(queue.now()).seconds();
-  r.error = learner->current_error(queue.now()).seconds();
+  r.true_offset = learner->true_offset(bed.queue.now()).seconds();
+  r.error = learner->current_error(bed.queue.now()).seconds();
   r.responder_responses = s1->counters().responses_sent +
                           s2->counters().responses_sent;
   return r;
@@ -317,6 +311,95 @@ TEST(RuntimeParity, IMScenarioConvergesOnBothRuntimes) {
   }
 }
 
+// --- Resets land at the time they were computed for ----------------------
+//
+// Over UDP, now() is host time, so every read inside one handler returns a
+// later time than the one before, and a preempted round close reads it
+// milliseconds later (2.9 ms in a perfbench serve-udp run on a loaded 4-vCPU
+// KVM guest, which then served intervals missing true time).  LaggingRuntime models that in
+// the simulator: within one event, each now() read is `step` later than the
+// one before.  A reset computed from the state at one read and applied at a
+// later read would leave the clock behind by the gap, outside its own error
+// bound; the engine must set the clock for the time it computed the reset at.
+
+class LaggingRuntime final : public runtime::Runtime {
+ public:
+  LaggingRuntime(runtime::Runtime& inner, core::Duration step)
+      : inner_(&inner), step_(step) {}
+
+  void open(ServerId self, Handler handler) override {
+    inner_->open(self, std::move(handler));
+  }
+  void close() override { inner_->close(); }
+  void send(ServerId to, const service::ServiceMessage& msg) override {
+    inner_->send(to, msg);
+  }
+  std::size_t broadcast(const std::vector<ServerId>& targets,
+                        const service::ServiceMessage& msg) override {
+    return inner_->broadcast(targets, msg);
+  }
+  core::Duration max_one_way_delay() const override {
+    return inner_->max_one_way_delay();
+  }
+  runtime::TimerId after(core::Duration delay,
+                         std::function<void()> cb) override {
+    return inner_->after(delay, std::move(cb));
+  }
+  bool cancel(runtime::TimerId id) override { return inner_->cancel(id); }
+  core::RealTime now() override {
+    const core::RealTime t = inner_->now();
+    if (t != event_) {
+      event_ = t;
+      reads_ = 0;
+    }
+    return t + static_cast<double>(reads_++) * step_;
+  }
+
+ private:
+  runtime::Runtime* inner_;
+  core::Duration step_;
+  core::RealTime event_{-1.0};
+  int reads_ = 0;
+};
+
+TEST(RuntimeParity, ResetsLandAtTheTimeTheyWereComputedFor) {
+  for (const auto algo : {core::SyncAlgorithm::kIM, core::SyncAlgorithm::kMM}) {
+    SCOPED_TRACE(std::string(core::to_string(algo)));
+    SimBed bed{53};
+    service::ServerSpec responder;
+    responder.algo = core::SyncAlgorithm::kNone;
+    responder.claimed_delta = 0.0;
+    responder.initial_error = 0.001;
+    auto s1 = bed.make(1, responder, /*offset=*/0.0);
+    s1->start({});
+    auto s2 = bed.make(2, responder, /*offset=*/0.0);
+    s2->start({});
+
+    // The learner's handlers "run" 50 ms per now() read: far more than the
+    // ~20 ms error bound its resets land with, so a reset applied one read
+    // late leaves it outside that bound.
+    service::ServerSpec spec;
+    spec.algo = algo;
+    spec.claimed_delta = 0.0;
+    spec.initial_error = 0.5;
+    spec.initial_offset = core::Offset{0.2};
+    spec.poll_period = 1.0;
+    runtime::SimRuntime inner(bed.queue, bed.network);
+    LaggingRuntime lagging(inner, core::Duration{0.05});
+    auto learner = std::make_unique<service::ProtocolEngine>(
+        0, service::make_clock(spec, bed.queue.now()), spec, lagging,
+        &bed.trace, bed.rng.fork());
+    learner->start({1, 2});
+
+    bed.queue.run_until(10.0);
+    EXPECT_GT(learner->counters().resets, 0u);
+    EXPECT_LT(learner->current_error(bed.queue.now()).seconds(), 0.05);
+    EXPECT_TRUE(learner->correct(bed.queue.now()))
+        << "offset " << learner->true_offset(bed.queue.now()).seconds()
+        << " error " << learner->current_error(bed.queue.now()).seconds();
+  }
+}
+
 // --- Engine extensions over UDP ------------------------------------------
 //
 // Adaptive polling, the sample filter and broadcast rounds used to be
@@ -332,29 +415,13 @@ TEST(RuntimeParity, IMScenarioConvergesOnBothRuntimes) {
 // runtime-agnostic.
 
 TEST(RuntimeParity, ChaosWrappedLearnerConvergesInSim) {
-  sim::EventQueue queue;
-  sim::Rng rng{31};
-  sim::FixedDelay delay{0.01};
-  service::ServiceNetwork network{queue, delay, rng};
-  sim::Trace trace;
-  // One runtime per server, declared before the engines so each outlives
-  // its engine's final stop().
-  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
-
-  auto make = [&](ServerId id, const service::ServerSpec& spec,
-                  double offset) {
-    auto clock = std::make_unique<core::DriftingClock>(
-        0.0, core::ClockTime{queue.now().seconds() + offset}, queue.now());
-    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
-    return std::make_unique<service::ProtocolEngine>(
-        id, std::move(clock), spec, *runtimes.back(), &trace, rng.fork());
-  };
+  SimBed bed{31};
 
   service::ServerSpec responder;
   responder.algo = core::SyncAlgorithm::kNone;
   responder.claimed_delta = 0.0;
   responder.initial_error = 0.001;
-  auto ref = make(1, responder, /*offset=*/0.0);
+  auto ref = bed.make(1, responder, /*offset=*/0.0);
   ref->start({});
 
   service::ServerSpec spec;
@@ -367,18 +434,18 @@ TEST(RuntimeParity, ChaosWrappedLearnerConvergesInSim) {
   spec.chaos.delay = 0.3;
   spec.chaos.delay_hi = 0.05;
   spec.chaos.seed = 71;
-  auto learner = make(0, spec, /*offset=*/0.02);
+  auto learner = bed.make(0, spec, /*offset=*/0.02);
   learner->start({1});
 
-  queue.run_until(30.0);
+  bed.queue.run_until(30.0);
 
   const auto& c = learner->counters();
   EXPECT_GT(c.rounds, 0u);
   EXPECT_GT(c.resets, 0u);
   // Duplicate/stale copies never pair twice.
   EXPECT_LE(c.replies_received, c.requests_sent);
-  EXPECT_LT(std::abs(learner->true_offset(queue.now()).seconds()), 0.05);
-  EXPECT_TRUE(learner->correct(queue.now()));
+  EXPECT_LT(std::abs(learner->true_offset(bed.queue.now()).seconds()), 0.05);
+  EXPECT_TRUE(learner->correct(bed.queue.now()));
 
   const auto stats = learner->fault_injector()->stats();
   EXPECT_GT(stats.duplicated, 0u);
@@ -442,23 +509,7 @@ TEST(RuntimeParity, ChaosWrappedLearnerConvergesOverUdp) {
 // and quarantine on the spot, so the learner keeps its honest clock.
 
 TEST(RuntimeParity, ByzantineResponderConvictedInSim) {
-  sim::EventQueue queue;
-  sim::Rng rng{41};
-  sim::FixedDelay delay{0.01};
-  service::ServiceNetwork network{queue, delay, rng};
-  sim::Trace trace;
-  // One runtime per server, declared before the engines so each outlives
-  // its engine's final stop().
-  std::vector<std::unique_ptr<runtime::SimRuntime>> runtimes;
-
-  auto make = [&](ServerId id, const service::ServerSpec& spec,
-                  double offset) {
-    auto clock = std::make_unique<core::DriftingClock>(
-        0.0, core::ClockTime{queue.now().seconds() + offset}, queue.now());
-    runtimes.push_back(std::make_unique<runtime::SimRuntime>(queue, network));
-    return std::make_unique<service::ProtocolEngine>(
-        id, std::move(clock), spec, *runtimes.back(), &trace, rng.fork());
-  };
+  SimBed bed{41};
 
   service::ServerSpec responder;
   responder.algo = core::SyncAlgorithm::kNone;
@@ -466,7 +517,7 @@ TEST(RuntimeParity, ByzantineResponderConvictedInSim) {
   responder.initial_error = 0.001;
   responder.chaos.adversary =
       std::make_shared<runtime::DriftAmplifier>(0.5, 0.001);
-  auto liar = make(1, responder, /*offset=*/0.0);
+  auto liar = bed.make(1, responder, /*offset=*/0.0);
   liar->start({});
 
   service::ServerSpec spec;
@@ -476,18 +527,18 @@ TEST(RuntimeParity, ByzantineResponderConvictedInSim) {
   spec.poll_period = 1.0;
   spec.health.enabled = true;
   spec.health.quarantine_after = 1;
-  auto learner = make(0, spec, /*offset=*/0.0);
+  auto learner = bed.make(0, spec, /*offset=*/0.0);
   learner->start({1});
 
-  queue.run_until(20.0);
+  bed.queue.run_until(20.0);
 
   EXPECT_GT(liar->fault_injector()->stats().forged, 0u);
   const auto& c = learner->counters();
   EXPECT_GE(c.byzantine_suspects, 1u);
   EXPECT_EQ(learner->peer_state(1), service::PeerState::kQuarantined);
   EXPECT_GT(c.polls_suppressed, 0u);  // quarantined = not polled again
-  EXPECT_TRUE(learner->correct(queue.now()));
-  EXPECT_GT(trace.count_events(sim::TraceEventKind::kByzantineSuspect), 0u);
+  EXPECT_TRUE(learner->correct(bed.queue.now()));
+  EXPECT_GT(bed.trace.count_events(sim::TraceEventKind::kByzantineSuspect), 0u);
 }
 
 TEST(RuntimeParity, ByzantineResponderConvictedOverUdp) {

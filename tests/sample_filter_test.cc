@@ -145,7 +145,7 @@ TEST(PeerTableFilter, FilterSustainsIMRoundsThroughHeavyLoss) {
       ServerSpec s;
       s.algo = core::SyncAlgorithm::kIM;
       s.claimed_delta = 1e-5;
-      s.actual_drift = (i - 2) * 4e-6;
+      s.simulated_drift = (i - 2) * 4e-6;
       s.initial_error = 0.01 + 0.3 * i;  // heterogeneous quality
       s.poll_period = 5.0;
       s.use_sample_filter = filtered;
@@ -182,7 +182,7 @@ TEST(PeerTableFilter, ServiceStaysCorrectWithFilterOn) {
       ServerSpec s;
       s.algo = algo;
       s.claimed_delta = 1e-5;
-      s.actual_drift = (i - 2) * 4e-6;
+      s.simulated_drift = (i - 2) * 4e-6;
       s.initial_error = 0.02 + 0.02 * i;
       s.poll_period = 5.0;
       s.use_sample_filter = true;

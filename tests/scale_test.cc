@@ -27,7 +27,7 @@ TEST(Scale, ThousandServerServiceRunsToCompletion) {
              : i % 3 == 1 ? core::SyncAlgorithm::kIM
                           : core::SyncAlgorithm::kIMFT;
     s.claimed_delta = 2e-5;
-    s.actual_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
+    s.simulated_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
     s.initial_error = rng.uniform(0.01, 0.05);
     s.initial_offset = core::Offset{rng.uniform(-0.005, 0.005)};
     s.poll_period = 30.0;
@@ -88,7 +88,7 @@ TEST(Scale, TenThousandServerShardedServiceRunsToCompletion) {
              : i % 3 == 1 ? core::SyncAlgorithm::kIM
                           : core::SyncAlgorithm::kIMFT;
     s.claimed_delta = 2e-5;
-    s.actual_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
+    s.simulated_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
     s.initial_error = rng.uniform(0.01, 0.05);
     s.initial_offset = core::Offset{rng.uniform(-0.005, 0.005)};
     s.poll_period = 30.0;

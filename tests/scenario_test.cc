@@ -47,7 +47,7 @@ TEST(ParseScenario, AllDirectives) {
   ASSERT_EQ(s.config.servers.size(), 3u);
   const auto& s0 = s.config.servers[0];
   EXPECT_EQ(s0.algo, core::SyncAlgorithm::kIM);
-  EXPECT_DOUBLE_EQ(s0.actual_drift, 1e-5);
+  EXPECT_DOUBLE_EQ(s0.simulated_drift, 1e-5);
   EXPECT_DOUBLE_EQ(s0.initial_offset.seconds(), -0.01);
   EXPECT_EQ(s0.recovery, RecoveryPolicy::kThirdServer);
   EXPECT_TRUE(s0.monitor_rates);
@@ -60,6 +60,68 @@ TEST(ParseScenario, AllDirectives) {
   EXPECT_EQ(s.actions[2].kind, ScenarioAction::Kind::kJoin);
   EXPECT_EQ(s.actions[3].kind, ScenarioAction::Kind::kLeave);
   EXPECT_EQ(s.actions[3].a, 2u);
+}
+
+TEST(ParseScenario, ServerSpecCoversEveryKey) {
+  ServerSpec base;
+  base.claimed_delta = 1e-4;
+  base.poll_period = 0.5;
+  const ServerSpec s = parse_server_spec(
+      "algo=IMFT delta=2e-5 drift=-3e-6 error=0.04 offset=0.01 tau=2 "
+      "recovery=third pool=3,4 adaptive=0.02 adaptive-min=0.25 "
+      "adaptive-max=8 filter=1 broadcast=true monitor=1 health=0 "
+      "quarantine=5 release=4 probation=2 chaos-drop=0.1 chaos-dup=0.2 "
+      "chaos-delay=0.3 chaos-delay-max=0.05 chaos-corrupt=0.01 "
+      "chaos-seed=99  # trailing comment",
+      base);
+  EXPECT_EQ(s.algo, core::SyncAlgorithm::kIMFT);
+  EXPECT_DOUBLE_EQ(s.claimed_delta, 2e-5);
+  EXPECT_DOUBLE_EQ(s.simulated_drift, -3e-6);
+  EXPECT_DOUBLE_EQ(s.initial_error.seconds(), 0.04);
+  EXPECT_DOUBLE_EQ(s.initial_offset.seconds(), 0.01);
+  EXPECT_DOUBLE_EQ(s.poll_period.seconds(), 2.0);
+  EXPECT_EQ(s.recovery, RecoveryPolicy::kThirdServer);
+  EXPECT_EQ(s.recovery_pool, (std::vector<core::ServerId>{3, 4}));
+  EXPECT_TRUE(s.adaptive.enabled);
+  EXPECT_DOUBLE_EQ(s.adaptive.error_target.seconds(), 0.02);
+  EXPECT_DOUBLE_EQ(s.adaptive.min_period.seconds(), 0.25);
+  EXPECT_DOUBLE_EQ(s.adaptive.max_period.seconds(), 8.0);
+  EXPECT_TRUE(s.use_sample_filter);
+  EXPECT_TRUE(s.use_broadcast);
+  EXPECT_TRUE(s.monitor_rates);
+  EXPECT_TRUE(s.health.enabled);  // quarantine=5 implies health=1
+  EXPECT_EQ(s.health.quarantine_after, 5u);
+  EXPECT_EQ(s.health.release_after, 4u);
+  EXPECT_EQ(s.health.probation_rounds, 2u);
+  EXPECT_DOUBLE_EQ(s.chaos.drop, 0.1);
+  EXPECT_DOUBLE_EQ(s.chaos.duplicate, 0.2);
+  EXPECT_DOUBLE_EQ(s.chaos.delay, 0.3);
+  EXPECT_DOUBLE_EQ(s.chaos.delay_hi.seconds(), 0.05);
+  EXPECT_DOUBLE_EQ(s.chaos.corrupt, 0.01);
+  EXPECT_EQ(s.chaos.seed, 99u);
+  EXPECT_TRUE(s.chaos.active());
+
+  // Unset keys keep the base's values.
+  const ServerSpec empty = parse_server_spec("", base);
+  EXPECT_DOUBLE_EQ(empty.claimed_delta, 1e-4);
+  EXPECT_DOUBLE_EQ(empty.poll_period.seconds(), 0.5);
+  EXPECT_FALSE(empty.adaptive.enabled);
+
+  // A daemon-shaped line reads the same through parse_server_spec and as
+  // a scenario `server` line.
+  const std::string daemon =
+      "algo=IM delta=1e-4 tau=0.5 filter=1 health=1 chaos-drop=0.01";
+  const ServerSpec d = parse_server_spec(daemon, ServerSpec{});
+  const ServerSpec line =
+      parse_scenario("server " + daemon + "\n").config.servers[0];
+  EXPECT_EQ(d.algo, line.algo);
+  EXPECT_EQ(d.algo, core::SyncAlgorithm::kIM);
+  EXPECT_DOUBLE_EQ(d.claimed_delta, line.claimed_delta);
+  EXPECT_DOUBLE_EQ(d.poll_period.seconds(), line.poll_period.seconds());
+  EXPECT_EQ(d.use_sample_filter, line.use_sample_filter);
+  EXPECT_EQ(d.health.enabled, line.health.enabled);
+  EXPECT_DOUBLE_EQ(d.chaos.drop, line.chaos.drop);
+  EXPECT_DOUBLE_EQ(d.initial_error.seconds(), line.initial_error.seconds());
 }
 
 TEST(ParseScenario, ActionsSortedByTime) {
@@ -102,6 +164,22 @@ TEST(ParseScenario, RejectsBadInput) {
   EXPECT_THROW(parse_scenario("server algo=MM tau=10\nfault 5 stopped 1\nrun 1\n"),
                std::invalid_argument);
   EXPECT_THROW(parse_scenario("server algo=MM tau=10\nat 5 dance\nrun 1\n"),
+               std::invalid_argument);
+  // Probabilities lie in [0, 1), targets and periods are > 0, and booleans
+  // are spelled out.
+  EXPECT_THROW(parse_scenario("server tau=10 chaos-drop=1.5\nrun 1\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario("server tau=10 adaptive=0\nrun 1\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_scenario("server tau=10 filter=\nrun 1\n"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_server_spec("chaos-dup=-0.1", ServerSpec{}),
+               std::invalid_argument);
+  EXPECT_THROW(parse_server_spec("adaptive-min=4 adaptive-max=2", ServerSpec{}),
+               std::invalid_argument);
+  EXPECT_THROW(parse_server_spec("chaos-seed=x", ServerSpec{}),
+               std::invalid_argument);
+  EXPECT_THROW(parse_server_spec("delta=abc", ServerSpec{}),
                std::invalid_argument);
 }
 

@@ -161,6 +161,8 @@ TEST(ServingPlane, DropsQueriesBeforeFirstSnapshot) {
 TEST(ServingPlane, ThroughUdpTimeServer) {
   net::UdpServerConfig cfg;
   cfg.id = 3;
+  cfg.claimed_delta = 1e-4;
+  cfg.initial_error = 1e-3;
   cfg.poll_period = 0;  // respond-only: no peers needed
   cfg.client_threads = 2;
   net::UdpTimeServer server(cfg);
@@ -267,6 +269,7 @@ TEST(ServingPlane, EngineResetReseedsSnapshotMidQueryLoad) {
   net::UdpServerConfig peer_cfg;
   peer_cfg.id = 1;
   peer_cfg.poll_period = 0;  // respond-only reference with a good clock
+  peer_cfg.claimed_delta = 1e-4;
   peer_cfg.initial_error = 1e-3;
   net::UdpTimeServer peer(peer_cfg);
   peer.start();

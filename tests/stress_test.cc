@@ -30,7 +30,7 @@ TEST(Stress, FiftyServerMixedServiceSurvivesEverything) {
                           : core::SyncAlgorithm::kIMFT;
     const double tier = rng.next_double();
     s.claimed_delta = tier < 0.2 ? 2e-6 : tier < 0.8 ? 2e-5 : 1e-4;
-    s.actual_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
+    s.simulated_drift = rng.uniform(-0.9, 0.9) * s.claimed_delta;
     s.initial_error = rng.uniform(0.01, 0.2);
     s.initial_offset = core::Offset{rng.uniform(-0.008, 0.008)};
     s.poll_period = 20.0;
@@ -61,7 +61,7 @@ TEST(Stress, FiftyServerMixedServiceSurvivesEverything) {
     ServerSpec fresh;
     fresh.algo = core::SyncAlgorithm::kIM;
     fresh.claimed_delta = 5e-5;
-    fresh.actual_drift = rng.uniform(-4e-5, 4e-5);
+    fresh.simulated_drift = rng.uniform(-4e-5, 4e-5);
     fresh.initial_error = 1.0;
     fresh.initial_offset = core::Offset{rng.uniform(-0.5, 0.5)};
     fresh.poll_period = 20.0;
@@ -113,7 +113,7 @@ TEST(Stress, LongHorizonDeterminismAtScale) {
       ServerSpec s;
       s.algo = i % 2 ? core::SyncAlgorithm::kMM : core::SyncAlgorithm::kIM;
       s.claimed_delta = 1e-5;
-      s.actual_drift = (i - 10) * 8e-7;
+      s.simulated_drift = (i - 10) * 8e-7;
       s.initial_error = 0.02;
       s.poll_period = 15.0;
       cfg.servers.push_back(s);

@@ -17,7 +17,7 @@ ServerSpec spec_mm(double claimed, double actual, double e0, double offset,
   ServerSpec s;
   s.algo = core::SyncAlgorithm::kMM;
   s.claimed_delta = claimed;
-  s.actual_drift = actual;
+  s.simulated_drift = actual;
   s.initial_error = e0;
   s.initial_offset = core::Offset{offset};
   s.poll_period = tau;

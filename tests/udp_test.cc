@@ -11,6 +11,7 @@
 #include "net/udp_client.h"
 #include "net/udp_server.h"
 #include "net/udp_socket.h"
+#include "service/scenario.h"
 
 namespace mtds::net {
 namespace {
@@ -240,6 +241,46 @@ TEST(UdpServer, IMSyncShrinksError) {
   EXPECT_GT(learner.resets(), 0u);
   EXPECT_LT(learner.current_error().seconds(), 0.05);
   EXPECT_LT(std::abs(learner.true_offset().seconds()), 0.05);
+  learner.stop();
+  sa.stop();
+  sb.stop();
+}
+
+// The daemon's path: a UdpServerConfig whose ServerSpec part is read by the
+// scenario DSL's server parser, with the engine extensions switched on.
+TEST(UdpServer, ServerFromParsedSpecKeepsSyncing) {
+  const auto config = [](std::uint32_t id, const std::string& spec) {
+    UdpServerConfig cfg;
+    static_cast<service::ServerSpec&>(cfg) =
+        service::parse_server_spec(spec, cfg);
+    cfg.id = id;
+    cfg.reply_timeout = 0.01;
+    return cfg;
+  };
+  UdpTimeServer sa(config(0, "algo=NONE delta=1e-5 error=0.003 offset=0.002"));
+  UdpTimeServer sb(config(1, "algo=NONE delta=1e-5 error=0.003 offset=-0.002"));
+  sa.start();
+  sb.start();
+  UdpTimeServer learner(config(
+      2, "algo=IM delta=1e-4 error=0.25 tau=0.02 filter=1 broadcast=1 "
+         "health=1"));
+  learner.set_peers({sa.port(), sb.port()});
+  learner.start();
+
+  const auto wait_past = [&](const service::ServerCounters& c) {
+    for (int i = 0; i < 200; ++i) {
+      const auto now = learner.counters();
+      if (now.rounds > c.rounds && now.resets > c.resets) return now;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return learner.counters();
+  };
+  const auto first = wait_past({});
+  EXPECT_GT(first.resets, 0u);
+  const auto later = wait_past(first);
+  EXPECT_GT(later.rounds, first.rounds);
+  EXPECT_GT(later.resets, first.resets);
+  EXPECT_LT(learner.current_error().seconds(), 0.05);
   learner.stop();
   sa.stop();
   sb.stop();
