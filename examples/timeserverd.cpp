@@ -18,7 +18,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,19 +34,24 @@ namespace {
 
 std::atomic<bool> g_stop{false};
 
+// Serving-plane limits: one thread per shard, and recvmmsg/sendmmsg take at
+// most UIO_MAXIOV (1024) datagrams per call.
+constexpr long kMaxClientThreads = 256;
+constexpr long kMaxClientBatch = 1024;
+
 void handle_signal(int) { g_stop.store(true); }
 
-// A port flag (absent = 0, ephemeral); nullopt unless an integer in
-// [0, 65535].
-std::optional<std::uint16_t> port_flag(const util::Flags& flags,
-                                       const char* name) {
-  const std::string text = flags.get(name, "0");
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || v < 0 || v > 65535) {
-    return std::nullopt;
+// An integer flag in [lo, hi]; throws std::invalid_argument naming the
+// flag otherwise.
+long int_flag(const util::Flags& flags, const char* name, long def, long lo,
+              long hi) {
+  const long v = flags.get_int(name, def);
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("--" + std::string(name) + " must be in [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + "]");
   }
-  return static_cast<std::uint16_t>(v);
+  return v;
 }
 
 }  // namespace
@@ -95,25 +100,35 @@ int main(int argc, char** argv) {
                          "recovery=/pool=\n");
     return 2;
   }
-  const auto port = port_flag(flags, "port");
-  const auto client_port = port_flag(flags, "client-port");
-  if (!port || !client_port) {
-    std::fprintf(stderr, "timeserverd: ports must be in [0, 65535]\n");
+  // Every numeric flag is read and range-checked here, before any thread
+  // starts, so a typo exits 2 instead of running with a garbage value.
+  double run_seconds = 0.0;
+  double status_every = 1.0;
+  try {
+    cfg.port = static_cast<std::uint16_t>(int_flag(flags, "port", 0, 0, 65535));
+    cfg.client_port =
+        static_cast<std::uint16_t>(int_flag(flags, "client-port", 0, 0, 65535));
+    cfg.id = static_cast<std::uint32_t>(
+        int_flag(flags, "id", 0, 0, std::numeric_limits<std::uint32_t>::max()));
+    // Serving plane: lock-free client-query shards fed by engine snapshots.
+    cfg.client_threads = static_cast<std::uint32_t>(
+        int_flag(flags, "client-threads", 0, 0, kMaxClientThreads));
+    cfg.client_batch = static_cast<std::size_t>(
+        int_flag(flags, "client-batch", 64, 1, kMaxClientBatch));
+    run_seconds = flags.get_double("seconds", 0.0);
+    status_every = flags.get_double("status-every", 1.0);
+    if (!(run_seconds >= 0.0) || !(status_every > 0.0)) {
+      throw std::invalid_argument(
+          "--seconds must be >= 0 and --status-every > 0");
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "timeserverd: %s\n", e.what());
     return 2;
   }
-  cfg.port = *port;
-  cfg.client_port = *client_port;
-  cfg.id = static_cast<std::uint32_t>(flags.get_int("id", 0));
   cfg.reply_timeout = std::min<core::Duration>(0.2, cfg.poll_period / 2.0);
   const auto peers = flags.get_ports("peers");
   cfg.recovery_ports = flags.get_ports("recovery");
   if (peers.empty()) cfg.poll_period = 0;  // respond-only
-
-  // Serving plane: lock-free client-query shards fed by engine snapshots.
-  cfg.client_threads =
-      static_cast<std::uint32_t>(flags.get_int("client-threads", 0));
-  cfg.client_batch =
-      static_cast<std::size_t>(flags.get_int("client-batch", 64));
 
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
@@ -130,8 +145,6 @@ int main(int argc, char** argv) {
                   server.client_port(), cfg.client_threads);
     }
 
-    const double run_seconds = flags.get_double("seconds", 0.0);
-    const double status_every = flags.get_double("status-every", 1.0);
     const double t_start = net::host_seconds();
     double next_status = t_start + status_every;
     while (!g_stop.load()) {

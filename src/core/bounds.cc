@@ -17,8 +17,4 @@ Duration im_asynchronism_bound(Duration xi, double delta_i, double delta_j,
   return xi + (delta_i + delta_j) * tau;
 }
 
-Duration error_after(Duration e0, double delta, Duration elapsed) noexcept {
-  return e0 + delta * elapsed;
-}
-
 }  // namespace mtds::core

@@ -27,7 +27,4 @@ Duration mm_asynchronism_bound(Duration e_min, Duration xi, double delta_i,
 Duration im_asynchronism_bound(Duration xi, double delta_i, double delta_j,
                                Duration tau) noexcept;
 
-// Lemma 1: free-running error growth E(t0 + d) = E(t0) + delta * d.
-Duration error_after(Duration e0, double delta, Duration elapsed) noexcept;
-
 }  // namespace mtds::core

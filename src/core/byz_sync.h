@@ -59,8 +59,6 @@ class ByzantineSync final : public SyncFunction {
   SyncMode mode() const noexcept override { return SyncMode::kPerRound; }
   std::string_view name() const noexcept override { return "BYZ"; }
 
-  std::size_t max_faulty() const noexcept { return max_faulty_; }
-
   SyncOutcome on_round(const LocalState& local,
                        std::span<const TimeReading> replies) const override;
 

@@ -49,12 +49,6 @@ class DriftingClock : public Clock {
   double drift_;
 };
 
-// Convenience: a correct, accurate, stable clock (the "standard").
-class PerfectClock : public DriftingClock {
- public:
-  PerfectClock() : DriftingClock(0.0, 0.0, 0.0) {}
-};
-
 // Failure modes from Section 1.1: "a clock may fail in many ways, such as by
 // stopping, racing ahead, or refusing to change its value when reset."
 enum class ClockFaultKind {
@@ -79,11 +73,6 @@ class FaultyClock : public Clock {
   ClockTime read(RealTime t) override;
   void set(RealTime t, ClockTime value) override;
   double rate(RealTime t) override;
-
-  const ClockFault& fault() const noexcept { return fault_; }
-  bool active(RealTime t) const noexcept {
-    return fault_.kind != ClockFaultKind::kNone && t >= fault_.start;
-  }
 
  private:
   std::unique_ptr<DriftingClock> inner_;

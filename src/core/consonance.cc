@@ -1,7 +1,6 @@
 #include "core/consonance.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace mtds::core {
 
@@ -51,44 +50,6 @@ std::optional<TimeInterval> RateEstimator::rate_interval() const {
   // is uncertain by at most (rtt_first + rtt_last) / span.
   const double uncertainty = (first.rtt_own + last.rtt_own) / span;
   return TimeInterval::from_center_error(*rate, uncertainty);
-}
-
-bool consonant(double separation_rate, double delta_i, double delta_j) noexcept {
-  return std::abs(separation_rate) <= delta_i + delta_j;
-}
-
-std::vector<std::size_t> dissonant_servers(
-    std::span<const TimeInterval> rate_intervals,
-    std::span<const double> claimed_deltas, double reference_delta) {
-  std::vector<std::size_t> out;
-  const std::size_t n = std::min(rate_intervals.size(), claimed_deltas.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const double bound = claimed_deltas[i] + reference_delta;
-    const auto claimed = TimeInterval::from_center_error(0.0, bound);
-    if (!rate_intervals[i].intersects(claimed)) out.push_back(i);
-  }
-  return out;
-}
-
-std::optional<TimeInterval> consonant_rate_intersection(
-    std::span<const TimeInterval> rate_intervals,
-    std::span<const double> claimed_deltas, double reference_delta) {
-  std::optional<TimeInterval> acc;
-  const std::size_t n = std::min(rate_intervals.size(), claimed_deltas.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const double bound = claimed_deltas[i] + reference_delta;
-    const auto claimed = TimeInterval::from_center_error(0.0, bound);
-    auto usable = rate_intervals[i].intersect(claimed);
-    if (!usable) continue;  // dissonant: excluded, as MM excludes inconsistent
-    if (!acc) {
-      acc = usable;
-    } else {
-      auto next = acc->intersect(*usable);
-      if (!next) return std::nullopt;  // consonant set itself disagrees
-      acc = next;
-    }
-  }
-  return acc;
 }
 
 }  // namespace mtds::core

@@ -9,12 +9,13 @@
 // interval machinery over rates: each pairwise observation history yields a
 // *rate interval* (measured relative rate +/- measurement uncertainty), and
 // MM/IM-style reasoning over those intervals identifies servers whose actual
-// drift violates their claimed bound.
+// drift violates their claimed bound.  This file holds the estimator; the
+// judgement over a server's neighbours is service::PeerTable's rate column
+// (dissonant(), refined_own_rate()).
 #pragma once
 
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "core/interval.h"
@@ -55,24 +56,5 @@ class RateEstimator {
   std::size_t window_;
   std::vector<RateObservation> observations_;
 };
-
-// The consonance predicate itself.
-bool consonant(double separation_rate, double delta_i, double delta_j) noexcept;
-
-// Given per-server rate intervals (relative to a common reference, e.g. the
-// requesting server's clock) and claimed drift bounds, returns the indices
-// of servers whose measured rate interval is disjoint from their claimed
-// bound interval [-delta_i - delta_ref, +delta_i + delta_ref] - i.e. servers
-// that *provably* violate their claimed bound.
-std::vector<std::size_t> dissonant_servers(
-    std::span<const TimeInterval> rate_intervals,
-    std::span<const double> claimed_deltas, double reference_delta);
-
-// Applies the IM idea to rates: intersects all rate intervals that are
-// consonant with their claims, producing a refined estimate of the reference
-// clock's own rate error.  nullopt when no consonant intervals intersect.
-std::optional<TimeInterval> consonant_rate_intersection(
-    std::span<const TimeInterval> rate_intervals,
-    std::span<const double> claimed_deltas, double reference_delta);
 
 }  // namespace mtds::core

@@ -51,8 +51,6 @@ class ErrorTracker {
   }
 
   double delta() const noexcept { return delta_; }
-  ErrorBound inherited_error() const noexcept { return epsilon_; }
-  ClockTime last_reset_clock() const noexcept { return reset_clock_; }
 
  private:
   double delta_;

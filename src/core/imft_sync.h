@@ -43,8 +43,6 @@ class FaultTolerantIntersectionSync final : public SyncFunction {
   SyncMode mode() const noexcept override { return SyncMode::kPerRound; }
   std::string_view name() const noexcept override { return "IMFT"; }
 
-  std::size_t max_faulty() const noexcept { return max_faulty_; }
-
   SyncOutcome on_round(const LocalState& local,
                        std::span<const TimeReading> replies) const override;
 

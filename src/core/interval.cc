@@ -1,7 +1,6 @@
 #include "core/interval.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -23,28 +22,12 @@ TimeInterval TimeInterval::from_center_error(double c, double e) {
   return TimeInterval(c - e, c + e);
 }
 
-TimeInterval TimeInterval::from_center_errors(double c, double e_lo,
-                                              double e_hi) {
-  if (!(e_lo >= 0) || !(e_hi >= 0)) {
-    throw std::invalid_argument("TimeInterval: errors must be >= 0");
-  }
-  return TimeInterval(c - e_lo, c + e_hi);
-}
-
 std::optional<TimeInterval> TimeInterval::intersect(
     const TimeInterval& other) const noexcept {
   const double lo = std::max(lo_, other.lo_);
   const double hi = std::min(hi_, other.hi_);
   if (lo > hi) return std::nullopt;
   return TimeInterval(lo, hi);
-}
-
-TimeInterval TimeInterval::hull(const TimeInterval& other) const noexcept {
-  return TimeInterval(std::min(lo_, other.lo_), std::max(hi_, other.hi_));
-}
-
-TimeInterval TimeInterval::shifted(double d) const noexcept {
-  return TimeInterval(lo_ + d, hi_ + d);
 }
 
 TimeInterval TimeInterval::inflated(double pad) const noexcept {
@@ -57,11 +40,6 @@ std::string TimeInterval::str() const {
   std::snprintf(buf, sizeof(buf), "[%.9g, %.9g] (c=%.9g, e=%.9g)", lo_, hi_,
                 midpoint(), radius());
   return buf;
-}
-
-bool consistent(ClockTime ci, ErrorBound ei, ClockTime cj,
-                ErrorBound ej) noexcept {
-  return abs(ci - cj) <= ei + ej;
 }
 
 }  // namespace mtds::core

@@ -34,10 +34,6 @@ class TimeInterval {
   // <C_i(t), E_i(t)>, but equally an offset or rate center).
   static TimeInterval from_center_error(double c, double e);
 
-  // Asymmetric interval [c - e_lo, c + e_hi]; IM-2's transformed replies are
-  // asymmetric because only the leading edge absorbs the round-trip delay.
-  static TimeInterval from_center_errors(double c, double e_lo, double e_hi);
-
   double lo() const noexcept { return lo_; }          // trailing edge C - E
   double hi() const noexcept { return hi_; }          // leading edge  C + E
   double midpoint() const noexcept { return 0.5 * (lo_ + hi_); }
@@ -59,12 +55,6 @@ class TimeInterval {
   // Intersection per equation 12; nullopt when disjoint.
   std::optional<TimeInterval> intersect(const TimeInterval& other) const noexcept;
 
-  // Smallest interval containing both (used by consistency-group reporting).
-  TimeInterval hull(const TimeInterval& other) const noexcept;
-
-  // Both edges shifted by d (a clock being read later / offset conversion).
-  TimeInterval shifted(double d) const noexcept;
-
   // Both edges pushed outward by pad >= 0 (drift aging an interval).
   TimeInterval inflated(double pad) const noexcept;
 
@@ -77,10 +67,5 @@ class TimeInterval {
   double lo_ = 0.0;
   double hi_ = 0.0;
 };
-
-// Consistency predicate straight from Section 2.3:
-//   |C_i - C_j| <= E_i + E_j
-bool consistent(ClockTime ci, ErrorBound ei, ClockTime cj,
-                ErrorBound ej) noexcept;
 
 }  // namespace mtds::core

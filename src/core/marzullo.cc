@@ -98,16 +98,6 @@ std::optional<TimeInterval> intersect_all(std::span<const TimeInterval> interval
   return acc;
 }
 
-std::optional<BestIntersection> intersect_tolerating(
-    std::span<const TimeInterval> intervals, std::size_t max_faulty) {
-  auto best = best_intersection(intervals);
-  if (!best) return std::nullopt;
-  const std::size_t required =
-      intervals.size() > max_faulty ? intervals.size() - max_faulty : 1;
-  if (best->coverage < required) return std::nullopt;
-  return best;
-}
-
 std::optional<BestIntersection> intersect_adaptive(
     std::span<const TimeInterval> intervals) {
   // best_intersection already yields the maximum achievable coverage, so the

@@ -61,16 +61,9 @@ bool best_intersection(std::span<const TimeInterval> intervals,
 // combine step expressed over absolute intervals).
 std::optional<TimeInterval> intersect_all(std::span<const TimeInterval> intervals);
 
-// Fault-tolerant selection: smallest interval guaranteed to contain true
-// time if at most `max_faulty` sources lie.  Returns the best-intersection
-// region when its coverage >= n - max_faulty, else nullopt (too many
-// mutually inconsistent sources to tolerate f faults).
-std::optional<BestIntersection> intersect_tolerating(
-    std::span<const TimeInterval> intervals, std::size_t max_faulty);
-
 // NTP/DTSS-style adaptive selection: the smallest f (0 <= f < n) for which
-// intersect_tolerating succeeds, i.e. assume as few faults as the data
-// forces.  Never nullopt for non-empty input (f = n-1 always succeeds).
+// some region is covered by n - f sources, i.e. assume as few faults as the
+// data forces.  Never nullopt for non-empty input (f = n-1 always succeeds).
 std::optional<BestIntersection> intersect_adaptive(
     std::span<const TimeInterval> intervals);
 

@@ -30,12 +30,12 @@ enum class PacketType : std::uint8_t {
 
 struct TimeRequestPacket {
   std::uint64_t tag = 0;            // echoed by the server
-  std::int64_t client_send_ns = 0;  // opaque to the server, echoed back
+  std::int64_t client_send_ns = 0;  // opaque to the server, not echoed
 };
 
 struct TimeResponsePacket {
   std::uint64_t tag = 0;
-  std::int64_t client_send_ns = 0;
+  std::int64_t client_send_ns = 0;  // always 0: kept for the wire layout
   std::uint32_t server_id = 0;
   std::int64_t clock_ns = 0;  // C_j at response time
   std::int64_t error_ns = 0;  // E_j at response time

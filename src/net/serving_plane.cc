@@ -136,8 +136,10 @@ void ServingPlane::shard_loop(Shard& shard) {
     const std::size_t served =
         serve_client_batch(shard.recv, snap, now, shard.send);
     if (served != 0) {
-      shard.socket.send_batch(shard.send);
+      // Counted before the send, as the engine counts responses_sent: a
+      // client that has its reply must never read a total without it.
       shard.served.fetch_add(served, std::memory_order_relaxed);
+      shard.socket.send_batch(shard.send);
     }
   }
 }

@@ -84,15 +84,10 @@ class ServingPlane final : public service::SnapshotSink {
   void stop();
 
   std::uint16_t port() const noexcept { return port_; }
-  std::uint32_t threads() const noexcept {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
   std::uint64_t queries_served() const noexcept;
+  // mtds:test-api(serving_plane_test checks each publication bumps the seqlock version)
   std::uint64_t snapshot_version() const noexcept {
     return snapshot_.version();
-  }
-  bool read_snapshot(service::ClockSnapshot& out) const noexcept {
-    return snapshot_.read(out);
   }
 
  private:

@@ -128,11 +128,6 @@ bool UdpTimeServer::degraded() const {
   return engine_->degraded();
 }
 
-runtime::FaultInjector* UdpTimeServer::fault_injector() {
-  util::MutexLock lock(state_mu_);
-  return engine_->fault_injector();
-}
-
 runtime::FaultStats UdpTimeServer::fault_stats() const {
   util::MutexLock lock(state_mu_);
   const runtime::FaultInjector* chaos = engine_->fault_injector();

@@ -64,7 +64,6 @@ class UdpTimeServer {
   UdpTimeServer& operator=(const UdpTimeServer&) = delete;
 
   std::uint16_t port() const noexcept { return runtime_->port(); }
-  std::uint32_t id() const noexcept { return config_.id; }
 
   // Peers (by loopback port) polled by the sync loop.  Set before start().
   void set_peers(std::vector<std::uint16_t> peers);
@@ -81,22 +80,19 @@ class UdpTimeServer {
   core::Duration poll_period() const;
   service::ServerCounters counters() const;  // snapshot of engine counters
   std::uint64_t resets() const { return counters().resets; }
-  std::uint64_t recoveries() const { return counters().recoveries; }
   std::uint64_t requests_served() const { return counters().responses_sent; }
 
   // Engine-side id of the k-th configured peer port (for peer_state()).
+  // mtds:test-api(UDP tests name a peer to peer_state() with it)
   static core::ServerId peer_engine_id(std::size_t k) noexcept;
 
   // Peer-health introspection (kHealthy / false when the layer is off).
   service::PeerState peer_state(core::ServerId peer) const;
   bool degraded() const;
 
-  // Chaos plane: the engine's injector (null unless
-  // config.chaos.active()).  fault_stats() and set_crashed() are
-  // thread-safe; calls through the returned pointer must hold the
-  // runtime's state mutex.
-  runtime::FaultInjector* fault_injector();
+  // Chaos plane (a no-op unless config.chaos.active()); thread-safe.
   runtime::FaultStats fault_stats() const;
+  // mtds:test-api(chaos_soak_test crash-stops and restarts a UDP server)
   void set_crashed(bool crashed);
 
   // Client serving plane introspection (all valid only with

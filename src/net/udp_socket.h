@@ -26,7 +26,6 @@ class RecvBatch {
   explicit RecvBatch(std::size_t capacity = 32,
                      std::size_t datagram_size = 2048);
 
-  std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return count_; }
 
   std::span<const std::uint8_t> payload(std::size_t i) const noexcept {
@@ -57,9 +56,7 @@ class SendBatch {
   explicit SendBatch(std::size_t capacity = 32,
                      std::size_t datagram_size = 2048);
 
-  std::size_t capacity() const noexcept { return capacity_; }
   std::size_t size() const noexcept { return count_; }
-  bool full() const noexcept { return count_ == capacity_; }
   // mtds:no-alloc
   void clear() noexcept { count_ = 0; }
 
@@ -73,9 +70,11 @@ class SendBatch {
   bool push(const sockaddr_in& to,
             std::span<const std::uint8_t> payload) noexcept;
 
+  // mtds:test-api(serving_plane_test decodes the replies a batch queued)
   std::span<const std::uint8_t> payload(std::size_t i) const noexcept {
     return {storage_.data() + i * datagram_size_, lengths_[i]};
   }
+  // mtds:test-api(serving_plane_test checks a reply goes back to its sender)
   const sockaddr_in& to(std::size_t i) const noexcept { return tos_[i]; }
 
  private:
@@ -128,11 +127,11 @@ class UdpSocket {
   std::optional<std::size_t> receive_into(std::span<std::uint8_t> buf,
                                           sockaddr_in* from, int timeout_ms);
 
-  // Drains up to batch.capacity() ready datagrams into `batch`; returns the
-  // count (0 on timeout or closure).  When the previous call filled the
-  // batch completely, the kernel queue is likely still non-empty and the
-  // initial poll() is skipped - the drain goes straight to a non-blocking
-  // read.
+  // Drains up to the batch's capacity of ready datagrams into `batch`;
+  // returns the count (0 on timeout or closure).  When the previous call
+  // filled the batch completely, the kernel queue is likely still
+  // non-empty and the initial poll() is skipped - the drain goes straight
+  // to a non-blocking read.
   std::size_t receive_batch(RecvBatch& batch, int timeout_ms);
 
   // Unblocks pending receive calls from another thread.

@@ -178,8 +178,6 @@ class Collusion final : public AdversaryStrategy {
   ForgeResult rewrite(ServerId self, ServerId to, ServiceMessage& msg,
                       RealTime now) override;
 
-  const CollusionPlan& plan() const noexcept { return *plan_; }
-
  private:
   std::shared_ptr<const CollusionPlan> plan_;
   bool started_ = false;

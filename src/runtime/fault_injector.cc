@@ -86,11 +86,6 @@ void FaultInjector::partition_inbound(ServerId peer, bool blocked) {
   }
 }
 
-void FaultInjector::partition(ServerId peer, bool blocked) {
-  partition_outbound(peer, blocked);
-  partition_inbound(peer, blocked);
-}
-
 void FaultInjector::corrupt_fields(ServiceMessage& msg) {
   // Two corruption modes: a clock-field skew (detectable by the paper's
   // consistency check: the value lands far outside any honest interval) or

@@ -122,7 +122,6 @@ class FaultInjector final : public Runtime {
   // Crash-stop / restart of the local endpoint: while crashed, every copy
   // in both directions is dropped (the endpoint neither sends nor hears).
   void set_crashed(bool crashed) noexcept { crashed_ = crashed; }
-  bool crashed() const noexcept { return crashed_; }
 
   // Corrupt-state fault: the injector cannot reach inside the engine, so
   // the engine installs a corruptor hook (its corrupt_state(nonce)).
@@ -135,13 +134,12 @@ class FaultInjector final : public Runtime {
   void corrupt_state();
 
   // Asymmetric partitions: block one direction to/from a single peer.
+  // mtds:test-api(fault_injector_test builds one-way link cuts with it)
   void partition_outbound(ServerId peer, bool blocked);
+  // mtds:test-api(fault_injector_test builds one-way link cuts with it)
   void partition_inbound(ServerId peer, bool blocked);
-  // Both directions at once (a symmetric link cut).
-  void partition(ServerId peer, bool blocked);
 
   const FaultStats& stats() const noexcept { return stats_; }
-  const FaultPlan& plan() const noexcept { return plan_; }
 
  private:
   enum class Dir : std::uint8_t { kOutbound, kInbound };

@@ -13,10 +13,6 @@ namespace {
 // start high enough that no configured server or peer table entry collides.
 constexpr ServerId kPseudoIdBase = 0x80000000u;
 
-// Replies owed to correspondents who never read them (an engine stopped
-// between request and response) would otherwise accumulate echo payloads.
-constexpr std::size_t kMaxEchoEntries = 4096;
-
 }  // namespace
 
 double host_seconds() noexcept {
@@ -112,10 +108,6 @@ void UdpRuntime::send(ServerId to, const ServiceMessage& msg) {
   resp.server_id = self_;
   resp.clock_ns = net::seconds_to_ns(msg.c.seconds());
   resp.error_ns = net::seconds_to_ns(msg.e.seconds());
-  if (const auto echo = echo_ns_.find({to, msg.tag}); echo != echo_ns_.end()) {
-    resp.client_send_ns = echo->second;
-    echo_ns_.erase(echo);
-  }
   socket_.send_to(addr->second, net::encode(resp));
 }
 
@@ -123,8 +115,8 @@ void UdpRuntime::send(ServerId to, const ServiceMessage& msg) {
 std::size_t UdpRuntime::broadcast(const std::vector<ServerId>& targets,
                                   const ServiceMessage& msg) {
   // Requests carry no per-target state, so the payload is encoded once and
-  // fanned out with a single sendmmsg where available.  Responses embed a
-  // per-target echo (client_send_ns), so they keep the per-target path.
+  // fanned out with a single sendmmsg where available.  Other messages keep
+  // the per-target path.
   if (msg.type == ServiceMessage::Type::kTimeRequest) {
     broadcast_addrs_.clear();
     for (ServerId to : targets) {
@@ -217,10 +209,6 @@ void UdpRuntime::receive_loop() {
       const auto payload = batch.payload(i);
       if (const auto req = net::decode_request(payload.data(), payload.size())) {
         const ServerId from = id_for_addr(batch.from(i));
-        if (echo_ns_.size() >= kMaxEchoEntries) {
-          echo_ns_.erase(echo_ns_.begin());
-        }
-        echo_ns_[{from, req->tag}] = req->client_send_ns;
         ServiceMessage msg;
         msg.type = ServiceMessage::Type::kTimeRequest;
         msg.from = from;

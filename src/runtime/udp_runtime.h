@@ -144,9 +144,6 @@ class UdpRuntime final : public Runtime {
   std::map<ServerId, sockaddr_in> addr_by_id_ GUARDED_BY(state_mutex_);
   std::map<AddrKey, ServerId> id_by_addr_ GUARDED_BY(state_mutex_);
   ServerId next_pseudo_id_ GUARDED_BY(state_mutex_);
-  // client_send_ns echo payloads for replies we owe: (to, tag) -> ns.
-  std::map<std::pair<ServerId, std::uint64_t>, std::int64_t> echo_ns_
-      GUARDED_BY(state_mutex_);
 
   // Timer queue (never held across callbacks; inner lock in the ordering):
   // the same slab + indexed heap as the sim's EventQueue, so schedule is an

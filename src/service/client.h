@@ -59,11 +59,10 @@ class TimeClient {
   ClientResult query_blocking(const std::vector<core::ServerId>& servers,
                               ClientStrategy strategy, core::Duration wait);
 
-  bool busy() const noexcept { return static_cast<bool>(callback_); }
-
   // Replies collected by the most recent completed query (aged to its
   // finish time).  Useful for re-combining under a different strategy or
   // for diagnostics.
+  // mtds:test-api(client_test compares strategies over the same replies, Theorem 6)
   const core::Readings& last_replies() const noexcept { return replies_; }
 
  private:

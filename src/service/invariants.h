@@ -70,7 +70,6 @@ struct GradientReport {
   RealTime worst_time = 0.0;
   ServerId worst_i = core::kInvalidServer;
   ServerId worst_j = core::kInvalidServer;
-  bool ok() const noexcept { return violations.empty(); }
 };
 
 // Gradient clock synchronization invariant (Kuhn et al., PAPERS.md): the
@@ -83,6 +82,7 @@ struct GradientReport {
 // covered by the same sweep.  Pass only the edges
 // between servers the bound should govern (e.g. the honest subgraph when
 // adversaries are present).
+// mtds:test-api(adversary_test's gradient-property check on adversarial runs)
 GradientReport check_gradient(
     const sim::Trace& trace,
     const std::vector<std::pair<ServerId, ServerId>>& edges, Duration bound,

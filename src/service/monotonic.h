@@ -13,7 +13,6 @@
 // unchanged (monotonicity only forbids going backward).
 #pragma once
 
-#include <optional>
 
 #include "core/time_types.h"
 
@@ -31,14 +30,6 @@ class MonotonicAdapter {
 
   // True while the adapter is slewing (output ahead of raw clock).
   bool slewing() const noexcept { return ahead_; }
-
-  // Current monotonic value without feeding a new reading (nullopt before
-  // the first read).
-  std::optional<core::ClockTime> value() const noexcept {
-    return initialized_ ? std::optional(out_) : std::nullopt;
-  }
-
-  double slew_rate() const noexcept { return slew_rate_; }
 
  private:
   double slew_rate_;

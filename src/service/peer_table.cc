@@ -74,19 +74,6 @@ void PeerTable::reserve(std::size_t rows) {
   first_order_.reserve(rows);
 }
 
-void PeerTable::forget(core::ServerId id) {
-  const Row r = find(id);
-  if (r == kNoRow) return;
-  ids_.erase(ids_.begin() + r);
-  each_column([r](auto& col) { col.erase(col.begin() + r); });
-  for (auto* order : {&first_order_, &second_order_}) {
-    std::erase(*order, r);
-    for (Row& o : *order) {
-      if (o > r) --o;
-    }
-  }
-}
-
 // --- reading memories -------------------------------------------------------
 
 void PeerTable::set_first_hand(Row r, const Memory& m) {

@@ -18,8 +18,7 @@
 //
 // Rows for a server's neighbours are created up front (ProtocolEngine::start
 // and add_neighbor); a reply or note from any other server adds its row on
-// first contact.  forget() drops a row with every column.  Row indices stay
-// valid until the next row is added or forgotten.
+// first contact.  Row indices stay valid until the next row is added.
 //
 // Health states (the per-peer state machine of the health column):
 //
@@ -140,7 +139,6 @@ class PeerTable {
   Row find(core::ServerId id) const;  // kNoRow when the peer has no row
   Row row(core::ServerId id);         // find, adding the row when missing
   void reserve(std::size_t rows);     // sizes every present column once
-  void forget(core::ServerId id);     // drops the row and every column
   core::ServerId id(Row r) const { return ids_[r]; }
 
   // --- reading memories ---------------------------------------------------
@@ -215,6 +213,7 @@ class PeerTable {
   // --- filter column ------------------------------------------------------
   bool filter_on() const noexcept { return filter_on_; }
   void add_sample(Row r, const core::TimeReading& reading);
+  // mtds:test-api(sample_filter_test checks the window size)
   std::size_t samples(Row r) const {
     return filter_on_ ? filter_[r].buf.size() : 0;
   }
@@ -244,10 +243,12 @@ class PeerTable {
   void set_claimed_delta(core::ServerId id, double delta);
 
   // Peers observed at least once.
+  // mtds:test-api(rate_monitor_test and time_server_test count observed peers)
   std::size_t rate_neighbours() const;
 
   // Measured relative-rate interval of one peer; nullopt until its window
   // spans enough local time.
+  // mtds:test-api(rate_monitor_test checks the measured rate of one peer)
   std::optional<core::TimeInterval> rate_interval(core::ServerId id) const;
 
   // Peers, in ascending ServerId order, whose measured rate interval is

@@ -130,16 +130,6 @@ void ProtocolEngine::add_neighbor(ServerId peer) {
   }
 }
 
-void ProtocolEngine::remove_neighbor(ServerId peer) {
-  neighbors_.erase(std::remove(neighbors_.begin(), neighbors_.end(), peer),
-                   neighbors_.end());
-  // Every column goes, and so do requests still in flight to it: a later
-  // server reusing the id must not be judged against its predecessor's
-  // clock, health, samples or rate.
-  std::erase_if(pending_, [peer](const Pending& p) { return p.to == peer; });
-  peers_.forget(peer);
-}
-
 void ProtocolEngine::set_gossip_peers(const std::vector<ServerId>& peers) {
   gossip_peers_.clear();
   for (ServerId peer : peers) {

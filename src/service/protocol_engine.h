@@ -108,15 +108,11 @@ class ProtocolEngine {
 
   // Membership update: future rounds will also poll `peer`.
   void add_neighbor(ServerId peer);
-  // Stops polling `peer` and forgets it: its table row and any requests
-  // still in flight to it are dropped.
-  void remove_neighbor(ServerId peer);
   bool running() const noexcept { return running_; }
 
   ServerId id() const noexcept { return id_; }
   const ServerSpec& spec() const noexcept { return spec_; }
   const ServerCounters& counters() const noexcept { return counters_; }
-  const std::vector<ServerId>& neighbors() const noexcept { return neighbors_; }
 
   // The poll period currently in effect (== spec().poll_period unless
   // adaptive polling has moved it).

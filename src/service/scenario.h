@@ -128,8 +128,8 @@ class ScenarioRunner {
   // Returns the (still inspectable) service.
   TimeService& run(core::RealTime override_horizon = 0.0);
 
+  // mtds:test-api(adversary_test inspects the service of each runner it builds)
   TimeService& service() { return *service_; }
-  const Scenario& scenario() const { return scenario_; }
 
  private:
   Scenario scenario_;

@@ -217,16 +217,6 @@ void TimeService::corrupt_server_state(ServerId id) {
   }
 }
 
-std::vector<core::Offset> TimeService::offsets() {
-  const RealTime now = this->now();
-  std::vector<core::Offset> out;
-  out.reserve(servers_.size());
-  for (const auto& s : servers_) {
-    if (s->running()) out.push_back(s->true_offset(now));
-  }
-  return out;
-}
-
 std::vector<Duration> TimeService::errors() {
   const RealTime now = this->now();
   std::vector<Duration> out;
@@ -235,16 +225,6 @@ std::vector<Duration> TimeService::errors() {
     if (s->running()) out.push_back(s->current_error(now));
   }
   return out;
-}
-
-Duration TimeService::min_error() {
-  const auto e = errors();
-  return e.empty() ? 0.0 : *std::min_element(e.begin(), e.end());
-}
-
-Duration TimeService::max_error() {
-  const auto e = errors();
-  return e.empty() ? 0.0 : *std::max_element(e.begin(), e.end());
 }
 
 Duration TimeService::max_asynchronism() {

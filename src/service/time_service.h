@@ -52,7 +52,6 @@ class TimeService {
   void reserve_trace(std::size_t samples, std::size_t events);
 
   sim::ShardedEngine* sharded_engine() noexcept { return engine_.get(); }
-  const ServiceConfig& config() const noexcept { return config_; }
 
   // The round-trip delay bound xi implied by the configured delay model.
   Duration xi() const noexcept { return 2.0 * network_->max_one_way_delay(); }
@@ -77,11 +76,9 @@ class TimeService {
   void corrupt_server_state(ServerId id);
 
   // Service-wide instantaneous observations at now().
-  std::vector<core::Offset> offsets();  // C_i - t per running server
   std::vector<Duration> errors();       // E_i per running server
-  Duration min_error();
-  Duration max_error();
   Duration max_asynchronism();          // max |C_i - C_j| over running pairs
+  // mtds:test-api(the correctness oracle that service-level tests assert)
   bool all_correct();                  // every running interval contains t
   std::size_t running_count() const;
 

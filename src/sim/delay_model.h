@@ -60,6 +60,7 @@ class UniformDelay final : public DelayModel {
 // algorithms require while modelling realistic long-tailed networks).
 class TruncatedExponentialDelay final : public DelayModel {
  public:
+  // mtds:test-api(adversarial_network_test builds a bursty link with it)
   TruncatedExponentialDelay(Duration mean, Duration cap);
   Duration sample(Rng& rng) const override;
   Duration max_delay() const noexcept override { return cap_; }

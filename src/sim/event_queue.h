@@ -130,6 +130,7 @@ class EventQueue {
   }
 
   RealTime now() const noexcept { return now_; }
+  // mtds:test-api(event_queue_test checks cancellation removes events)
   std::size_t pending() const noexcept { return heap_.size(); }
   bool empty() const noexcept { return heap_.empty(); }
 

@@ -144,6 +144,7 @@ class Network {
   }
 
   // Overrides the delay model for one directed link.
+  // mtds:test-api(network tests build asymmetric and bursty links with it)
   void set_link_delay(ServerId from, ServerId to, const DelayModel* model) {
     const LinkKey key = directed_key(from, to);
     const auto it = std::lower_bound(

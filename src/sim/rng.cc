@@ -1,7 +1,6 @@
 #include "sim/rng.h"
 
 #include <cmath>
-#include <numbers>
 
 namespace mtds::sim {
 namespace {
@@ -61,17 +60,6 @@ double Rng::exponential(double mean) noexcept {
     u = next_double();
   } while (u <= 0.0);
   return -mean * std::log(u);
-}
-
-double Rng::normal(double mean, double stddev) noexcept {
-  double u1;
-  do {
-    u1 = next_double();
-  } while (u1 <= 0.0);
-  const double u2 = next_double();
-  const double z = std::sqrt(-2.0 * std::log(u1)) *
-                   std::cos(2.0 * std::numbers::pi * u2);
-  return mean + stddev * z;
 }
 
 Rng Rng::fork() noexcept { return Rng(next_u64()); }

@@ -41,10 +41,6 @@ class Rng {
     return mean * exponential(1.0);
   }
 
-  // Standard normal via Box-Muller (no cached spare: keeps state minimal
-  // and replay trivial).
-  double normal(double mean = 0.0, double stddev = 1.0) noexcept;
-
   bool bernoulli(double p) noexcept { return next_double() < p; }
 
   // Derives an independent stream (for per-node RNGs) deterministically.

@@ -78,7 +78,9 @@ class ShardedEngine {
   // EventQueue::run_until.
   void run_until(RealTime t_target, Duration lookahead);
 
+  // mtds:test-api(scale_test checks a scenario's shards= and threads= arrive)
   std::size_t num_shards() const noexcept { return queues_.size(); }
+  // mtds:test-api(scale_test checks a scenario's shards= and threads= arrive)
   unsigned num_threads() const noexcept { return stride_; }
   // Epoch windows executed by the last run_until (scheduling diagnostics).
   std::size_t last_windows() const noexcept { return last_windows_; }

@@ -22,22 +22,6 @@ const char* to_string(TraceEventKind kind) noexcept {
   return "?";
 }
 
-std::vector<Sample> Trace::samples_for(ServerId id) const {
-  std::vector<Sample> out;
-  for (const auto& s : samples_) {
-    if (s.server == id) out.push_back(s);
-  }
-  return out;
-}
-
-std::vector<TraceEvent> Trace::events_for(ServerId id) const {
-  std::vector<TraceEvent> out;
-  for (const auto& e : events_) {
-    if (e.server == id) out.push_back(e);
-  }
-  return out;
-}
-
 std::size_t Trace::count_events(TraceEventKind kind) const {
   return static_cast<std::size_t>(
       std::count_if(events_.begin(), events_.end(),

@@ -71,9 +71,8 @@ class Trace {
   const std::vector<Sample>& samples() const noexcept { return samples_; }
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
 
-  std::vector<Sample> samples_for(ServerId id) const;
-  std::vector<TraceEvent> events_for(ServerId id) const;
   std::size_t count_events(TraceEventKind kind) const;
+  // mtds:test-api(tests assert one server's resets, recoveries and joins)
   std::size_t count_events(ServerId id, TraceEventKind kind) const;
 
   // Distinct sample times, sorted (the scenario samples all servers at the

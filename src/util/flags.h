@@ -1,12 +1,16 @@
 // Tiny command-line flag parser for bench and example binaries.
 //
 // Supports --name=value and --name value forms plus boolean --name.
-// Header-only; binaries define flags locally and query after parse().
+// Header-only; binaries define flags locally and query after parse().  The
+// numeric getters throw std::invalid_argument naming the flag when its
+// value is empty, out of range or has trailing junk ("--seconds=abc").
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,12 +47,24 @@ class Flags {
 
   double get_double(const std::string& name, double def) const {
     auto it = values_.find(name);
-    return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+    if (it == values_.end()) return def;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    check_number(name, text, end);
+    return v;
   }
 
   long get_int(const std::string& name, long def) const {
     auto it = values_.find(name);
-    return it == values_.end() ? def : std::strtol(it->second.c_str(), nullptr, 10);
+    if (it == values_.end()) return def;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    check_number(name, text, end);
+    return v;
   }
 
   bool get_bool(const std::string& name, bool def) const {
@@ -89,6 +105,15 @@ class Flags {
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
+  // After strtod/strtol: the whole value must have parsed, in range.
+  static void check_number(const std::string& name, const char* text,
+                           const char* end) {
+    if (end == text || *end != '\0' || errno == ERANGE) {
+      throw std::invalid_argument("--" + name + ": not a number in range: '" +
+                                  text + "'");
+    }
+  }
+
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

@@ -37,10 +37,6 @@ double RunningStats::variance() const noexcept {
   return n_ >= 2 ? m2_ / static_cast<double>(n_) : 0.0;
 }
 
-double RunningStats::sample_variance() const noexcept {
-  return n_ >= 2 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 std::string RunningStats::summary() const {

@@ -29,12 +29,9 @@ class RunningStats {
   double mean() const noexcept { return n_ ? mean_ : 0.0; }
   // Population variance; 0 for fewer than 2 samples.
   double variance() const noexcept;
-  // Sample (Bessel-corrected) variance; 0 for fewer than 2 samples.
-  double sample_variance() const noexcept;
   double stddev() const noexcept;
   double min() const noexcept { return n_ ? min_ : 0.0; }
   double max() const noexcept { return n_ ? max_ : 0.0; }
-  double sum() const noexcept { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
 
   std::string summary() const;  // "n=.. mean=.. sd=.. min=.. max=.."
 
@@ -64,8 +61,6 @@ class Sampler {
   double max();
   double mean() const;
   double stddev() const;
-
-  const std::vector<double>& samples() const noexcept { return samples_; }
 
   std::string summary();  // "n=.. mean=.. p50=.. p90=.. p99=.. max=.."
 

@@ -14,9 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +24,7 @@
 #include "runtime/fault_injector.h"
 #include "service/report.h"
 #include "service/scenario.h"
+#include "scenario_file.h"
 #include "sim/trace.h"
 
 namespace mtds {
@@ -142,20 +141,7 @@ TEST(AdversaryStrategy, AdaptiveLiesInsideObservedBounds) {
 // ---------------------------------------------------------------------------
 // Scenario harness (mirrors scenario_corpus_test).
 
-std::string read_scenario(const std::string& name) {
-  // ctest runs from the build directory; scenarios live in the source tree.
-  for (const std::string prefix :
-       {"scenarios/", "../scenarios/", "../../scenarios/"}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      return buffer.str();
-    }
-  }
-  ADD_FAILURE() << "scenario file not found: " << name;
-  return "";
-}
+using test::read_scenario;
 
 // shards == 0 keeps the scenario's own shard count (one for the byzantine
 // corpus); shards > 0 forces that many shards.
@@ -351,7 +337,7 @@ TEST(AdversaryScenario, CollusionTrioAcceptance) {
                            engine.threads);
     const auto mm_grad =
         service::check_gradient(mm->service().trace(), honest, mm_bound);
-    EXPECT_FALSE(mm_grad.ok());
+    EXPECT_FALSE(mm_grad.violations.empty());
     EXPECT_GT(mm_grad.max_edge_spread, 3.0 * mm_bound);
 
     // IM: after a few early captures the liars empty every intersection;
@@ -363,7 +349,7 @@ TEST(AdversaryScenario, CollusionTrioAcceptance) {
     const auto im_report = service::build_report(im->service());
     const auto im_grad =
         service::check_gradient(im->service().trace(), honest, im_bound);
-    EXPECT_FALSE(im_grad.ok());
+    EXPECT_FALSE(im_grad.violations.empty());
     EXPECT_GT(im_grad.max_edge_spread, 1.5 * im_bound);
     for (ServerId i = 0; i < 5; ++i) {
       EXPECT_TRUE(im_report.servers[i].correct) << "S" << i;
@@ -379,7 +365,7 @@ TEST(AdversaryScenario, CollusionTrioAcceptance) {
     const auto ft_report = service::build_report(ft->service());
     const auto ft_grad =
         service::check_gradient(ft->service().trace(), honest, im_bound);
-    EXPECT_TRUE(ft_grad.ok())
+    EXPECT_TRUE(ft_grad.violations.empty())
         << "IMFT honest spread " << ft_grad.max_edge_spread << " > "
         << im_bound;
     std::uint64_t exclusions = 0, quarantines = 0, suppressed = 0;

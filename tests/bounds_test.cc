@@ -31,11 +31,6 @@ TEST(Bounds, IMTighterThanMMUnderSameParameters) {
             mm_asynchronism_bound(em, xi, di, dj, tau));
 }
 
-TEST(Bounds, ErrorAfterLemma1) {
-  EXPECT_DOUBLE_EQ(error_after(0.25, 1e-5, 3600.0).seconds(), 0.25 + 0.036);
-  EXPECT_DOUBLE_EQ(error_after(0.25, 0.0, 1e9).seconds(), 0.25);
-}
-
 TEST(Bounds, MonotoneInEachParameter) {
   const Duration base = mm_error_bound(0.1, 0.01, 1e-4, 10.0);
   EXPECT_GT(mm_error_bound(0.2, 0.01, 1e-4, 10.0), base);

@@ -11,15 +11,6 @@ RateObservation obs(double local, double remote, double rtt = 0.0) {
   return RateObservation{local, remote, rtt};
 }
 
-TEST(Consonant, PredicateMatchesDefinition) {
-  // |d/dt (C_i - C_j)| <= delta_i + delta_j.
-  EXPECT_TRUE(consonant(1e-5, 1e-5, 1e-5));
-  EXPECT_TRUE(consonant(-2e-5, 1e-5, 1e-5));
-  EXPECT_FALSE(consonant(3e-5, 1e-5, 1e-5));
-  EXPECT_FALSE(consonant(-3e-5, 1e-5, 1e-5));
-  EXPECT_TRUE(consonant(2e-5, 1e-5, 1e-5));  // exact boundary
-}
-
 TEST(RateEstimator, NeedsTwoObservations) {
   RateEstimator est;
   EXPECT_FALSE(est.relative_rate().has_value());
@@ -93,66 +84,6 @@ TEST(RateEstimator, ZeroSpanYieldsNothing) {
   est.add(obs(5.0, 6.0));
   EXPECT_FALSE(est.relative_rate().has_value());
   EXPECT_FALSE(est.rate_interval().has_value());
-}
-
-TEST(DissonantServers, FlagsProvableViolators) {
-  // Server 0: rate clearly within claim.  Server 1: measured rate interval
-  // entirely outside its claimed bound.
-  std::vector<TimeInterval> rates = {
-      TimeInterval::from_center_error(0.0, 1e-5),
-      TimeInterval::from_center_error(0.04, 1e-3),  // ~4% fast (Section 3!)
-  };
-  const std::vector<double> claims = {1e-5, 1.2e-5};  // "one second a day"
-  const auto bad = dissonant_servers(rates, claims, /*reference_delta=*/1e-5);
-  ASSERT_EQ(bad.size(), 1u);
-  EXPECT_EQ(bad[0], 1u);
-}
-
-TEST(DissonantServers, BorderlineOverlapIsNotFlagged) {
-  std::vector<TimeInterval> rates = {
-      TimeInterval::from_edges(1.5e-5, 3e-5),  // overlaps claim edge 2e-5
-  };
-  const std::vector<double> claims = {1e-5};
-  EXPECT_TRUE(dissonant_servers(rates, claims, 1e-5).empty());
-}
-
-TEST(ConsonantRateIntersection, RefinesOwnRateEstimate) {
-  // Three neighbours all measured: relative rates near +1e-5 with various
-  // uncertainties; the intersection narrows the estimate.
-  std::vector<TimeInterval> rates = {
-      TimeInterval::from_center_error(1e-5, 2e-5),
-      TimeInterval::from_center_error(1.2e-5, 1.5e-5),
-      TimeInterval::from_center_error(0.8e-5, 3e-5),
-  };
-  const std::vector<double> claims = {5e-5, 5e-5, 5e-5};
-  const auto refined = consonant_rate_intersection(rates, claims, 5e-5);
-  ASSERT_TRUE(refined.has_value());
-  EXPECT_TRUE(refined->contains(1e-5));
-  EXPECT_LT(refined->length(),
-            TimeInterval::from_center_error(1.2e-5, 1.5e-5).length() + 1e-15);
-}
-
-TEST(ConsonantRateIntersection, ExcludesDissonantServer) {
-  // The 4%-fast server's interval is dissonant; it must not poison the
-  // intersection.
-  std::vector<TimeInterval> rates = {
-      TimeInterval::from_center_error(0.0, 1e-5),
-      TimeInterval::from_center_error(0.04, 1e-4),
-  };
-  const std::vector<double> claims = {1e-5, 1e-5};
-  const auto refined = consonant_rate_intersection(rates, claims, 1e-5);
-  ASSERT_TRUE(refined.has_value());
-  EXPECT_TRUE(refined->contains(0.0));
-  EXPECT_LE(refined->hi(), 2e-5 + 1e-15);
-}
-
-TEST(ConsonantRateIntersection, DisagreeingConsonantSetIsEmpty) {
-  std::vector<TimeInterval> rates = {
-      TimeInterval::from_center_error(-4e-5, 0.5e-5),
-      TimeInterval::from_center_error(4e-5, 0.5e-5),
-  };
-  const std::vector<double> claims = {4e-5, 4e-5};
-  EXPECT_FALSE(consonant_rate_intersection(rates, claims, 1e-5).has_value());
 }
 
 }  // namespace

@@ -22,30 +22,16 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "service/scenario.h"
+#include "scenario_file.h"
 #include "sim/trace.h"
 
 namespace mtds::service {
 namespace {
 
-std::string read_scenario(const std::string& name) {
-  // ctest runs from the build directory; scenarios live in the source tree.
-  for (const std::string prefix :
-       {"scenarios/", "../scenarios/", "../../scenarios/"}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      return buffer.str();
-    }
-  }
-  ADD_FAILURE() << "scenario file not found: " << name;
-  return "";
-}
+using test::read_scenario;
 
 // FNV-1a over the trace's raw field bytes, doubles via their bit patterns.
 class TraceHasher {

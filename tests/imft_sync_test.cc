@@ -25,7 +25,6 @@ TEST(IMFTSync, ModeAndName) {
   FaultTolerantIntersectionSync imft;
   EXPECT_EQ(imft.mode(), SyncMode::kPerRound);
   EXPECT_EQ(imft.name(), "IMFT");
-  EXPECT_EQ(imft.max_faulty(), FaultTolerantIntersectionSync::kMajority);
 }
 
 TEST(IMFTSync, ReducesToIMWhenAllConsistent) {

@@ -40,13 +40,6 @@ TEST(TimeInterval, FromCenterErrorRejectsNegative) {
                std::invalid_argument);
 }
 
-TEST(TimeInterval, FromCenterErrorsAsymmetric) {
-  // IM-2's transformed reply: only the leading edge absorbs the delay.
-  const auto iv = TimeInterval::from_center_errors(5.0, 1.0, 2.0);
-  EXPECT_DOUBLE_EQ(iv.lo(), 4.0);
-  EXPECT_DOUBLE_EQ(iv.hi(), 7.0);
-}
-
 TEST(TimeInterval, ContainsPoint) {
   const auto iv = TimeInterval::from_edges(-1.0, 1.0);
   EXPECT_TRUE(iv.contains(0.0));
@@ -108,24 +101,19 @@ TEST(TimeInterval, IntersectionIsCommutative) {
   EXPECT_EQ(*a.intersect(b), *b.intersect(a));
 }
 
-TEST(TimeInterval, Hull) {
-  const auto a = TimeInterval::from_edges(0.0, 1.0);
-  const auto b = TimeInterval::from_edges(4.0, 5.0);
-  const auto h = a.hull(b);
-  EXPECT_DOUBLE_EQ(h.lo(), 0.0);
-  EXPECT_DOUBLE_EQ(h.hi(), 5.0);
-}
-
-TEST(TimeInterval, ShiftAndInflate) {
+TEST(TimeInterval, Inflate) {
   const auto iv = TimeInterval::from_edges(1.0, 3.0);
-  const auto shifted = iv.shifted(10.0);
-  EXPECT_DOUBLE_EQ(shifted.lo(), 11.0);
-  EXPECT_DOUBLE_EQ(shifted.hi(), 13.0);
   const auto inflated = iv.inflated(0.5);
   EXPECT_DOUBLE_EQ(inflated.lo(), 0.5);
   EXPECT_DOUBLE_EQ(inflated.hi(), 3.5);
   // Negative pad is clamped, never shrinks.
   EXPECT_EQ(iv.inflated(-1.0), iv);
+}
+
+// Section 2.3's predicate |C_i - C_j| <= E_i + E_j is interval overlap.
+bool consistent(double ci, double ei, double cj, double ej) {
+  return TimeInterval::from_center_error(ci, ei).intersects(
+      TimeInterval::from_center_error(cj, ej));
 }
 
 TEST(Consistency, PaperExample) {
@@ -140,19 +128,6 @@ TEST(Consistency, PaperExample) {
 TEST(Consistency, ExactTouchCounts) {
   EXPECT_TRUE(consistent(0.0, 1.0, 2.0, 1.0));
   EXPECT_FALSE(consistent(0.0, 1.0, 2.0 + 1e-9, 1.0));
-}
-
-TEST(Consistency, MatchesIntervalOverlap) {
-  // Property: consistent(ci,ei,cj,ej) iff intervals intersect.
-  sim::Rng rng(7);
-  for (int k = 0; k < 1000; ++k) {
-    const double ci = rng.uniform(-10, 10), ei = rng.uniform(0, 3);
-    const double cj = rng.uniform(-10, 10), ej = rng.uniform(0, 3);
-    const auto a = TimeInterval::from_center_error(ci, ei);
-    const auto b = TimeInterval::from_center_error(cj, ej);
-    EXPECT_EQ(consistent(ci, ei, cj, ej), a.intersects(b))
-        << a.str() << " vs " << b.str();
-  }
 }
 
 TEST(TimeInterval, IntersectPropertyRandom) {

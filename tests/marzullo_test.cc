@@ -120,22 +120,6 @@ TEST(IntersectAll, EmptyInput) {
   EXPECT_FALSE(intersect_all({}).has_value());
 }
 
-TEST(IntersectTolerating, ZeroFaultsRequiresAll) {
-  const std::vector<TimeInterval> in = {iv(0, 4), iv(2, 6), iv(100, 101)};
-  EXPECT_FALSE(intersect_tolerating(in, 0).has_value());
-  const auto one = intersect_tolerating(in, 1);
-  ASSERT_TRUE(one.has_value());
-  EXPECT_EQ(one->coverage, 2u);
-  EXPECT_EQ(one->interval, iv(2, 4));
-}
-
-TEST(IntersectTolerating, MatchesIntersectAllWhenConsistent) {
-  const std::vector<TimeInterval> in = {iv(0, 4), iv(2, 6), iv(3, 8)};
-  const auto tol = intersect_tolerating(in, 0);
-  ASSERT_TRUE(tol.has_value());
-  EXPECT_EQ(tol->interval, *intersect_all(in));
-}
-
 TEST(IntersectAdaptive, AlwaysSucceedsOnNonEmptyInput) {
   const std::vector<TimeInterval> in = {iv(0, 1), iv(10, 11), iv(20, 21)};
   const auto best = intersect_adaptive(in);

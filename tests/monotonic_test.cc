@@ -15,14 +15,6 @@ TEST(MonotonicAdapter, TracksForwardClock) {
   EXPECT_FALSE(adapter.slewing());
 }
 
-TEST(MonotonicAdapter, ValueBeforeFirstReadIsEmpty) {
-  MonotonicAdapter adapter;
-  EXPECT_FALSE(adapter.value().has_value());
-  adapter.read(5.0).seconds();
-  ASSERT_TRUE(adapter.value().has_value());
-  EXPECT_DOUBLE_EQ(adapter.value()->seconds(), 5.0);
-}
-
 TEST(MonotonicAdapter, BackwardSetHoldsThenSlews) {
   MonotonicAdapter adapter(0.5);
   adapter.read(10.0).seconds();

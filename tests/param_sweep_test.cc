@@ -136,19 +136,6 @@ TEST_P(MarzulloSweepTest, BestRegionIsContainedInEveryMember) {
   }
 }
 
-TEST_P(MarzulloSweepTest, AdaptiveNeverBeatsCoverageBound) {
-  const auto intervals = make_intervals();
-  const auto best = core::intersect_adaptive(intervals);
-  ASSERT_TRUE(best.has_value());
-  // Tolerating fewer faults than n - coverage must fail; exactly that many
-  // must succeed.
-  const std::size_t needed = intervals.size() - best->coverage;
-  EXPECT_TRUE(core::intersect_tolerating(intervals, needed).has_value());
-  if (needed > 0) {
-    EXPECT_FALSE(core::intersect_tolerating(intervals, needed - 1).has_value());
-  }
-}
-
 TEST_P(MarzulloSweepTest, GroupsCoverEveryServerMaximally) {
   const auto intervals = make_intervals();
   const auto groups = core::consistency_groups(intervals);

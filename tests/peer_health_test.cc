@@ -171,19 +171,6 @@ TEST(PeerTableHealth, ReachableCountExcludesDeadAndQuarantined) {
   EXPECT_EQ(table.reachable_count(peers), 2u);
 }
 
-TEST(PeerTableHealth, ForgetDropsState) {
-  sim::Rng rng{1};
-  PeerTable table({.health = policy()}, &rng);
-  const PeerTable::Row peer = table.row(7);
-  for (int i = 0; i < 4; ++i) table.note_missed(peer);
-  EXPECT_EQ(table.state(peer), PeerState::kDead);
-  table.forget(7);
-  EXPECT_EQ(table.find(7), PeerTable::kNoRow);
-  EXPECT_EQ(table.peer_state(7), PeerState::kHealthy);
-  // A new row for the id starts from scratch.
-  EXPECT_EQ(table.state(table.row(7)), PeerState::kHealthy);
-}
-
 // --- Probation release ----------------------------------------------------
 
 TEST(PeerTableHealth, QuarantineReleasesIntoProbationAfterSentence) {

@@ -104,21 +104,20 @@ TEST(PeerTableRates, LocalResetClearsWindows) {
   EXPECT_TRUE(table.dissonant().empty());
 }
 
-TEST(PeerTableRates, ForgetDropsEstimatorAndClaim) {
-  PeerTable table = rate_table(1e-5);
-  table.set_claimed_delta(1, 1e-5);
-  for (int i = 0; i <= 5; ++i) {
-    observe(table, reading(1, 100.0 * i, 100.0 * i * 1.04));
+TEST(PeerTableRates, BorderlineOverlapIsNotFlagged) {
+  // Claimed 1e-5 each side: the bound is 2e-5.  The measured rate 2.5e-5 is
+  // outside it, but 2.5 ms round trips over 500 s give the estimate
+  // +/- 1e-5, so the rate interval [1.5e-5, 3.5e-5] still overlaps the bound
+  // and nothing is proven.  The same rate measured exactly is dissonant.
+  for (const double rtt : {2.5e-3, 0.0}) {
+    PeerTable table = rate_table(1e-5);
+    table.set_claimed_delta(1, 1e-5);
+    for (int i = 0; i <= 5; ++i) {
+      const double local = 100.0 * i;
+      observe(table, reading(1, local, local * (1.0 + 2.5e-5), rtt));
+    }
+    EXPECT_EQ(table.dissonant().empty(), rtt > 0.0) << "rtt " << rtt;
   }
-  ASSERT_EQ(table.rate_neighbours(), 1u);
-  table.forget(1);
-  EXPECT_EQ(table.rate_neighbours(), 0u);
-  EXPECT_FALSE(table.rate_interval(1).has_value());
-  // A later server reusing the id starts with no claim either.
-  for (int i = 0; i <= 5; ++i) {
-    observe(table, reading(1, 100.0 * i, 100.0 * i * 1.04));
-  }
-  EXPECT_TRUE(table.dissonant().empty());
 }
 
 TEST(PeerTableRates, RefinedOwnRateFromConsonantNeighbours) {
@@ -154,6 +153,22 @@ TEST(PeerTableRates, RefinedOwnRateSkipsDissonantNeighbour) {
   // The liar, being dissonant, is excluded; the estimate still brackets our
   // true rate error.
   EXPECT_TRUE(own->contains(2e-5)) << own->str();
+}
+
+TEST(PeerTableRates, DisagreeingConsonantSetRefinesNothing) {
+  // Both neighbours are within their claims relative to our loose 5e-5
+  // bound, but one says we run 4e-5 fast and the other 4e-5 slow: the
+  // own-rate intervals they imply are disjoint, so there is no refinement.
+  PeerTable table = rate_table(5e-5);
+  table.set_claimed_delta(1, 1e-6);
+  table.set_claimed_delta(2, 1e-6);
+  for (int i = 0; i <= 5; ++i) {
+    const double local = 200.0 * i;
+    observe(table, reading(1, local, local * (1.0 - 4e-5)));
+    observe(table, reading(2, local, local * (1.0 + 4e-5)));
+  }
+  EXPECT_TRUE(table.dissonant().empty());
+  EXPECT_FALSE(table.refined_own_rate().has_value());
 }
 
 TEST(PeerTableRatesService, FlagsInvalidBoundWhileIntervalsStillConsistent) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 namespace mtds::sim {
@@ -68,21 +67,6 @@ TEST(Rng, ExponentialMeanMatches) {
     sum += x;
   }
   EXPECT_NEAR(sum / n, 3.0, 0.05);
-}
-
-TEST(Rng, NormalMomentsMatch) {
-  Rng rng(23);
-  double sum = 0.0, sumsq = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.normal(5.0, 2.0);
-    sum += x;
-    sumsq += x * x;
-  }
-  const double mean = sum / n;
-  const double var = sumsq / n - mean * mean;
-  EXPECT_NEAR(mean, 5.0, 0.03);
-  EXPECT_NEAR(std::sqrt(var), 2.0, 0.03);
 }
 
 TEST(Rng, BernoulliFrequency) {

@@ -164,7 +164,7 @@ ScenarioResult run_mm_recovery_udp() {
   learner.set_peers({bad.port()});
   learner.start();
 
-  for (int i = 0; i < 200 && learner.recoveries() == 0; ++i) {
+  for (int i = 0; i < 200 && learner.counters().recoveries == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 

@@ -109,17 +109,6 @@ TEST(PeerTableFilter, LocalResetRebasesSamples) {
   EXPECT_NEAR(later->c.seconds() - later->local_receive.seconds(), 1.2, 1e-12);
 }
 
-TEST(PeerTableFilter, ForgetDropsTheWindow) {
-  PeerTable table = filter_table();
-  add(table, reading(1, 100.0, 0.01, 0.01, 100.0));
-  add(table, reading(2, 100.1, 0.02, 0.02, 100.0));
-  table.forget(1);
-  const auto all = best_all(table, 100.0, 1e-5);
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].from, 2u);
-  EXPECT_EQ(table.samples(table.row(1)), 0u);
-}
-
 TEST(PeerTableFilter, FilterSustainsIMRoundsThroughHeavyLoss) {
   // MM's acceptance predicate already behaves as a running minimum over
   // round trips, so at equilibrium the filter cannot beat it.  Its genuine

@@ -2,30 +2,16 @@
 // outcome - the corpus doubles as executable documentation of the DSL.
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "service/report.h"
 #include "service/scenario.h"
+#include "scenario_file.h"
 
 namespace mtds::service {
 namespace {
 
-std::string read_scenario(const std::string& name) {
-  // ctest runs from the build directory; scenarios live in the source tree.
-  for (const std::string prefix :
-       {"scenarios/", "../scenarios/", "../../scenarios/"}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      return buffer.str();
-    }
-  }
-  ADD_FAILURE() << "scenario file not found: " << name;
-  return "";
-}
+using test::read_scenario;
 
 ServiceReport run_file(const std::string& name) {
   ScenarioRunner runner(parse_scenario(read_scenario(name)));
@@ -143,7 +129,8 @@ TEST(ScenarioCorpus, ByzantineCollusionStallsIM) {
 
 TEST(ScenarioCorpus, ByzantineCollusionCollapsesAgainstIMFT) {
   ScenarioRunner runner(parse_scenario(read_scenario("byzantine_collusion_imft.mtds")));
-  const auto report = build_report(runner.run());
+  TimeService& service = runner.run();
+  const auto report = build_report(service);
   // The majority quorum covers without the liars; exclusion streaks become
   // quarantine and the honest servers end correct and tightly synchronized.
   std::uint64_t exclusions = 0, quarantines = 0;
@@ -156,9 +143,9 @@ TEST(ScenarioCorpus, ByzantineCollusionCollapsesAgainstIMFT) {
   EXPECT_GT(quarantines, 0u);
   EXPECT_LT(report.asynchronism.max_observed.seconds(), 0.0062);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(runner.service().server(i).peer_state(5),
+    EXPECT_EQ(service.server(i).peer_state(5),
               PeerState::kQuarantined) << "S" << i;
-    EXPECT_EQ(runner.service().server(i).peer_state(6),
+    EXPECT_EQ(service.server(i).peer_state(6),
               PeerState::kQuarantined) << "S" << i;
   }
 }

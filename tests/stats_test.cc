@@ -34,15 +34,13 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // textbook population variance
   EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_NEAR(s.sample_variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(RunningStats, MergeEqualsCombinedStream) {
   sim::Rng rng(5);
   RunningStats all, a, b;
   for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(2.0, 3.0);
+    const double x = rng.uniform(-3.0, 7.0);
     all.add(x);
     (i % 2 == 0 ? a : b).add(x);
   }
@@ -131,7 +129,7 @@ TEST(FitLine, NoisyLineRecoversSlope) {
   std::vector<double> x, y;
   for (int i = 0; i < 500; ++i) {
     x.push_back(i);
-    y.push_back(1.0 + 0.5 * i + rng.normal(0.0, 0.1));
+    y.push_back(1.0 + 0.5 * i + rng.uniform(-0.1, 0.1));
   }
   const auto fit = fit_line(x, y);
   EXPECT_NEAR(fit.slope, 0.5, 1e-2);

@@ -275,58 +275,6 @@ TEST_F(TimeServerTest, AddNeighborStartsPollingIsolatedServer) {
   EXPECT_GT(server->counters().resets, 0u);
 }
 
-TEST_F(TimeServerTest, RemoveNeighborStopsRequests) {
-  ServerSpec ref;
-  ref.algo = core::SyncAlgorithm::kNone;
-  auto reference = make_server(1, ref);
-  reference->start({});
-
-  ServerSpec spec;
-  spec.algo = core::SyncAlgorithm::kMM;
-  spec.poll_period = 1.0;
-  auto server = make_server(0, spec);
-  server->start({1});
-  queue.run_until(3.0);
-  const auto sent_before = server->counters().requests_sent;
-  EXPECT_GT(sent_before, 0u);
-  server->remove_neighbor(1);
-  queue.run_until(10.0);
-  EXPECT_EQ(server->counters().requests_sent, sent_before);
-}
-
-TEST_F(TimeServerTest, RemoveNeighborForgetsEveryColumn) {
-  // With the filter and the rate monitor on, a removed neighbour's cached
-  // samples and rate evidence must go with it: stale samples would keep
-  // feeding IM rounds (a reset every round) long after polling stopped.
-  ServerSpec ref;
-  ref.algo = core::SyncAlgorithm::kNone;
-  ref.claimed_delta = 1e-6;
-  ref.initial_error = 0.001;
-  auto reference = make_server(1, ref);
-  reference->start({});
-
-  ServerSpec spec;
-  spec.algo = core::SyncAlgorithm::kIM;
-  spec.initial_error = 0.5;
-  spec.poll_period = 1.0;
-  spec.use_sample_filter = true;
-  spec.monitor_rates = true;
-  auto server = make_server(0, spec);
-  server->start({1});
-  queue.run_until(10.0);
-  ASSERT_GT(server->counters().resets, 0u);
-  ASSERT_EQ(server->peers().rate_neighbours(), 1u);
-
-  server->remove_neighbor(1);
-  const auto requests = server->counters().requests_sent;
-  const auto resets = server->counters().resets;
-  queue.run_until(40.0);
-  EXPECT_EQ(server->counters().requests_sent, requests);
-  EXPECT_EQ(server->counters().resets, resets);
-  EXPECT_EQ(server->peers().find(1), PeerTable::kNoRow);
-  EXPECT_EQ(server->peers().rate_neighbours(), 0u);
-}
-
 TEST_F(TimeServerTest, ReplyFromUnpolledServerIsNotPaired) {
   // Server 0 polls server 1 only.  Node 1 never answers; instead, the
   // moment each request reaches it, node 2 sends server 0 a response that

@@ -323,9 +323,7 @@ TEST(TimeService, MessageLossDelaysButDoesNotBreakSync) {
 TEST(TimeService, ObservationHelpers) {
   TimeService service(small_config(core::SyncAlgorithm::kMM));
   service.run_until(100.0);
-  EXPECT_EQ(service.offsets().size(), 4u);
   EXPECT_EQ(service.errors().size(), 4u);
-  EXPECT_LE(service.min_error(), service.max_error());
   EXPECT_GE(service.max_asynchronism(), 0.0);
   EXPECT_TRUE(service.all_correct());
 }

@@ -320,10 +320,10 @@ TEST(UdpServer, ThirdServerRecoveryOverUdp) {
   learner.set_peers({bad.port()});
   learner.start();
 
-  for (int i = 0; i < 150 && learner.recoveries() == 0; ++i) {
+  for (int i = 0; i < 150 && learner.counters().recoveries == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_GT(learner.recoveries(), 0u);
+  EXPECT_GT(learner.counters().recoveries, 0u);
   EXPECT_LT(std::abs(learner.true_offset().seconds()), 0.02);
   learner.stop();
   bad.stop();

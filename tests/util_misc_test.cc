@@ -1,6 +1,9 @@
 // Tests for ascii_plot and flags.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "util/ascii_plot.h"
 #include "util/flags.h"
 
@@ -63,6 +66,23 @@ TEST(Flags, DefaultsWhenMissing) {
   EXPECT_EQ(flags.get_int("x", -3), -3);
   EXPECT_TRUE(flags.get_bool("x", true));
   EXPECT_EQ(flags.get("x", "d"), "d");
+}
+
+TEST(Flags, NumericGettersRejectJunk) {
+  const char* argv[] = {"prog", "--seconds=abc", "--threads=4x", "--empty=",
+                        "--huge=1e999", "--bare"};
+  Flags flags;
+  flags.parse(6, const_cast<char**>(argv));
+  EXPECT_THROW(flags.get_double("seconds", 0.0), std::invalid_argument);
+  EXPECT_THROW(flags.get_int("threads", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_int("empty", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_double("huge", 0.0), std::invalid_argument);
+  EXPECT_THROW(flags.get_int("bare", 0), std::invalid_argument);  // "true"
+  try {
+    flags.get_double("seconds", 0.0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--seconds"), std::string::npos);
+  }
 }
 
 TEST(Flags, GetListSplitsCsv) {

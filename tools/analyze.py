@@ -3,8 +3,8 @@
 
 tools/lint.py matches lines; this tool builds a program model (functions,
 classes, members, a cross-TU call graph with class-hierarchy dispatch) over
-every translation unit named by CMake's compile_commands.json and runs four
-checks on it:
+every translation unit named by CMake's compile_commands.json, plus the
+program roots, and runs five checks on it:
 
   no-alloc-reachability   functions tagged `// mtds:no-alloc` (engine round
                           and receive paths, the sharded epoch loop, the
@@ -46,6 +46,16 @@ checks on it:
                           a lambda must acquire the mutex in its own body or
                           carry `// mtds:lock-held(mu: reason)` stating the
                           contract that delivers the lock.
+  dead-code               every src/ function must be in the call-graph
+                          closure of the program roots (every function
+                          under examples/, bench/, perfbench/src/, tools/).
+                          tests/ is no root: a function only a test calls
+                          is dead.  The graph carries the calls C++ makes
+                          implicitly (constructors of a built class, its
+                          destructor and operators, overrides of a reached
+                          virtual).  Escape hatch:
+                          `// mtds:test-api(reason)` on a function a test
+                          needs; it is kept, and so is what it calls.
 
 Frontend: a built-in comment/string-aware tokenizer tuned to this
 codebase's style.  It needs nothing beyond the Python standard library, so
@@ -83,6 +93,9 @@ RULES = {
     "callback-lock-discipline":
         "escaping lambdas touching GUARDED_BY members must lock or carry "
         "mtds:lock-held(mu: reason)",
+    "dead-code":
+        "every src/ function is reached from a program root "
+        "(hatch: mtds:test-api(reason))",
 }
 
 TIME_TYPES = {"RealTime", "ClockTime", "Duration", "ErrorBound", "Offset"}
@@ -100,6 +113,10 @@ STD_GROWABLE = {
     "std::unordered_set", "std::list", "std::queue", "std::stack",
     "std::priority_queue", "std::function", "std::basic_string",
 }
+# std members that build their element in place (dead-code: a construction).
+EMPLACE_METHODS = {"emplace_back", "emplace_front", "emplace", "try_emplace",
+                   "push_back", "resize"}
+MAP_TYPES = {"std::map", "std::unordered_map", "std::multimap"}
 # free functions that always allocate.
 ALLOC_FREE = {"make_unique", "make_shared", "to_string", "getenv_string"}
 
@@ -113,8 +130,18 @@ BANNED_RANDOM = {"rand", "srand", "random_device", "mt19937", "mt19937_64",
 # bare tags take no argument, reason tags require a non-empty one.
 BARE_TAGS = {"mtds:no-alloc"}
 REASON_TAGS = {"mtds:alloc-ok", "mtds:nondet-ok", "mtds:seconds-ok",
-               "mtds:lock-held", "mtds:lock-free"}
+               "mtds:lock-held", "mtds:lock-free", "mtds:test-api"}
 _TAG_RE = re.compile(r"mtds:[\w-]+(?:\([^)]*\))?")
+
+# Program roots (the same set as lint's src-reachable gate): every function
+# defined under these directories seeds the dead-code closure.  tests/ is
+# not a root: a function only a test calls is dead unless tagged.
+ROOT_DIRS = ("examples", "bench", "perfbench/src", "tools")
+
+
+def _is_root(rel: str) -> bool:
+    rel = rel.replace("\\", "/")
+    return any(rel.startswith(d + "/") for d in ROOT_DIRS)
 
 
 class Violation:
@@ -175,6 +202,7 @@ class Function:
     throw_sites: list[Site] = field(default_factory=list)
     taint_sites: list[Site] = field(default_factory=list)
     lambdas: list[Lambda] = field(default_factory=list)
+    constructs: set[str] = field(default_factory=set)  # class keys built here
     touches_trace: bool = False
 
     @property
@@ -193,12 +221,20 @@ class ClassInfo:
 
 class Program:
     def __init__(self) -> None:
-        self.functions: list[Function] = []
+        self.functions: list[Function] = []   # src/: what the checks judge
+        self.roots: list[Function] = []       # program roots: dead-code seeds
         self.classes: dict[str, ClassInfo] = {}
         self.aliases: dict[str, str] = {}      # using Alias = Type;
         self.by_name: dict[str, list[Function]] = {}
         self.by_cls: dict[str, dict[str, list[Function]]] = {}
         self.subclasses: dict[str, set[str]] = {}
+        # (class or None, name, arity) of a declaration -> (fewest arguments
+        # it accepts, its tags): an out-of-line definition repeats neither
+        # the default arguments nor the comment above the declaration
+        self.decls: dict[tuple, tuple[int, dict[str, str]]] = {}
+        # (class or None, name) -> declared return type text, for typing
+        # chained calls (`svc.server(i).start()`) and `auto` locals
+        self.returns: dict[tuple[str | None, str], str] = {}
         self._seen_fns: set[tuple] = set()
 
     def add(self, fn: Function) -> None:
@@ -206,12 +242,16 @@ class Program:
         if ident in self._seen_fns:
             return
         self._seen_fns.add(ident)
-        self.functions.append(fn)
+        (self.roots if _is_root(fn.file) else self.functions).append(fn)
 
     def finalize(self) -> None:
         self.by_name.clear()
         self.by_cls.clear()
         for fn in self.functions:
+            decl = self.decls.get((fn.cls, fn.name, fn.arity))
+            if decl is not None:
+                fn.min_arity = min(fn.min_arity, decl[0])
+                fn.tags = {**decl[1], **fn.tags}
             self.by_name.setdefault(fn.name, []).append(fn)
             if fn.cls:
                 self.by_cls.setdefault(fn.cls, {}).setdefault(
@@ -300,25 +340,26 @@ def _type_key(type_text: str) -> str:
     return t.split("::")[-1]
 
 
-def _elem_of(type_text: str) -> str:
-    """First top-level template argument of a container type: what a
-    subscript yields.  `std::vector<EventQueue*>` -> `EventQueue*`,
+def _elem_of(type_text: str, index: int = 0) -> str:
+    """Top-level template argument `index` of a container type; the first
+    is what a subscript yields.  `std::vector<EventQueue*>` -> `EventQueue*`,
     `std::vector<std::vector<InFlight>>` -> `std::vector<InFlight>`.
-    Empty when the type has no template arguments."""
+    Empty when the type has no such template argument."""
     m = re.search(r"<(.*)>", type_text, re.S)
     if not m:
         return ""
     d = 0
-    out: list[str] = []
+    args: list[list[str]] = [[]]
     for ch in m.group(1):
         if ch in "<([":
             d += 1
         elif ch in ">)]":
             d -= 1
         elif ch == "," and d == 0:
-            break
-        out.append(ch)
-    return "".join(out).strip()
+            args.append([])
+            continue
+        args[-1].append(ch)
+    return "".join(args[index]).strip() if index < len(args) else ""
 
 
 # --------------------------------------------------------------------------
@@ -489,7 +530,15 @@ class BuiltinFrontend:
             t = toks[i]
             if t.text == "{":
                 header = toks[stmt_start:i]
-                entry = self._classify(prog, rel, header, tags, cur, depth)
+                if cur("fn") is None and self._in_init_list(header):
+                    # a brace inside a constructor initializer list
+                    # (`peers_(Options{.a = 1})`, `t_([this] { loop(); })`)
+                    # belongs to the header; the body is the next brace.
+                    e = self._match(toks, i, "{", "}")
+                    i = n if e is None else e + 1
+                    continue
+                floor = toks[stmt_start - 1].line if stmt_start else 0
+                entry = self._classify(prog, rel, header, tags, cur, floor)
                 entry["depth"] = depth
                 stack.append(entry)
                 depth += 1
@@ -510,9 +559,14 @@ class BuiltinFrontend:
                 fn_entry = cur("fn")
                 cls_entry = cur("class")
                 stmt = toks[stmt_start:i]
-                if fn_entry is None and cls_entry is not None and \
-                        (not stack or stack[-1]["kind"] == "class"):
-                    self._member_decl(cls_entry["class"], stmt, tags)
+                in_cls = cls_entry is not None and stack[-1]["kind"] == "class"
+                at_ns = not stack or stack[-1]["kind"] == "ns"
+                if fn_entry is None and (in_cls or at_ns):
+                    floor = toks[stmt_start - 1].line if stmt_start else 0
+                    if not self._fn_decl(
+                            prog, cls_entry["name"] if in_cls else None, stmt,
+                            tags, floor) and in_cls:
+                        self._member_decl(cls_entry["class"], stmt, tags)
                 i += 1
                 stmt_start = i
                 continue
@@ -526,7 +580,7 @@ class BuiltinFrontend:
     # -- scope classification ---------------------------------------------
 
     def _classify(self, prog: Program, rel: str, header: list[_Tok],
-                  tags, cur, depth: int) -> dict:
+                  tags, cur, floor: int) -> dict:
         words = [t.text for t in header]
         # A scope opened right after an access label ("private: class X
         # {") starts its statement at the label: no ';' separates them.
@@ -551,7 +605,13 @@ class BuiltinFrontend:
             return {"kind": "ns", "name": words[1] if len(words) > 1 else ""}
         if words and words[0] in ("class", "struct", "union") and \
                 cur("fn") is None:
-            name = words[1] if len(words) > 1 else "<anon>"
+            # the last identifier before the base list: skips attribute
+            # macros (`class SCOPED_CAPABILITY MutexLock`), `alignas(64)`,
+            # `final` and the outer class of `struct Outer::Inner`
+            head = words[1:words.index(":")] if ":" in words else words[1:]
+            idents = [w for w in head
+                      if re.match(r"[A-Za-z_]\w*$", w) and w != "final"]
+            name = idents[-1] if idents else "<anon>"
             info = prog.classes.setdefault(name, ClassInfo(name, rel))
             if ":" in words:
                 base_part = words[words.index(":") + 1:]
@@ -570,13 +630,13 @@ class BuiltinFrontend:
         if words and words[0] == "enum":
             return {"kind": "block"}
         # function definition?  find first top-level '(' and the name before
-        fn = self._try_function(prog, rel, header, tags, cur)
+        fn = self._try_function(prog, rel, header, tags, cur, floor)
         if fn is not None:
             return {"kind": "fn", "fn": fn, "locals": dict(fn._params)}
         return {"kind": "block"}
 
     def _try_function(self, prog: Program, rel: str, header: list[_Tok],
-                      tags, cur) -> Function | None:
+                      tags, cur, floor: int) -> Function | None:
         if cur("fn") is not None:
             return None  # nested braces inside a body are blocks/lambdas
         paren = -1
@@ -586,21 +646,46 @@ class BuiltinFrontend:
                 break
         if paren <= 0:
             return None
-        name_tok = header[paren - 1]
-        if not re.match(r"[A-Za-z_]\w*$", name_tok.text) or \
-                name_tok.text in _KEYWORDS_NOT_CALLS or \
-                name_tok.text in _SPECIFIERS:
-            return None
-        name = name_tok.text
+        op = next((j for j in range(paren) if header[j].text == "operator"),
+                  -1)
+        if op >= 0:
+            # `operator==(`, `operator()(`, `operator bool(`: the name runs
+            # from `operator` to the parameter list
+            if header[op + 1].text == "(":
+                paren = op + 3
+            if paren >= len(header) or header[paren].text != "(":
+                return None
+            name_tok = header[op]
+            spelled = " ".join(t.text for t in header[op + 1:paren])
+            name = "operator" + (" " + spelled if spelled[:1].isalpha()
+                                 else spelled.replace(" ", ""))
+            k = op - 1
+        else:
+            name_tok = header[paren - 1]
+            if not re.match(r"[A-Za-z_]\w*$", name_tok.text) or \
+                    name_tok.text in _KEYWORDS_NOT_CALLS or \
+                    name_tok.text in _SPECIFIERS:
+                return None
+            name = name_tok.text
+            k = paren - 2
+            if k >= 0 and header[k].text == "~":
+                name = "~" + name
+                k -= 1
         cls = None
-        k = paren - 2
+        start = k + 1  # first token of the (qualified) name
         if k >= 1 and header[k].text == "::":
             cls = header[k - 1].text
-        elif k >= 0 and header[k].text == "~":
-            name = "~" + name
+            start = k - 1
+            while start >= 2 and header[start - 1].text == "::":
+                start -= 2
         cls_entry = cur("class")
         if cls is None and cls_entry is not None:
             cls = cls_entry["name"]
+        ret = " ".join(t.text for t in header[:start]
+                       if t.text not in _SPECIFIERS and t.text not in
+                       ("[", "]", "nodiscard", "maybe_unused", ":"))
+        if ret and ret not in ("void", "auto"):
+            prog.returns.setdefault((cls, name), ret)
         # params to the matching ')'
         d = 0
         end = paren
@@ -612,12 +697,12 @@ class BuiltinFrontend:
                 if d == 0:
                     end = j
                     break
+        if d != 0:
+            return None  # `f(T x = {})`: a default argument, not a body
         params = header[paren + 1:end]
         arity, min_arity, ptypes, pnames = self._parse_params(params)
         line = name_tok.line
-        fn_tags: dict[str, str] = {}
-        for ln in range(line - 3, line + 1):
-            fn_tags.update(tags.get(ln, {}))
+        fn_tags = self._tags_above(tags, line, floor)
         fn = Function(name=name, cls=cls, file=rel, line=line, arity=arity,
                       min_arity=min_arity, param_types=ptypes, tags=fn_tags)
         fn._params = pnames  # name -> type text, for receiver resolution
@@ -640,6 +725,9 @@ class BuiltinFrontend:
         are visited by the same loop."""
         n = len(toks)
         for i, t in enumerate(toks):
+            built = self._constructed(prog, toks, i)
+            if built:
+                fn.constructs.add(built)
             if t.text == "new":
                 nxt = toks[i + 1].text if i + 1 < n else ""
                 prev = toks[i - 1].text if i > 0 else ""
@@ -655,8 +743,8 @@ class BuiltinFrontend:
                 args = toks[i + 2:e] if e is not None else []
                 arity, seconds_args = self._args_info(args)
                 if prev in (".", "->"):
-                    recv_tok = self._recv_path(toks, i)
-                    recv = self._recv_type(prog, fn, locals_map, recv_tok)
+                    raw = self._expr_raw(prog, fn, locals_map, toks, i - 2)
+                    recv = prog.resolve_alias(raw) if raw else ""
                     self._add_call(fn, t, recv, arity, seconds_args, lam,
                                    tags)
                 elif not t.text.endswith("_"):
@@ -709,8 +797,44 @@ class BuiltinFrontend:
     # -- class member declarations -----------------------------------------
 
     @staticmethod
+    def _tags_above(tags, line: int, floor: int) -> dict[str, str]:
+        """Tags on the signature line and the three lines above it, but
+        none from the previous statement's lines (`floor` is the line it
+        ended on), so a tag never leaks onto the next declaration."""
+        out: dict[str, str] = {}
+        for ln in range(max(line - 3, floor + 1), line + 1):
+            out.update(tags.get(ln, {}))
+        return out
+
+    def _fn_decl(self, prog: Program, cls: str | None, stmt: list[_Tok],
+                 tags, floor: int) -> bool:
+        """Records a function declaration (`T name(params);`); False when
+        the statement declares something else."""
+        while len(stmt) > 1 and stmt[0].text in _ACCESS and \
+                stmt[1].text == ":":
+            stmt = stmt[2:]
+        words = [t.text for t in stmt]
+        p = words.index("(") if "(" in words else 0
+        if p == 0 or "=" in words[:p] or words[0] in (
+                "using", "typedef", "friend", "static_assert") or \
+                not re.match(r"[A-Za-z_]\w*$", words[p - 1]) or \
+                words[p - 1].isupper():  # GUARDED_BY(mu) and other macros
+            return False
+        e = self._match(stmt, p, "(", ")")
+        if e is None:
+            return False
+        arity, min_arity, _, _ = self._parse_params(stmt[p + 1:e])
+        key = (cls, words[p - 1], arity)
+        known = prog.decls.get(key, (min_arity, {}))
+        prog.decls[key] = (min(min_arity, known[0]), {
+            **known[1], **self._tags_above(tags, stmt[p - 1].line, floor)})
+        return True
+
+    @staticmethod
     def _member_decl(info: ClassInfo, stmt: list[_Tok], tags) -> None:
         words = [t.text for t in stmt]
+        while len(words) > 1 and words[0] in _ACCESS and words[1] == ":":
+            words = words[2:]
         if not words or words[0] in ("using", "typedef", "friend", "template",
                                      "static_assert", "enum", "class",
                                      "struct", "public", "private",
@@ -757,6 +881,9 @@ class BuiltinFrontend:
             if entry["kind"] == "fn":
                 break
         lam_idx = lam_entry["index"] if lam_entry else -1
+        built = self._constructed(prog, toks, i)
+        if built:
+            fn.constructs.add(built)
 
         # lambda introducer: '[' in expression position
         if t.text == "[":
@@ -836,41 +963,46 @@ class BuiltinFrontend:
                               if w.text == ":" and
                               (j == 0 or inner[j - 1].text != ":")), None)
                 if colon is not None and (colon + 1) < len(inner):
-                    seq = [w.text for w in inner[colon + 1:]]
-                    tkey = self._expr_type(prog, fn, locals_map, seq)
+                    seq = self._expr_raw(prog, fn, locals_map, inner,
+                                         len(inner) - 1)
+                    tkey = prog.resolve_alias(seq) if seq else ""
                     if tkey in UNORDERED:
                         self._add_site(fn, fn.taint_sites, t.line,
                                        f"iteration over {tkey}", tags,
                                        "mtds:nondet-ok")
-                    # loop variable joins locals (weakly typed: element)
+                    # loop variable joins locals; `auto` takes the
+                    # sequence's element type
                     decl = [w.text for w in inner[:colon]]
                     if decl and re.match(r"[A-Za-z_]\w*$", decl[-1]):
-                        locals_map[decl[-1]] = " ".join(decl[:-1])
+                        vtype = " ".join(decl[:-1])
+                        if "auto" in decl:
+                            vtype = _elem_of(seq)
+                        locals_map[decl[-1]] = vtype
             return i + 1
 
         # pointer-keyed associative containers (declaration anywhere in body)
         if t.text in ("map", "set", "unordered_map", "unordered_set",
-                      "hash", "multimap", "multiset"):
-            if i + 1 < len(toks) and toks[i + 1].text == "<":
-                e = self._match(toks, i + 1, "<", ">")
-                if e is not None:
-                    head = [w.text for w in toks[i + 2:e]]
-                    # pointer key: '*' before the first top-level comma
-                    d2 = 0
-                    for w in head:
-                        if w in "<([":
-                            d2 += 1
-                        elif w in ">)]":
-                            d2 -= 1
-                        elif w == "," and d2 == 0:
-                            break
-                        elif w == "*" and d2 == 0:
-                            self._add_site(
-                                fn, fn.taint_sites, t.line,
-                                f"pointer-keyed std::{t.text} (address order "
-                                "is nondeterministic)", tags,
-                                "mtds:nondet-ok")
-                            break
+                      "hash", "multimap", "multiset") and \
+                i + 1 < len(toks) and toks[i + 1].text == "<":
+            e = self._match(toks, i + 1, "<", ">")
+            if e is not None:
+                head = [w.text for w in toks[i + 2:e]]
+                # pointer key: '*' before the first top-level comma
+                d2 = 0
+                for w in head:
+                    if w in "<([":
+                        d2 += 1
+                    elif w in ">)]":
+                        d2 -= 1
+                    elif w == "," and d2 == 0:
+                        break
+                    elif w == "*" and d2 == 0:
+                        self._add_site(
+                            fn, fn.taint_sites, t.line,
+                            f"pointer-keyed std::{t.text} (address order "
+                            "is nondeterministic)", tags,
+                            "mtds:nondet-ok")
+                        break
             return i + 1
 
         # call / declaration sites: ident '('
@@ -882,11 +1014,13 @@ class BuiltinFrontend:
                 return i + 1
             args = toks[i + 2:e]
             arity, seconds_args = self._args_info(args)
-            if t.text == "seconds" and prev in (".", "->") and arity == 0:
-                return i + 1  # handled by the caller's seconds_args
             if prev in (".", "->"):
-                recv_tok = self._recv_path(toks, i)
-                recv = self._recv_type(prog, fn, locals_map, recv_tok)
+                raw = self._expr_raw(prog, fn, locals_map, toks, i - 2)
+                recv = prog.resolve_alias(raw) if raw else ""
+                if t.text in EMPLACE_METHODS:
+                    # the container builds its element (a map its value)
+                    arg = 1 if recv in MAP_TYPES else 0
+                    fn.constructs.add(prog.resolve_alias(_elem_of(raw, arg)))
                 self._add_call(fn, t, recv, arity, seconds_args, lam_idx,
                                tags)
             elif prev == "::":
@@ -947,6 +1081,9 @@ class BuiltinFrontend:
         if re.match(r"[A-Za-z_]\w*$", t.text) and i + 1 < len(toks) and \
                 toks[i + 1].text in ("=", ";", "{") and i > 0:
             prev = toks[i - 1].text
+            if prev in ("&", "*", "&&") and i >= 2 and \
+                    toks[i - 2].text == "auto":
+                prev = "auto"  # `auto& x = ...`, `const auto* x = ...`
             if re.match(r"[A-Za-z_]\w*$", prev) and prev not in \
                     _KEYWORDS_NOT_CALLS and prev not in _SPECIFIERS:
                 type_toks = [prev]
@@ -958,8 +1095,26 @@ class BuiltinFrontend:
                                                   "constexpr", "auto", "&",
                                                   "*"):
                     k -= 1
-                locals_map.setdefault(t.text, "::".join(type_toks))
                 tkey = "::".join(type_toks)
+                if tkey == "auto" and toks[i + 1].text == "=":
+                    # `auto x = std::make_unique<T>(...)`, `auto x = T(...)`
+                    # name the type; `auto& x = svc.server(i)` has the
+                    # callee's return type
+                    j = i + 2
+                    while j + 2 < len(toks) and toks[j + 1].text == "::":
+                        j += 2
+                    end = j
+                    while end < len(toks) and toks[end].text != ";":
+                        if toks[end].text in ("(", "[", "{"):
+                            close = {"(": ")", "[": "]", "{": "}"}
+                            end = self._match(toks, end, toks[end].text,
+                                              close[toks[end].text]) or end
+                        end += 1
+                    tkey = self._constructed(prog, toks, j) or self._expr_raw(
+                        prog, fn, locals_map, toks, end - 1) or tkey
+                elif prev != "auto":
+                    fn.constructs.add(prog.resolve_alias(tkey))
+                locals_map.setdefault(t.text, tkey)
                 if toks[i + 1].text in ("=", "{") and \
                         _type_key(tkey) == "std::function":
                     self._add_site(fn, fn.alloc_sites, t.line,
@@ -968,6 +1123,50 @@ class BuiltinFrontend:
         return i + 1
 
     # -- small helpers -----------------------------------------------------
+
+    @classmethod
+    def _constructed(cls, prog: Program, toks: list[_Tok], i: int) -> str:
+        """Class key of the object the expression at token i builds:
+        `make_unique<T>(`, `make_shared<T>(`, `new T`, or `T(` / `T{` for
+        a model class.  "" when the token builds nothing."""
+        t = toks[i].text
+        nxt = toks[i + 1].text if i + 1 < len(toks) else ""
+        if t in ("make_unique", "make_shared") and nxt == "<":
+            e = cls._match(toks, i + 1, "<", ">")
+            if e is not None:
+                return prog.resolve_alias(
+                    " ".join(w.text for w in toks[i + 2:e]))
+        elif t == "new" and re.match(r"[A-Za-z_]\w*$", nxt):
+            j = i + 1
+            while j + 2 < len(toks) and toks[j + 1].text == "::":
+                j += 2
+            return toks[j].text if toks[j].text in prog.classes else ""
+        elif t in prog.classes and nxt in ("(", "{") and i > 0 and \
+                toks[i - 1].text not in (".", "->"):
+            return t
+        return ""
+
+    @staticmethod
+    def _in_init_list(header: list[_Tok]) -> bool:
+        """True when `header` is a constructor signature whose initializer
+        list is still open: the brace that follows is a member's brace-init
+        or sits inside a member's parentheses, not the body."""
+        words = [t.text for t in header]
+        if "(" not in words:
+            return False
+        d, j = 0, words.index("(")
+        while j < len(words):
+            d += (words[j] == "(") - (words[j] == ")")
+            if d == 0:
+                break
+            j += 1
+        j += 1
+        while j < len(words) and words[j] in ("const", "noexcept"):
+            j += 1
+        if j >= len(words) or words[j] != ":":
+            return False
+        depth = sum((w == "(") - (w == ")") for w in words[j:])
+        return depth > 0 or bool(re.match(r"[A-Za-z_]\w*$", words[-1]))
 
     @staticmethod
     def _depth(stack: list[dict]) -> int:
@@ -1010,86 +1209,83 @@ class BuiltinFrontend:
                     seconds.append(arity - 1)
         return arity, seconds
 
-    def _expr_type(self, prog: Program, fn: Function, locals_map,
-                   seq_words: list[str]) -> str:
-        """Type-key of a range-for sequence expression: the leading
-        identifier's declared type (locals, params, then members)."""
-        if not seq_words or not re.match(r"[A-Za-z_]\w*$", seq_words[0]):
+    def _expr_raw(self, prog: Program, fn: Function, locals_map,
+                  toks: list[_Tok], k: int) -> str:
+        """Declared type text of the expression whose last token is
+        toks[k] ("" when unknown): a local, parameter or member, a field
+        `a.b`, a subscript `a[i]` (the element type), or a call
+        `a.f(...)`/`f(...)` (the callee's declared return type)."""
+        if k < 0:
             return ""
-        name = seq_words[0]
-        t = locals_map.get(name) or self._member_type(prog, fn, name) or ""
-        return prog.resolve_alias(t) if t else ""
-
-    def _recv_type(self, prog: Program, fn: Function, locals_map, recv: str):
-        if "." in recv or recv.endswith("[]"):
-            # chained access `a.b[i].method(...)`: walk fields, unwrapping
-            # one container level per `[]` (subscripts resolve to the
-            # element type, so `queues_[s]->run_until(..)` dispatches on
-            # EventQueue, not the whole program's run_until union).
-            cur = ""
-            for idx, comp in enumerate(recv.split(".")):
-                sub = comp.endswith("[]")
-                name = comp[:-2] if sub else comp
-                if idx == 0:
-                    if name == "this":
-                        raw = fn.cls or ""
-                    else:
-                        raw = locals_map.get(name) or \
-                            self._member_type(prog, fn, name)
-                else:
-                    raw = self._field_in(prog, cur, name) if cur else None
-                if raw is None:
-                    return ""
-                if sub:
-                    raw = _elem_of(raw)
-                    if not raw:
-                        return ""
-                cur = prog.resolve_alias(raw)
-            return cur
-        if recv == "this":
+        t = toks[k].text
+        if t in (")", "]"):
+            o = self._match_back(toks, k)
+            if o is None or o == 0:
+                return ""
+            if t == "]":
+                base = self._expr_raw(prog, fn, locals_map, toks, o - 1)
+                return _elem_of(base) if base else ""
+            callee = toks[o - 1].text
+            if not re.match(r"[A-Za-z_]\w*$", callee) or \
+                    callee in _KEYWORDS_NOT_CALLS:
+                return ""  # a parenthesised expression or a cast
+            return self._returns(prog, self._owner(prog, fn, locals_map, toks,
+                                                   o - 1), callee)
+        if not re.match(r"[A-Za-z_]\w*$", t):
+            return ""
+        if k >= 1 and toks[k - 1].text in (".", "->"):
+            owner = prog.resolve_alias(
+                self._expr_raw(prog, fn, locals_map, toks, k - 2))
+            return (self._field_in(prog, owner, t) or "") if owner else ""
+        if t == "this":
             return fn.cls or ""
-        if recv == ")" or recv == "]":
-            return ""  # chained call: unknown receiver
-        if recv in locals_map:
-            return prog.resolve_alias(locals_map[recv])
-        member = self._member_type(prog, fn, recv)
-        if member is not None:
-            return prog.resolve_alias(member)
+        return locals_map.get(t) or self._member_type(prog, fn, t) or ""
+
+    def _owner(self, prog: Program, fn: Function, locals_map,
+               toks: list[_Tok], j: int) -> str | None:
+        """Class key a call named toks[j] is looked up in; None for a free
+        function."""
+        prev = toks[j - 1].text if j > 0 else ""
+        if prev in (".", "->"):
+            raw = self._expr_raw(prog, fn, locals_map, toks, j - 2)
+            return prog.resolve_alias(raw) if raw else ""
+        if prev == "::":
+            qual = toks[j - 2].text if j >= 2 else ""
+            return qual if qual in prog.classes else None
+        if fn.cls and self._returns(prog, fn.cls, toks[j].text):
+            return fn.cls  # a call on `this`
+        return None
+
+    @staticmethod
+    def _returns(prog: Program, owner: str | None, name: str) -> str:
+        """Declared return type of `owner::name`, looked up through the
+        base-class chain ("" when unknown)."""
+        seen = set()
+        while owner not in seen:
+            seen.add(owner)
+            ret = prog.returns.get((owner, name))
+            if ret or owner is None:
+                return ret or ""
+            info = prog.classes.get(owner)
+            if info is None or not info.bases:
+                return ""
+            owner = info.bases[0].split("::")[-1]
         return ""
 
     @staticmethod
-    def _recv_path(toks: list, i: int) -> str:
-        """Receiver text for the call at token i: `a.b.c.method(` yields
-        "a.b.c" and `a[i].method(` yields "a[]" (`->` normalised to `.`,
-        subscripts to a `[]` marker); a single identifier comes back bare,
-        and anything non-identifier (chained call results) falls back to
-        the raw previous token."""
-        parts: list[str] = []
-        k = i - 1
-        while k >= 1 and toks[k].text in (".", "->"):
-            if re.match(r"[A-Za-z_]\w*$", toks[k - 1].text):
-                parts.append(toks[k - 1].text)
-                k -= 2
-            elif toks[k - 1].text == "]":
-                d, j = 0, k - 1
-                while j >= 0:
-                    if toks[j].text == "]":
-                        d += 1
-                    elif toks[j].text == "[":
-                        d -= 1
-                        if d == 0:
-                            break
-                    j -= 1
-                if j >= 1 and re.match(r"[A-Za-z_]\w*$", toks[j - 1].text):
-                    parts.append(toks[j - 1].text + "[]")
-                    k = j - 1
-                else:
-                    break
-            else:
-                break
-        if not parts:
-            return toks[i - 2].text if i >= 2 else ""
-        return ".".join(reversed(parts))
+    def _match_back(toks: list[_Tok], k: int) -> int | None:
+        """Index of the bracket that opens the one closing at toks[k]."""
+        close_t = toks[k].text
+        open_t = "(" if close_t == ")" else "["
+        d = 0
+        for j in range(k, -1, -1):
+            if toks[j].text == close_t:
+                d += 1
+            elif toks[j].text == open_t:
+                d -= 1
+                if d == 0:
+                    return j
+        return None
 
     @staticmethod
     def _field_in(prog: Program, cls: str, name: str) -> str | None:
@@ -1140,6 +1336,7 @@ class BuiltinFrontend:
                 lam_entry["lambda"].locks.append(args[-1].text)
         # constructor of a model class: record as a call so reachability
         # descends into first-party constructors.
+        fn.constructs.add(tkey)
         self._add_call(fn, _Tok(type_text.split("::")[-1], tok.line),
                        tkey, arity, seconds_args, lam_idx, tags)
 
@@ -1340,11 +1537,105 @@ def check_callback_locks(prog: Program) -> list[Violation]:
     return out
 
 
+def reached_functions(prog: Program) -> set[int]:
+    """ids of the functions in the call-graph closure of every root and
+    every mtds:test-api function.  Beyond resolved calls, the graph carries
+    the edges C++ makes implicitly:
+    building a class reaches all its constructors, and its bases, its
+    class-typed members and the elements of its member containers are
+    built with it; a class in use (built, or any method reached) reaches
+    its destructor and operators, member and free; a reached method
+    reaches its overrides."""
+    seen: set[int] = set()
+    built: set[str] = set()
+    used: set[str] = set()
+    work: list[Function] = []
+    free_ops: dict[str, list[Function]] = {}  # class key -> operators on it
+    for fn in prog.functions:
+        if fn.cls is None and fn.name.startswith("operator"):
+            for cls in {prog.resolve_alias(t) for t in fn.param_types}:
+                free_ops.setdefault(cls, []).append(fn)
+
+    def reach(fn: Function) -> None:
+        if id(fn) not in seen:
+            seen.add(id(fn))
+            work.append(fn)
+
+    def use(cls: str) -> None:
+        if cls in used:
+            return
+        used.add(cls)
+        for name, fns in prog.by_cls.get(cls, {}).items():
+            if name.startswith(("~", "operator")):
+                for f in fns:
+                    reach(f)
+        for f in free_ops.get(cls, []):
+            reach(f)
+
+    def build(cls: str) -> None:
+        info = prog.classes.get(cls)
+        if info is None or cls in built:
+            return
+        built.add(cls)
+        use(cls)
+        for f in prog.by_cls.get(cls, {}).get(cls, []):
+            reach(f)
+        for base in info.bases:
+            build(base.split("::")[-1])
+        for type_text in info.members.values():
+            if re.search(r"[*&]|_ptr\b|\bspan\b", type_text):
+                continue  # refers to an object built elsewhere
+            # a member and the elements of a member container
+            for word in re.findall(r"[A-Za-z_]\w*", type_text):
+                build(prog.resolve_alias(word))
+
+    for fn in prog.roots:
+        reach(fn)
+    for fn in prog.functions:
+        if "mtds:test-api" in fn.tags:
+            reach(fn)  # kept for its tests, and so is what it calls
+    while work:
+        fn = work.pop()
+        if fn.cls:
+            use(fn.cls)
+            for sub in prog.all_subclasses(fn.cls):
+                for f in prog.by_cls.get(sub, {}).get(fn.name, []):
+                    reach(f)  # an override runs wherever its base does
+        for cls in fn.constructs:
+            build(cls)
+        for call in fn.calls:
+            if call.recv is None and call.name in prog.classes:
+                build(call.name)
+            if call.recv and not call.recv.startswith("std::") and \
+                    call.recv not in prog.classes:
+                # a receiver typed by something the model has no class for
+                # (`auto`, a template parameter): resolve like an unknown one
+                call = CallSite(call.name, "", call.arity, call.line)
+            for f in resolve(prog, call):
+                reach(f)
+    return seen
+
+
+def check_dead_code(prog: Program) -> list[Violation]:
+    if not prog.roots:
+        return []  # no program to measure against (most fixtures)
+    reached = reached_functions(prog)
+    return [
+        Violation(fn.file, fn.line, "dead-code",
+                  f"'{fn.key}' is not reached from any program root "
+                  f"({', '.join(d + '/' for d in ROOT_DIRS)}); delete it, or "
+                  "tag it mtds:test-api(reason) if a test needs it")
+        for fn in prog.functions
+        if id(fn) not in reached and "mtds:test-api" not in fn.tags and
+        fn.file.replace("\\", "/").startswith("src/")]
+
+
 CHECKS = {
     "no-alloc-reachability": check_no_alloc,
     "determinism-taint": check_determinism,
     "seconds-escape": check_seconds_escape,
     "callback-lock-discipline": check_callback_locks,
+    "dead-code": check_dead_code,
 }
 
 
@@ -1360,9 +1651,21 @@ def load_compile_db(build_dir: Path) -> set[Path]:
     return {Path(entry["file"]) for entry in json.loads(db_path.read_text())}
 
 
+def _sources(root: Path) -> list[Path]:
+    return sorted(p for ext in ("*.h", "*.cc", "*.cpp")
+                  for p in root.rglob(ext))
+
+
+def root_files() -> list[Path]:
+    """The program roots' sources, read from the tree (as lint's
+    src-reachable gate reads them); the analyzer's own fixtures are no
+    program."""
+    return [p for d in ROOT_DIRS for p in _sources(REPO / d)
+            if FIXTURES not in p.parents]
+
+
 def first_party_files(db_tus: set[Path]) -> list[Path]:
-    src = REPO / "src"
-    files = sorted(list(src.rglob("*.h")) + list(src.rglob("*.cc")))
+    files = _sources(REPO / "src")
     if db_tus:
         # the db names the TUs the build actually compiles; any first-party
         # TU missing from it would silently escape analysis - surface that.
@@ -1390,18 +1693,24 @@ def run_repo(build_dir: Path) -> int:
         print(f"analyze: note: no compile_commands.json under {build_dir} "
               "(configure with -DCMAKE_EXPORT_COMPILE_COMMANDS=ON); "
               "falling back to the src/ tree", file=sys.stderr)
-    prog = BuiltinFrontend().parse(first_party_files(db), REPO)
+    roots = root_files()
+    if not roots:
+        print("analyze: no program roots found under "
+              f"{', '.join(ROOT_DIRS)}", file=sys.stderr)
+        return 2
+    prog = BuiltinFrontend().parse(first_party_files(db) + roots, REPO)
     violations = run_checks(prog)
     for v in violations:
         print(v)
     seeds = sum(1 for f in prog.functions if "mtds:no-alloc" in f.tags)
+    test_api = sum(1 for f in prog.functions if "mtds:test-api" in f.tags)
+    summary = (f"{len(prog.functions)} functions, {seeds} no-alloc seeds, "
+               f"{len(prog.roots)} root functions, {test_api} test-api")
     if violations:
-        print(f"analyze: {len(violations)} violation(s) "
-              f"({len(prog.functions)} functions, {seeds} no-alloc seeds)",
+        print(f"analyze: {len(violations)} violation(s) ({summary})",
               file=sys.stderr)
         return 1
-    print(f"analyze: clean ({len(prog.functions)} functions, "
-          f"{seeds} no-alloc seeds)")
+    print(f"analyze: clean ({summary})")
     return 0
 
 

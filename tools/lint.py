@@ -43,7 +43,8 @@ them on synthetic inputs:
   tag-grammar         `mtds:` analysis tags must be well-formed: the bare
                       tag (mtds:no-alloc) takes no argument, the reason
                       tags (mtds:alloc-ok, mtds:nondet-ok, mtds:seconds-ok,
-                      mtds:lock-held, mtds:lock-free) require a non-empty
+                      mtds:lock-held, mtds:lock-free, mtds:test-api)
+                      require a non-empty
                       `(reason)` closed on the same line, and unknown
                       mtds: tags are rejected outright - a misspelt tag
                       would otherwise silently fail to suppress (or seed)
@@ -345,7 +346,7 @@ _TAG_SCAN = re.compile(r"mtds:[\w-]+")
 _BARE_TAGS = {"mtds:no-alloc"}
 _REASON_TAGS = {
     "mtds:alloc-ok", "mtds:nondet-ok", "mtds:seconds-ok",
-    "mtds:lock-held", "mtds:lock-free",
+    "mtds:lock-held", "mtds:lock-free", "mtds:test-api",
 }
 
 
@@ -696,16 +697,18 @@ def self_test() -> int:
         "// mtds:alloc-ok()\n"                # empty reason
         "// mtds:alloc-ok(spans two\n"        # paren not closed on the line
         "// mtds:no-aloc\n"                   # misspelt tag
+        "// mtds:test-api\n"                 # test-only code needs a reason
     )
     good_tags = (
         "// mtds:no-alloc\n"
         "// mtds:alloc-ok(capacity reserved at round start)\n"
         "int x;  // mtds:lock-free(set once at shutdown, workers poll)\n"
+        "// mtds:test-api(a test builds adversarial input with it)\n"
         "// prose without any tag at all\n"
     )
     got = check_tag_grammar("fake.h", bad_tags)
-    expect(len(got) == 5,
-           f"tag-grammar: expected 5 hits, got {len(got)}")
+    expect(len(got) == 6,
+           f"tag-grammar: expected 6 hits, got {len(got)}")
     expect(not check_tag_grammar("fake.h", good_tags),
            "tag-grammar: well-formed tags flagged")
 
