@@ -2,8 +2,8 @@
 // service::ProtocolEngine with runtime::UdpRuntime.
 //
 // The protocol logic - rule MM-1 responder, rule MM-2/IM-2 synchronization
-// loop, adaptive polling, sample filtering, broadcast rounds, rate
-// monitoring, third-server recovery - is service::ProtocolEngine, the exact
+// loop, adaptive polling, sample filtering, rate monitoring, third-server
+// recovery - is service::ProtocolEngine, the exact
 // code the simulator validates (service::TimeService runs it over
 // runtime::SimRuntime).  This shell only plumbs configuration: it builds
 // the virtualized clock with service::make_clock at host time (so drift,

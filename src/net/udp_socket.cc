@@ -5,7 +5,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -145,32 +144,6 @@ bool UdpSocket::send_to(const sockaddr_in& addr,
       ::sendto(fd_, data.data(), data.size(), 0,
                reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   return n == static_cast<ssize_t>(data.size());
-}
-
-std::size_t UdpSocket::send_to_many(std::span<const sockaddr_in> addrs,
-                                    std::span<const std::uint8_t> data) {
-  if (fd_ < 0 || addrs.empty()) return 0;
-  // One shared iovec; per-destination headers built in fixed-size chunks
-  // on the stack, so the fan-out allocates nothing.
-  constexpr std::size_t kChunk = 64;
-  iovec iov{const_cast<std::uint8_t*>(data.data()), data.size()};
-  mmsghdr headers[kChunk];
-  std::size_t sent = 0;
-  for (std::size_t base = 0; base < addrs.size(); base += kChunk) {
-    const std::size_t n = std::min(kChunk, addrs.size() - base);
-    std::memset(headers, 0, n * sizeof(mmsghdr));
-    for (std::size_t i = 0; i < n; ++i) {
-      headers[i].msg_hdr.msg_name = const_cast<sockaddr_in*>(&addrs[base + i]);
-      headers[i].msg_hdr.msg_namelen = sizeof(sockaddr_in);
-      headers[i].msg_hdr.msg_iov = &iov;
-      headers[i].msg_hdr.msg_iovlen = 1;
-    }
-    const int done = ::sendmmsg(fd_, headers, static_cast<unsigned int>(n), 0);
-    if (done < 0) break;
-    sent += static_cast<std::size_t>(done);
-    if (static_cast<std::size_t>(done) < n) break;
-  }
-  return sent;
 }
 
 // mtds:no-alloc

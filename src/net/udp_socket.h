@@ -1,10 +1,10 @@
 // RAII UDP socket bound to the loopback interface.
 //
 // Hot-path I/O is batched: receive_batch() drains up to a whole RecvBatch of
-// datagrams per wakeup with one recvmmsg(2) syscall, and send_to_many() /
-// send_batch() fan out with sendmmsg(2) (Linux only, like SOCK_CLOEXEC in
-// the constructor).  RecvBatch owns reusable buffers, so steady-state
-// receive allocates nothing.
+// datagrams per wakeup with one recvmmsg(2) syscall, and send_batch() fans
+// out with sendmmsg(2) (Linux only, like SOCK_CLOEXEC in the constructor).
+// RecvBatch owns reusable buffers, so steady-state receive allocates
+// nothing.
 #pragma once
 
 #include <netinet/in.h>
@@ -48,7 +48,7 @@ class RecvBatch {
 
 // Reusable send buffers for UdpSocket::send_batch: per-slot payload and
 // destination (RecvBatch's twin for the reply direction, where every
-// datagram differs - send_to_many covers the one-payload fan-out case).
+// datagram differs).
 // Fixed capacity; append() hands out slot storage so hot paths encode
 // replies in place and steady-state sending allocates nothing.
 class SendBatch {
@@ -110,11 +110,6 @@ class UdpSocket {
   // Sends to 127.0.0.1:port.  Returns false on send failure.
   bool send_to(std::uint16_t port, std::span<const std::uint8_t> data);
   bool send_to(const sockaddr_in& addr, std::span<const std::uint8_t> data);
-
-  // Sends the same payload to every address with sendmmsg.  Returns the
-  // number reported sent.
-  std::size_t send_to_many(std::span<const sockaddr_in> addrs,
-                           std::span<const std::uint8_t> data);
 
   // Sends every queued (payload, destination) pair in `batch` with
   // sendmmsg.  Returns the number reported sent; does not clear the batch.

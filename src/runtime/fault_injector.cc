@@ -39,24 +39,6 @@ void FaultInjector::send(ServerId to, const ServiceMessage& msg) {
   process(Dir::kOutbound, to, msg, inner_->now());
 }
 
-std::size_t FaultInjector::broadcast(const std::vector<ServerId>& targets,
-                                     const ServiceMessage& msg) {
-  // Fan out through the per-copy gauntlet so each copy gets its own fault
-  // decision, mirroring sim::Network::broadcast.  Returns copies that were
-  // not dropped outright (immediately forwarded or held for a delay spike).
-  std::size_t dispatched = 0;
-  for (ServerId to : targets) {
-    if (to == self_) continue;
-    const FaultStats before = stats_;
-    send(to, msg);
-    if (stats_.forwarded > before.forwarded ||
-        stats_.delayed > before.delayed) {
-      ++dispatched;
-    }
-  }
-  return dispatched;
-}
-
 Duration FaultInjector::max_one_way_delay() const {
   return inner_->max_one_way_delay() + (plan_.delay > 0 ? plan_.delay_hi : 0.0);
 }
@@ -68,22 +50,6 @@ void FaultInjector::corrupt_state() {
   if (crashed_ || !corruptor_) return;
   ++stats_.state_corruptions;
   corruptor_(nonce);
-}
-
-void FaultInjector::partition_outbound(ServerId peer, bool blocked) {
-  if (blocked) {
-    blocked_outbound_.insert(peer);
-  } else {
-    blocked_outbound_.erase(peer);
-  }
-}
-
-void FaultInjector::partition_inbound(ServerId peer, bool blocked) {
-  if (blocked) {
-    blocked_inbound_.insert(peer);
-  } else {
-    blocked_inbound_.erase(peer);
-  }
 }
 
 void FaultInjector::corrupt_fields(ServiceMessage& msg) {
@@ -120,12 +86,6 @@ void FaultInjector::process(Dir dir, ServerId peer, ServiceMessage msg,
       if (result.forged) ++stats_.forged;
       if (result.equivocated) ++stats_.equivocations;
     }
-  }
-  const auto& blocked =
-      dir == Dir::kOutbound ? blocked_outbound_ : blocked_inbound_;
-  if (blocked.count(peer) > 0) {
-    ++stats_.dropped_partition;
-    return;
   }
   if (chance(plan_.drop)) {
     ++stats_.dropped_loss;

@@ -4,10 +4,11 @@
 // paper's "communication failures" (Section 1) deterministically from a
 // seeded sim::Rng: message loss, duplication, delay spikes (re-dispatched
 // through the inner runtime's timers, so a delayed reply can arrive after
-// the round that requested it closed - the stale-reply case), per-peer
-// asymmetric partitions, field corruption, and crash-stop/restart of the
-// local endpoint.  Both directions are intercepted: outbound via send()/
-// broadcast(), inbound by interposing on the handler installed at open().
+// the round that requested it closed - the stale-reply case), field
+// corruption, and crash-stop/restart of the local endpoint.  Both
+// directions are intercepted: outbound via send(), inbound by interposing
+// on the handler installed at open().  Link partitions are the network's
+// business (sim::Network::set_partitioned), not the chaos plane's.
 // Timers and now() pass straight through to the inner runtime.
 //
 // Every injected fault is accounted for in a FaultStats ledger mirroring
@@ -20,16 +21,14 @@
 // the runtime's serialization domain exactly like the engine (see
 // runtime/runtime.h).  service::ProtocolEngine builds one over its runtime
 // when its spec's chaos plan is active.  Over UDP, embedders must hold the
-// runtime's state mutex around control calls (set_crashed, partition_*)
-// and stats reads; net::UdpTimeServer exposes locked wrappers.
+// runtime's state mutex around control calls (set_crashed) and stats
+// reads; net::UdpTimeServer exposes locked wrappers.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <utility>
-#include <vector>
 
 #include "runtime/adversary.h"
 #include "runtime/runtime.h"
@@ -42,7 +41,7 @@ namespace mtds::runtime {
 // gauntlet independently.
 struct FaultPlan {
   bool enabled = false;        // arm the injector even with all p == 0
-                               // (for pure crash/partition control)
+                               // (for pure crash control)
   double drop = 0.0;           // P(lose the copy)
   double duplicate = 0.0;      // P(dispatch a second copy immediately)
   double delay = 0.0;          // P(hold the copy for a delay spike)
@@ -74,7 +73,9 @@ struct FaultStats {
   std::uint64_t inbound = 0;            // copies presented by the inner runtime
   std::uint64_t forwarded = 0;          // copies dispatched (either direction)
   std::uint64_t dropped_loss = 0;       // random loss
-  std::uint64_t dropped_partition = 0;  // per-peer directional block
+  std::uint64_t dropped_partition = 0;  // never set: the chaos plane cuts
+                                        // no links (kept because ledger
+                                        // readers sum it with the drops)
   std::uint64_t dropped_crash = 0;      // local endpoint crashed
   std::uint64_t duplicated = 0;         // extra copies minted
   std::uint64_t delayed = 0;            // copies held for a delay spike
@@ -106,8 +107,6 @@ class FaultInjector final : public Runtime {
   void open(ServerId self, Handler handler) override;
   void close() override;
   void send(ServerId to, const ServiceMessage& msg) override;
-  std::size_t broadcast(const std::vector<ServerId>& targets,
-                        const ServiceMessage& msg) override;
   // Inner bound plus the worst delay spike, so the engine's reply window
   // covers delayed (but not stale) replies.
   Duration max_one_way_delay() const override;
@@ -133,12 +132,6 @@ class FaultInjector final : public Runtime {
   }
   void corrupt_state();
 
-  // Asymmetric partitions: block one direction to/from a single peer.
-  // mtds:test-api(fault_injector_test builds one-way link cuts with it)
-  void partition_outbound(ServerId peer, bool blocked);
-  // mtds:test-api(fault_injector_test builds one-way link cuts with it)
-  void partition_inbound(ServerId peer, bool blocked);
-
   const FaultStats& stats() const noexcept { return stats_; }
 
  private:
@@ -160,8 +153,6 @@ class FaultInjector final : public Runtime {
   ServerId self_ = core::kInvalidServer;
   bool open_ = false;
   bool crashed_ = false;
-  std::set<ServerId> blocked_outbound_;
-  std::set<ServerId> blocked_inbound_;
   StateCorruptor corruptor_;
   FaultStats stats_;
 };

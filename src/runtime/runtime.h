@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "core/time_types.h"
 #include "service/message.h"
@@ -58,12 +57,9 @@ class Runtime {
 
   // Sends one message to `to`.  Best effort: loss, partitions and unknown
   // destinations are silent (the protocol tolerates lost replies by design).
+  // This is the only send: a round's poll of its neighbours (the paper's
+  // directed broadcast) is one send per target, each with its own tag.
   virtual void send(ServerId to, const ServiceMessage& msg) = 0;
-
-  // Directed broadcast ([Boggs 82]): one logical send fanned out to every
-  // target except self.  Returns the number of copies actually dispatched.
-  virtual std::size_t broadcast(const std::vector<ServerId>& targets,
-                                const ServiceMessage& msg) = 0;
 
   // Largest one-way delay the runtime can produce; the engine sizes its
   // reply-collection window as 2x this bound (the round-trip bound xi).

@@ -40,11 +40,6 @@ class SimRuntime final : public Runtime {
     network_->send(self_, to, msg);
   }
 
-  std::size_t broadcast(const std::vector<ServerId>& targets,
-                        const ServiceMessage& msg) override {
-    return network_->broadcast(self_, targets, msg);
-  }
-
   Duration max_one_way_delay() const override {
     return network_->max_one_way_delay();
   }

@@ -81,6 +81,14 @@ ServerId UdpRuntime::id_for_addr(const sockaddr_in& addr) {
   return id;
 }
 
+ServerId UdpRuntime::peer_at(const sockaddr_in& addr) const {
+  const auto it = id_by_addr_.find(addr_key(addr));
+  if (it == id_by_addr_.end() || it->second >= kPseudoIdBase) {
+    return core::kInvalidServer;
+  }
+  return it->second;
+}
+
 void UdpRuntime::send(ServerId to, const ServiceMessage& msg) {
   const auto addr = addr_by_id_.find(to);
   if (addr == addr_by_id_.end()) return;  // unknown destination: best effort
@@ -109,37 +117,6 @@ void UdpRuntime::send(ServerId to, const ServiceMessage& msg) {
   resp.clock_ns = net::seconds_to_ns(msg.c.seconds());
   resp.error_ns = net::seconds_to_ns(msg.e.seconds());
   socket_.send_to(addr->second, net::encode(resp));
-}
-
-// mtds:alloc-ok(wall-clock runtime plane; the address scratch keeps its capacity across polls and a real sendmmsg dwarfs any residual growth)
-std::size_t UdpRuntime::broadcast(const std::vector<ServerId>& targets,
-                                  const ServiceMessage& msg) {
-  // Requests carry no per-target state, so the payload is encoded once and
-  // fanned out with a single sendmmsg where available.  Other messages keep
-  // the per-target path.
-  if (msg.type == ServiceMessage::Type::kTimeRequest) {
-    broadcast_addrs_.clear();
-    for (ServerId to : targets) {
-      if (to == self_) continue;
-      const auto addr = addr_by_id_.find(to);
-      if (addr == addr_by_id_.end()) continue;
-      broadcast_addrs_.push_back(addr->second);
-    }
-    if (broadcast_addrs_.empty()) return 0;
-    net::TimeRequestPacket req;
-    req.tag = msg.tag;
-    req.client_send_ns = 0;
-    socket_.send_to_many(broadcast_addrs_, net::encode(req));
-    return broadcast_addrs_.size();
-  }
-  std::size_t dispatched = 0;
-  for (ServerId to : targets) {
-    if (to == self_) continue;
-    if (addr_by_id_.count(to) == 0) continue;
-    send(to, msg);
-    ++dispatched;
-  }
-  return dispatched;
 }
 
 Duration UdpRuntime::max_one_way_delay() const {
@@ -217,12 +194,13 @@ void UdpRuntime::receive_loop() {
         handler_(host_seconds(), msg);
       } else if (const auto resp =
                      net::decode_response(payload.data(), payload.size())) {
-        // Attribute by source address when it is a configured peer; fall
-        // back to the wire id for unlisted responders (informational only).
-        const auto it = id_by_addr_.find(addr_key(batch.from(i)));
+        // Attribute by source address; a reply from anyone but a
+        // configured peer answers no poll of ours and is dropped.
+        const ServerId from = peer_at(batch.from(i));
+        if (from == core::kInvalidServer) continue;
         ServiceMessage msg;
         msg.type = ServiceMessage::Type::kTimeResponse;
-        msg.from = it != id_by_addr_.end() ? it->second : resp->server_id;
+        msg.from = from;
         msg.to = self_;
         msg.tag = resp->tag;
         msg.c = net::ns_to_seconds(resp->clock_ns);
@@ -230,12 +208,13 @@ void UdpRuntime::receive_loop() {
         handler_(host_seconds(), msg);
       } else if (const auto gossip =
                      net::decode_gossip(payload.data(), payload.size())) {
-        // Cross-notes attribute the *sender* by source address (same rule
-        // as responses: never trust a wire id for a configured peer).
-        const auto it = id_by_addr_.find(addr_key(batch.from(i)));
+        // Cross-notes attribute the *sender* by source address, under the
+        // same configured-peer rule as replies.
+        const ServerId from = peer_at(batch.from(i));
+        if (from == core::kInvalidServer) continue;
         ServiceMessage msg;
         msg.type = ServiceMessage::Type::kReadingGossip;
-        msg.from = it != id_by_addr_.end() ? it->second : gossip->sender_id;
+        msg.from = from;
         msg.to = self_;
         msg.source = gossip->source_id;
         msg.tag = gossip->round;

@@ -14,9 +14,11 @@
 //   * Anybody else who sends us a request (e.g. a UdpTimeClient on an
 //     ephemeral socket, or an unlisted server) is assigned a pseudo id on
 //     first contact, keyed by source address, so the engine can answer via
-//     plain Runtime::send.  Inbound replies are attributed by source
-//     address when it matches a configured peer - the robust choice, since
-//     request packets carry no sender id.
+//     plain Runtime::send.
+//   * Replies and cross-notes are attributed by source address and are
+//     accepted only from configured peers: the engine polls nobody else,
+//     and a wire id is never trusted, so an unlisted sender cannot pose
+//     as a peer.
 //
 // Threading: both delivery threads take the state mutex around every
 // handler/timer callback, giving the engine the same serialized world the
@@ -96,19 +98,16 @@ class UdpRuntime final : public Runtime {
   // between construction and open() as the peer set becomes known.
   void add_peer(const UdpPeer& peer) EXCLUDES(state_mutex_);
 
-  // Messages.  open() starts the receiver and timer threads.  All four are
-  // called by the engine from inside the serialization domain, i.e. with
-  // state_mutex_ already held:
+  // Messages.  open() starts the receiver and timer threads.  All three
+  // are called by the engine from inside the serialization domain, i.e.
+  // with state_mutex_ already held:
   //   open  <- ProtocolEngine::start  <- UdpTimeServer::start  (locked)
   //   close <- ProtocolEngine::stop   <- UdpTimeServer::stop   (locked)
-  //   send / broadcast <- engine handlers and timer callbacks dispatched by
-  //                       receive_loop/timer_loop, which hold the lock
+  //   send  <- engine handlers and timer callbacks dispatched by
+  //            receive_loop/timer_loop, which hold the lock
   void open(ServerId self, Handler handler) override REQUIRES(state_mutex_);
   void close() override REQUIRES(state_mutex_);
   void send(ServerId to, const ServiceMessage& msg) override
-      REQUIRES(state_mutex_);
-  std::size_t broadcast(const std::vector<ServerId>& targets,
-                        const ServiceMessage& msg) override
       REQUIRES(state_mutex_);
   Duration max_one_way_delay() const override;
 
@@ -131,6 +130,9 @@ class UdpRuntime final : public Runtime {
   // Maps a source address to an engine-side id, allocating a pseudo id for
   // first-time correspondents.
   ServerId id_for_addr(const sockaddr_in& addr) REQUIRES(state_mutex_);
+  // The configured peer at a source address, or kInvalidServer when the
+  // address is unlisted or only holds a pseudo id.
+  ServerId peer_at(const sockaddr_in& addr) const REQUIRES(state_mutex_);
 
   UdpRuntimeConfig config_;
   net::UdpSocket socket_;
@@ -162,9 +164,6 @@ class UdpRuntime final : public Runtime {
   util::SlabHeap<TimerPriority, std::function<void()>> timer_queue_
       GUARDED_BY(timer_mutex_);
   std::uint64_t next_timer_seq_ GUARDED_BY(timer_mutex_) = 0;
-
-  // Broadcast fan-out scratch (engine thread only, under the outer lock).
-  std::vector<sockaddr_in> broadcast_addrs_ GUARDED_BY(state_mutex_);
 
   // mtds:lock-free(run flag: set by start() before the threads spawn and
   // cleared by stop(); the threads only poll it to exit their loops, all

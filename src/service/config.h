@@ -66,11 +66,6 @@ struct ServerSpec {
   // of the latest reply (the filter column of service/peer_table.h).
   bool use_sample_filter = false;
 
-  // Collect via directed broadcast ([Boggs 82], the paper's suggested
-  // method): one request tag fanned out to all neighbours per round,
-  // instead of per-neighbour request/tag pairs.
-  bool use_broadcast = false;
-
   // Servers this one may consult for third-server recovery but does not
   // poll routinely ("a server on some other network").
   std::vector<ServerId> recovery_pool;

@@ -189,11 +189,13 @@ void ProtocolEngine::begin_round() {
   const RealTime now = rt_->now();
   const ClockTime local = clock_->read(now);
 
-  // Peer-health filter: healthy and suspect peers are polled every round;
-  // dead peers only when their backoff countdown expires (a probe);
-  // quarantined peers never.  Without the health layer every neighbour is
-  // a target, exactly as before.
-  round_targets_.clear();
+  // One request per target, each with its own tag.  Peer-health filter:
+  // healthy and suspect peers are polled every round; dead peers only when
+  // their backoff countdown expires (a probe); quarantined peers never.
+  // Without the health layer every neighbour is a target.
+  ServiceMessage req;
+  req.type = ServiceMessage::Type::kTimeRequest;
+  req.from = id_;
   for (ServerId peer : neighbors_) {
     if (peer == id_) continue;
     if (peers_.health_on()) {
@@ -205,37 +207,12 @@ void ProtocolEngine::begin_round() {
       }
       if (probe) ++counters_.probes_sent;
     }
-    // mtds:alloc-ok(per-round target list bounded by the neighbour count; clear() keeps its capacity across rounds)
-    round_targets_.push_back(peer);
-  }
-
-  // One Pending per target.  Directed broadcast ([Boggs 82]) shares one
-  // tag among the round's targets, kept in ascending order so the round
-  // close attributes misses in peer order.
-  const std::size_t first = pending_.size();
-  const std::uint64_t shared_tag = spec_.use_broadcast ? next_tag_++ : 0;
-  for (ServerId peer : round_targets_) {
-    const std::uint64_t tag = spec_.use_broadcast ? shared_tag : next_tag_++;
+    req.to = peer;
+    req.tag = next_tag_++;
     // mtds:alloc-ok(in-flight request list bounded by the neighbour count; entries are erased on reply and the capacity persists)
-    pending_.push_back(Pending{tag, peer, local, /*recovery=*/false});
-  }
-  ServiceMessage req;
-  req.type = ServiceMessage::Type::kTimeRequest;
-  req.from = id_;
-  if (spec_.use_broadcast) {
-    std::sort(pending_.begin() + static_cast<std::ptrdiff_t>(first),
-              pending_.end(), [](const Pending& a, const Pending& b) {
-                return a.to < b.to;
-              });
-    req.tag = shared_tag;
-    counters_.requests_sent += rt_->broadcast(round_targets_, req);
-  } else {
-    for (std::size_t i = first; i < pending_.size(); ++i) {
-      req.to = pending_[i].to;
-      req.tag = pending_[i].tag;
-      ++counters_.requests_sent;
-      rt_->send(req.to, req);
-    }
+    pending_.push_back(Pending{req.tag, peer, local, /*recovery=*/false});
+    ++counters_.requests_sent;
+    rt_->send(peer, req);
   }
 
   // Cross-notes ride the round boundary: what we learned first-hand last

@@ -2,9 +2,9 @@
 //
 // One implementation of the paper's protocol - the rule MM-1/IM-1 responder
 // plus the periodic rule MM-2/IM-2 synchronization loop, with pluggable
-// synchronization function, adaptive polling, sample filtering, broadcast
-// rounds, Section 5 rate monitoring and Section 3 third-server recovery -
-// driven entirely through the one runtime::Runtime interface.  The same
+// synchronization function, adaptive polling, sample filtering, Section 5
+// rate monitoring and Section 3 third-server recovery - driven entirely
+// through the one runtime::Runtime interface.  The same
 // engine is a simulated server (service::TimeService builds one per server
 // over runtime::SimRuntime) and the core of the UDP daemon
 // (net::UdpTimeServer over runtime::UdpRuntime), so the deployed loop is
@@ -224,9 +224,8 @@ class ProtocolEngine {
   bool running_ = false;
   Duration current_period_ = 0.0;  // adaptive tau; starts at spec.poll_period
 
-  // Outstanding requests, in (tag, destination) order.  Tags are handed
-  // out monotonically; a broadcast round shares one tag among its targets,
-  // which are appended in ascending order.  A reply pairs by (tag, sender)
+  // Outstanding requests, in tag order: every request gets its own tag,
+  // handed out monotonically.  A reply pairs by (tag, sender)
   // with a short linear scan (at most a round's worth of requests).
   // Steady-state rounds touch no allocator: push_back reuses capacity and
   // expiry compacts in place.
@@ -263,8 +262,7 @@ class ProtocolEngine {
 
   // Current round state (per-round sync functions buffer replies here).
   core::Readings round_replies_;
-  // Round scratch buffers: cleared and refilled every round, never shrunk.
-  std::vector<ServerId> round_targets_;
+  // Round scratch buffer: cleared and refilled every round, never shrunk.
   core::Readings filter_scratch_;  // per-round filter output (best_all_into)
   bool round_open_ = false;
   runtime::TimerId round_end_timer_ = runtime::kInvalidTimer;

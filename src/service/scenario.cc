@@ -1,6 +1,7 @@
 #include "service/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -31,7 +32,9 @@ std::vector<std::string> tokenize(const std::string& line) {
 double parse_double(const std::string& s) {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') fail("not a number: " + s);
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(v)) {
+    fail("not a number: " + s);
+  }
   return v;
 }
 
@@ -146,8 +149,6 @@ ServerSpec parse_spec_tokens(const std::vector<std::string>& tokens,
       spec.adaptive.max_period = parse_positive(key, value);
     } else if (key == "filter") {
       spec.use_sample_filter = parse_bool(key, value);
-    } else if (key == "broadcast") {
-      spec.use_broadcast = parse_bool(key, value);
     } else if (key == "monitor") {
       spec.monitor_rates = parse_bool(key, value);
     } else if (key == "health") {

@@ -47,7 +47,6 @@
 //   adaptive-min=X   adaptive.min_period (> 0, <= adaptive-max)
 //   adaptive-max=X   adaptive.max_period (> 0)
 //   filter=B         use_sample_filter: min-RTT sample per neighbour
-//   broadcast=B      use_broadcast: one request tag per round
 //   monitor=B        monitor_rates: Section 5 rate monitor
 //   health=B         peer-health layer on
 //   quarantine=N     consecutive inconsistencies before quarantine

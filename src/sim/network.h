@@ -38,18 +38,13 @@ using core::ServerId;
 //   * a sent copy is either dropped at send time (loss / partition), dropped
 //     at delivery time (no handler), or delivered - so once the queue
 //     drains, sent == delivered + dropped_loss + dropped_partition +
-//     dropped_no_handler;
-//   * broadcast() never calls send() for self-copies, so they appear in
-//     `skipped_self` and nowhere else (previously they vanished from the
-//     books entirely, while a direct self-send still counted in `sent` -
-//     the asymmetry made broadcast fan-out under-report traffic).
+//     dropped_no_handler.
 struct NetworkStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dropped_loss = 0;       // random loss
   std::uint64_t dropped_partition = 0;  // blocked link
   std::uint64_t dropped_no_handler = 0; // receiver not registered
-  std::uint64_t skipped_self = 0;       // broadcast copies to the sender
 };
 
 template <typename Msg>
@@ -189,25 +184,6 @@ class Network {
     return delay;
   }
 
-  // Directed broadcast ([Boggs 82], the paper's suggested collection
-  // method): one logical send fanned out to every target, each copy subject
-  // to its own delay/loss/partition decision.  Self-copies are skipped and
-  // tracked in stats().skipped_self rather than silently discarded, so the
-  // stats stay consistent with send() accounting.  Returns the number of
-  // copies actually dispatched.
-  std::size_t broadcast(ServerId from, const std::vector<ServerId>& targets,
-                        const Msg& msg) {
-    std::size_t dispatched = 0;
-    for (ServerId to : targets) {
-      if (to == from) {
-        ++stats_[shard_of(from)].s.skipped_self;
-        continue;
-      }
-      if (send(from, to, msg)) ++dispatched;
-    }
-    return dispatched;
-  }
-
   // Largest one-way delay the default model can produce; services use
   // 2 * max_one_way_delay() as their round-trip bound xi.
   Duration max_one_way_delay() const noexcept { return delays_->max_delay(); }
@@ -233,7 +209,6 @@ class Network {
       agg_stats_.dropped_loss += p.s.dropped_loss;
       agg_stats_.dropped_partition += p.s.dropped_partition;
       agg_stats_.dropped_no_handler += p.s.dropped_no_handler;
-      agg_stats_.skipped_self += p.s.skipped_self;
     }
     return agg_stats_;
   }

@@ -128,12 +128,6 @@ TEST(AllocTest, ShardedEngineSteadyStateIsAllocationFree) {
   expect_steady_state_alloc_free(std::move(cfg), "MM/sharded");
 }
 
-TEST(AllocTest, BroadcastRoundsSteadyStateIsAllocationFree) {
-  ServiceConfig cfg = config(core::SyncAlgorithm::kIM, 4);
-  for (auto& s : cfg.servers) s.use_broadcast = true;
-  expect_steady_state_alloc_free(std::move(cfg), "IM/broadcast");
-}
-
 TEST(AllocTest, SampleFilterSteadyStateIsAllocationFree) {
   ServiceConfig cfg = config(core::SyncAlgorithm::kIM, 4);
   for (auto& s : cfg.servers) s.use_sample_filter = true;

@@ -24,23 +24,12 @@ class FakeRuntime final : public Runtime {
 
   explicit FakeRuntime(sim::EventQueue& queue) : queue_(&queue) {}
 
-  void open(ServerId self, Handler handler) override {
-    self_ = self;
+  void open(ServerId /*self*/, Handler handler) override {
     handler_ = std::move(handler);
   }
   void close() override { handler_ = nullptr; }
   void send(ServerId to, const ServiceMessage& msg) override {
     sent.push_back({to, msg});
-  }
-  std::size_t broadcast(const std::vector<ServerId>& targets,
-                        const ServiceMessage& msg) override {
-    std::size_t n = 0;
-    for (ServerId to : targets) {
-      if (to == self_) continue;
-      send(to, msg);
-      ++n;
-    }
-    return n;
   }
   Duration max_one_way_delay() const override { return 0.01; }
   TimerId after(Duration delay, std::function<void()> cb) override {
@@ -59,7 +48,6 @@ class FakeRuntime final : public Runtime {
 
  private:
   sim::EventQueue* queue_;
-  ServerId self_ = core::kInvalidServer;
   Handler handler_;
 };
 
@@ -160,29 +148,6 @@ TEST(FaultInjector, DelayInflatesAdvertisedOneWayBound) {
   EXPECT_DOUBLE_EQ(h2.injector.max_one_way_delay().seconds(), 0.01);
 }
 
-TEST(FaultInjector, AsymmetricPartitionBlocksOneDirectionOnly) {
-  FaultPlan plan;
-  plan.enabled = true;
-  Harness h(plan);
-
-  h.injector.partition_outbound(1, true);
-  h.injector.send(1, response(0, 1, 1));      // blocked
-  h.injector.send(2, response(0, 2, 2));      // other peer: unaffected
-  h.inner.deliver(h.queue.now(), response(1, 0, 3));  // inbound: unaffected
-  EXPECT_EQ(h.inner.sent.size(), 1u);
-  EXPECT_EQ(h.inner.sent[0].to, 2u);
-  EXPECT_EQ(h.received.size(), 1u);
-  EXPECT_EQ(h.injector.stats().dropped_partition, 1u);
-
-  h.injector.partition_outbound(1, false);
-  h.injector.partition_inbound(1, true);
-  h.injector.send(1, response(0, 1, 4));      // now flows
-  h.inner.deliver(h.queue.now(), response(1, 0, 5));  // now blocked
-  EXPECT_EQ(h.inner.sent.size(), 2u);
-  EXPECT_EQ(h.received.size(), 1u);
-  EXPECT_EQ(h.injector.stats().dropped_partition, 2u);
-}
-
 TEST(FaultInjector, CrashStopSilencesBothDirectionsUntilRestart) {
   FaultPlan plan;
   plan.enabled = true;
@@ -231,26 +196,6 @@ TEST(FaultInjector, CorruptionMutatesFieldsAndCounts) {
     // tag no longer matches; never a clean copy.
     EXPECT_TRUE(msg.c != original.c || msg.tag != original.tag);
   }
-}
-
-TEST(FaultInjector, BroadcastRunsEachCopyThroughTheGauntlet) {
-  FaultPlan plan;
-  plan.drop = 0.5;
-  plan.seed = 99;
-  Harness h(plan);
-
-  std::size_t dispatched = 0;
-  for (int i = 0; i < 20; ++i) {
-    dispatched += h.injector.broadcast({1, 2, 3, 0 /* self: skipped */},
-                                       response(0, 0, 50 + i));
-  }
-  // 60 copies at 50% loss: some through, some dropped, self never counted.
-  EXPECT_EQ(dispatched, h.inner.sent.size());
-  EXPECT_GT(dispatched, 0u);
-  EXPECT_LT(dispatched, 60u);
-  EXPECT_EQ(h.injector.stats().outbound, 60u);
-  EXPECT_EQ(h.injector.stats().dropped_loss + h.injector.stats().forwarded,
-            60u);
 }
 
 FaultStats run_mixed_plan(std::uint64_t seed) {

@@ -334,10 +334,6 @@ class LaggingRuntime final : public runtime::Runtime {
   void send(ServerId to, const service::ServiceMessage& msg) override {
     inner_->send(to, msg);
   }
-  std::size_t broadcast(const std::vector<ServerId>& targets,
-                        const service::ServiceMessage& msg) override {
-    return inner_->broadcast(targets, msg);
-  }
   core::Duration max_one_way_delay() const override {
     return inner_->max_one_way_delay();
   }
@@ -402,7 +398,7 @@ TEST(RuntimeParity, ResetsLandAtTheTimeTheyWereComputedFor) {
 
 // --- Engine extensions over UDP ------------------------------------------
 //
-// Adaptive polling, the sample filter and broadcast rounds used to be
+// Adaptive polling, the sample filter and the rate monitor used to be
 // sim-only.  The shared engine makes them available to the daemon; this
 // exercises them end-to-end over real sockets.
 
@@ -598,7 +594,6 @@ TEST(RuntimeParity, EngineExtensionsRunOverUdp) {
   cfg.algo = core::SyncAlgorithm::kMM;
   cfg.poll_period = 0.04;
   cfg.reply_timeout = 0.01;
-  cfg.use_broadcast = true;
   cfg.use_sample_filter = true;
   cfg.monitor_rates = true;
   cfg.adaptive.enabled = true;

@@ -69,7 +69,7 @@ TEST(ParseScenario, ServerSpecCoversEveryKey) {
   const ServerSpec s = parse_server_spec(
       "algo=IMFT delta=2e-5 drift=-3e-6 error=0.04 offset=0.01 tau=2 "
       "recovery=third pool=3,4 adaptive=0.02 adaptive-min=0.25 "
-      "adaptive-max=8 filter=1 broadcast=true monitor=1 health=0 "
+      "adaptive-max=8 filter=1 monitor=1 health=0 "
       "quarantine=5 release=4 probation=2 chaos-drop=0.1 chaos-dup=0.2 "
       "chaos-delay=0.3 chaos-delay-max=0.05 chaos-corrupt=0.01 "
       "chaos-seed=99  # trailing comment",
@@ -87,7 +87,6 @@ TEST(ParseScenario, ServerSpecCoversEveryKey) {
   EXPECT_DOUBLE_EQ(s.adaptive.min_period.seconds(), 0.25);
   EXPECT_DOUBLE_EQ(s.adaptive.max_period.seconds(), 8.0);
   EXPECT_TRUE(s.use_sample_filter);
-  EXPECT_TRUE(s.use_broadcast);
   EXPECT_TRUE(s.monitor_rates);
   EXPECT_TRUE(s.health.enabled);  // quarantine=5 implies health=1
   EXPECT_EQ(s.health.quarantine_after, 5u);
@@ -181,6 +180,21 @@ TEST(ParseScenario, RejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW(parse_server_spec("delta=abc", ServerSpec{}),
                std::invalid_argument);
+  // Rounds poll each neighbour with its own tag; there is no broadcast key.
+  EXPECT_THROW(parse_server_spec("broadcast=1", ServerSpec{}),
+               std::invalid_argument);
+  // Every number is finite: a NaN horizon never ends a run, and a NaN or
+  // infinite bound makes every interval check vacuous.
+  for (const char* bad :
+       {"server algo=MM tau=10\nrun nan\n",
+        "server algo=MM tau=10\nrun inf\n",
+        "server algo=MM tau=nan\nrun 1\n",
+        "server algo=MM tau=10 delta=nan\nrun 1\n",
+        "server algo=MM tau=10 error=inf\nrun 1\n",
+        "server algo=MM tau=10\ndelay 0 nan\nrun 1\n",
+        "server algo=MM tau=10\nat nan crash 0\nrun 1\n"}) {
+    EXPECT_THROW(parse_scenario(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(ParseScenario, CommentsAndBlanksIgnored) {

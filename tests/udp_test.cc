@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/protocol.h"
 #include "net/udp_client.h"
 #include "net/udp_server.h"
 #include "net/udp_socket.h"
@@ -106,20 +107,6 @@ TEST(UdpSocket, ReceiveBatchTimesOutEmpty) {
   EXPECT_EQ(batch.size(), 0u);
 }
 
-TEST(UdpSocket, SendToManyReachesEveryTarget) {
-  UdpSocket sender, r1, r2, r3;
-  const std::vector<std::uint8_t> payload = {42, 43};
-  const std::array<sockaddr_in, 3> addrs = {UdpSocket::loopback(r1.port()),
-                                            UdpSocket::loopback(r2.port()),
-                                            UdpSocket::loopback(r3.port())};
-  EXPECT_EQ(sender.send_to_many(addrs, payload), 3u);
-  for (UdpSocket* rx : {&r1, &r2, &r3}) {
-    const auto got = receive_payload(*rx, /*timeout_ms=*/500);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, payload);
-  }
-}
-
 TEST(UdpServer, AnswersQueries) {
   UdpServerConfig cfg;
   cfg.id = 9;
@@ -208,6 +195,44 @@ TEST(UdpServer, MMSyncPullsOffsetServerIn) {
   reference.stop();
 }
 
+TEST(UdpServer, RepliesFromUnlistedAddressesAreDropped) {
+  // A forger on an ephemeral socket sends replies that claim, by wire id,
+  // to come from the learner's only configured peer (which stays silent),
+  // for every tag the learner may have outstanding, with a confident clock
+  // 0.4 s fast.  Replies are attributed by source address, so none of them
+  // may pair, and the learner must not reset to the lie.
+  UdpSocket silent_peer;
+  UdpServerConfig learn;
+  learn.id = 1;
+  learn.claimed_delta = 1e-4;
+  learn.initial_error = 0.5;
+  learn.algo = core::SyncAlgorithm::kMM;
+  learn.poll_period = 0.02;
+  learn.reply_timeout = 0.01;
+  UdpTimeServer learner(learn);
+  learner.set_peers({silent_peer.port()});
+  learner.start();
+
+  UdpSocket forger;
+  TimeResponsePacket lie;
+  lie.server_id = UdpTimeServer::peer_engine_id(0);
+  lie.error_ns = 1000;
+  for (int burst = 0; burst < 50; ++burst) {
+    for (std::uint64_t tag = 1; tag <= 200; ++tag) {
+      lie.tag = tag;
+      lie.clock_ns = seconds_to_ns(host_seconds() + 0.4);
+      forger.send_to(learner.port(), encode(lie));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const auto counters = learner.counters();
+  EXPECT_GT(counters.requests_sent, 0u);
+  EXPECT_EQ(counters.replies_received, 0u);
+  EXPECT_EQ(counters.resets, 0u);
+  EXPECT_LT(std::abs(learner.true_offset().seconds()), 0.1);
+  learner.stop();
+}
+
 TEST(UdpServer, IMSyncShrinksError) {
   UdpServerConfig a;
   a.id = 0;
@@ -262,8 +287,7 @@ TEST(UdpServer, ServerFromParsedSpecKeepsSyncing) {
   sa.start();
   sb.start();
   UdpTimeServer learner(config(
-      2, "algo=IM delta=1e-4 error=0.25 tau=0.02 filter=1 broadcast=1 "
-         "health=1"));
+      2, "algo=IM delta=1e-4 error=0.25 tau=0.02 filter=1 health=1"));
   learner.set_peers({sa.port(), sb.port()});
   learner.start();
 
