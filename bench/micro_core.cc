@@ -215,7 +215,7 @@ void BM_EngineRound(benchmark::State& state) {
   benchmark::DoNotOptimize(service.now());
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_EngineRound)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_EngineRound)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_ShardedEngineRound(benchmark::State& state) {
   // Full MM poll rounds through the sharded engine.  Args are {servers,

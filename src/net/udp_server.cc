@@ -7,8 +7,8 @@ namespace mtds::net {
 namespace {
 
 // Engine-side ids for configured remotes.  Daemon ids are user-chosen small
-// integers and pseudo ids (unlisted correspondents) start at 0x80000000, so
-// these ranges cannot collide with either.
+// integers and the runtime's reply-to id (unlisted requesters) is
+// 0x80000000, so these ranges cannot collide with either.
 constexpr core::ServerId kPeerIdBase = 1'000'000;
 constexpr core::ServerId kRecoveryIdBase = 2'000'000;
 

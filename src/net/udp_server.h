@@ -86,6 +86,10 @@ class UdpTimeServer {
   // mtds:test-api(UDP tests name a peer to peer_state() with it)
   static core::ServerId peer_engine_id(std::size_t k) noexcept;
 
+  // Source addresses the runtime remembers (its configured peers).
+  // mtds:test-api(udp_test checks that answering clients leaves no address behind)
+  std::size_t known_addresses() const { return runtime_->known_addresses(); }
+
   // Peer-health introspection (kHealthy / false when the layer is off).
   service::PeerState peer_state(core::ServerId peer) const;
   bool degraded() const;

@@ -9,9 +9,10 @@ namespace mtds::runtime {
 
 namespace {
 
-// Pseudo ids for unconfigured correspondents (clients on ephemeral sockets)
-// start high enough that no configured server or peer table entry collides.
-constexpr ServerId kPseudoIdBase = 0x80000000u;
+// The engine-side id of an unlisted requester (a client on an ephemeral
+// socket): high enough that no configured server or peer table entry
+// collides.  send() maps it to the reply-to slot.
+constexpr ServerId kReplyToId = 0x80000000u;
 
 }  // namespace
 
@@ -21,9 +22,7 @@ double host_seconds() noexcept {
 }
 
 UdpRuntime::UdpRuntime(UdpRuntimeConfig config)
-    : config_(std::move(config)),
-      socket_(config_.port),
-      next_pseudo_id_(kPseudoIdBase) {
+    : config_(std::move(config)), socket_(config_.port) {
   for (const UdpPeer& peer : config_.peers) add_peer(peer);
 }
 
@@ -71,32 +70,29 @@ void UdpRuntime::close() {
   open_ = false;
 }
 
-ServerId UdpRuntime::id_for_addr(const sockaddr_in& addr) {
-  const AddrKey key = addr_key(addr);
-  const auto it = id_by_addr_.find(key);
-  if (it != id_by_addr_.end()) return it->second;
-  const ServerId id = next_pseudo_id_++;
-  id_by_addr_[key] = id;
-  addr_by_id_[id] = addr;
-  return id;
+std::size_t UdpRuntime::known_addresses() {
+  util::MutexLock lock(state_mutex_);
+  return id_by_addr_.size();
 }
 
 ServerId UdpRuntime::peer_at(const sockaddr_in& addr) const {
   const auto it = id_by_addr_.find(addr_key(addr));
-  if (it == id_by_addr_.end() || it->second >= kPseudoIdBase) {
-    return core::kInvalidServer;
-  }
-  return it->second;
+  return it == id_by_addr_.end() ? core::kInvalidServer : it->second;
 }
 
 void UdpRuntime::send(ServerId to, const ServiceMessage& msg) {
-  const auto addr = addr_by_id_.find(to);
-  if (addr == addr_by_id_.end()) return;  // unknown destination: best effort
+  const sockaddr_in* dest = nullptr;
+  if (to == kReplyToId) {
+    if (reply_to_live_) dest = &reply_to_;
+  } else if (const auto it = addr_by_id_.find(to); it != addr_by_id_.end()) {
+    dest = &it->second;
+  }
+  if (dest == nullptr) return;  // unknown destination: best effort
   if (msg.type == ServiceMessage::Type::kTimeRequest) {
     net::TimeRequestPacket req;
     req.tag = msg.tag;
     req.client_send_ns = 0;
-    socket_.send_to(addr->second, net::encode(req));
+    socket_.send_to(*dest, net::encode(req));
     return;
   }
   if (msg.type == ServiceMessage::Type::kReadingGossip) {
@@ -108,7 +104,7 @@ void UdpRuntime::send(ServerId to, const ServiceMessage& msg) {
     gossip.error_ns = net::seconds_to_ns(msg.e.seconds());
     gossip.age_ns = net::seconds_to_ns(msg.age.seconds());
     gossip.rtt_ns = net::seconds_to_ns(msg.rtt.seconds());
-    socket_.send_to(addr->second, net::encode(gossip));
+    socket_.send_to(*dest, net::encode(gossip));
     return;
   }
   net::TimeResponsePacket resp;
@@ -116,7 +112,7 @@ void UdpRuntime::send(ServerId to, const ServiceMessage& msg) {
   resp.server_id = self_;
   resp.clock_ns = net::seconds_to_ns(msg.c.seconds());
   resp.error_ns = net::seconds_to_ns(msg.e.seconds());
-  socket_.send_to(addr->second, net::encode(resp));
+  socket_.send_to(*dest, net::encode(resp));
 }
 
 Duration UdpRuntime::max_one_way_delay() const {
@@ -185,13 +181,19 @@ void UdpRuntime::receive_loop() {
       if (!open_) break;
       const auto payload = batch.payload(i);
       if (const auto req = net::decode_request(payload.data(), payload.size())) {
-        const ServerId from = id_for_addr(batch.from(i));
         ServiceMessage msg;
         msg.type = ServiceMessage::Type::kTimeRequest;
-        msg.from = from;
+        msg.from = peer_at(batch.from(i));
         msg.to = self_;
         msg.tag = req->tag;
+        if (msg.from == core::kInvalidServer) {
+          // An unlisted requester: the engine answers within this call.
+          msg.from = kReplyToId;
+          reply_to_ = batch.from(i);
+          reply_to_live_ = true;
+        }
         handler_(host_seconds(), msg);
+        reply_to_live_ = false;
       } else if (const auto resp =
                      net::decode_response(payload.data(), payload.size())) {
         // Attribute by source address; a reply from anyone but a

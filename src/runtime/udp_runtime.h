@@ -12,9 +12,13 @@
 //   * Configured peers (sync targets and recovery servers) are a static
 //     id -> port table supplied up front.
 //   * Anybody else who sends us a request (e.g. a UdpTimeClient on an
-//     ephemeral socket, or an unlisted server) is assigned a pseudo id on
-//     first contact, keyed by source address, so the engine can answer via
-//     plain Runtime::send.
+//     ephemeral socket, or an unlisted server) is presented to the engine
+//     under one reserved reply-to id, and the datagram's source address is
+//     held in a single reply-to slot for the duration of that handler call,
+//     so the engine answers via plain Runtime::send and nothing about the
+//     sender outlives the request.  A reply the engine defers (a chaos-plane
+//     delay spike) finds the slot empty and is dropped, like a lost
+//     datagram.
 //   * Replies and cross-notes are attributed by source address and are
 //     accepted only from configured peers: the engine polls nobody else,
 //     and a wire id is never trusted, so an unlisted sender cannot pose
@@ -98,6 +102,10 @@ class UdpRuntime final : public Runtime {
   // between construction and open() as the peer set becomes known.
   void add_peer(const UdpPeer& peer) EXCLUDES(state_mutex_);
 
+  // Addresses in the address book (configured peers).
+  // mtds:test-api(udp_test checks that requests from unlisted sources leave no entry behind)
+  std::size_t known_addresses() EXCLUDES(state_mutex_);
+
   // Messages.  open() starts the receiver and timer threads.  All three
   // are called by the engine from inside the serialization domain, i.e.
   // with state_mutex_ already held:
@@ -127,11 +135,8 @@ class UdpRuntime final : public Runtime {
 
   void receive_loop() EXCLUDES(state_mutex_);
   void timer_loop() EXCLUDES(state_mutex_, timer_mutex_);
-  // Maps a source address to an engine-side id, allocating a pseudo id for
-  // first-time correspondents.
-  ServerId id_for_addr(const sockaddr_in& addr) REQUIRES(state_mutex_);
   // The configured peer at a source address, or kInvalidServer when the
-  // address is unlisted or only holds a pseudo id.
+  // address is unlisted.
   ServerId peer_at(const sockaddr_in& addr) const REQUIRES(state_mutex_);
 
   UdpRuntimeConfig config_;
@@ -142,10 +147,13 @@ class UdpRuntime final : public Runtime {
   ServerId self_ GUARDED_BY(state_mutex_) = core::kInvalidServer;
   bool open_ GUARDED_BY(state_mutex_) = false;
 
-  // Address book.
+  // Address book: the configured peers only.
   std::map<ServerId, sockaddr_in> addr_by_id_ GUARDED_BY(state_mutex_);
   std::map<AddrKey, ServerId> id_by_addr_ GUARDED_BY(state_mutex_);
-  ServerId next_pseudo_id_ GUARDED_BY(state_mutex_);
+  // The source of the request being handled when it is not a configured
+  // peer; live only inside that request's handler call.
+  sockaddr_in reply_to_ GUARDED_BY(state_mutex_);
+  bool reply_to_live_ GUARDED_BY(state_mutex_) = false;
 
   // Timer queue (never held across callbacks; inner lock in the ordering):
   // the same slab + indexed heap as the sim's EventQueue, so schedule is an

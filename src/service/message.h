@@ -17,7 +17,8 @@ struct ServiceMessage {
     kTimeResponse,
     // Second-hand cross-note: "peer `source` told me <c, e> `age` of my
     // clock-seconds ago over a link with round trip `rtt`".  One note per
-    // message keeps the delivery closure inside SmallFn's inline buffer.
+    // message keeps a message in flight inside one 64-byte record of
+    // sim::Network's delivery pool (sim/network.h).
     kReadingGossip,
   };
 

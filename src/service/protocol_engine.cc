@@ -247,10 +247,10 @@ void ProtocolEngine::begin_round() {
 // mtds:no-alloc
 void ProtocolEngine::send_gossip(ClockTime local) {
   // One message per (target, note): single notes keep ServiceMessage small
-  // enough that the simulator's delivery closures stay inside SmallFn's
-  // inline buffer (see util/small_fn.h).  A note is sent while its reading
-  // is fresh (within two poll periods); a self-note always goes out, which
-  // doubles as a second-hand sync channel - after a star's hub is
+  // enough that a message in flight fills one cache-line record of the
+  // simulator's delivery pool (see sim/network.h).  A note is sent while
+  // its reading is fresh (within two poll periods); a self-note always goes
+  // out, which doubles as a second-hand sync channel - after a star's hub is
   // quarantined, the leaves keep each other synchronized purely through
   // these notes.
   const Duration horizon = 2.0 * current_period_;

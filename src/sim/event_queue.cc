@@ -17,4 +17,9 @@ void EventQueue::throw_negative() {
   throw std::invalid_argument("EventQueue: negative delay");
 }
 
+void EventQueue::throw_full() {
+  // mtds:alloc-ok(cold guard path; a delivery key has 24 bits of slot and 40 of seq)
+  throw std::length_error("EventQueue: delivery key space exhausted");
+}
+
 }  // namespace mtds::sim

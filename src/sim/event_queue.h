@@ -1,17 +1,22 @@
 // Discrete-event simulation core.
 //
-// A single-threaded priority queue of timestamped callbacks.  Ties are
-// broken by insertion order (FIFO), which together with the seeded RNG makes
-// whole runs deterministic.  Events may schedule further events, including
-// at the current time (but never in the past).
+// A single-threaded queue of timestamped events of two kinds: timers
+// (callbacks) and message deliveries (plain records).  Ties are broken by
+// insertion order (FIFO) across both kinds, which together with the seeded
+// RNG makes whole runs deterministic.  Events may schedule further events,
+// including at the current time (but never in the past).
 //
-// Storage is a generation-tagged slab plus a 4-ary indexed heap
+// Timers live in a generation-tagged slab plus a 4-ary indexed heap
 // (util::SlabHeap): schedule and pop touch no hash tables, cancel is an
 // O(1) tag bump, and callbacks live in small-buffer-optimized util::SmallFn
-// slots so a typical event allocates nothing.  The old implementation
-// (std::priority_queue + two unordered_sets of ids + std::function) paid
-// two hash lookups and a heap allocation per event; the determinism golden
-// test pins that this rewrite preserves the exact (time, seq) FIFO order.
+// slots so a typical timer allocates nothing.  Deliveries are never
+// cancelled and need no closure: the queue keeps only their (time, seq,
+// slot) keys in a plain util::QuadHeap, and the typed records they index
+// stay with the sim::Network that owns them, which the queue calls back
+// through one function pointer.  Both heaps draw their seq from one counter
+// and the run loops pop whichever head is smaller by (time, seq), so the
+// merged order is exactly the order one heap of closures would run - the
+// determinism goldens pin it.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +34,8 @@ using core::RealTime;
 class EventQueue {
  public:
   using Callback = util::SmallFn;
+  // Runs the delivery record in `slot` of `owner`'s pool.
+  using DeliverFn = void (*)(void* owner, std::uint32_t slot);
 
   // The schedule/run methods are defined inline: every simulated message
   // and timer passes through them, and keeping the bodies visible lets the
@@ -39,7 +46,7 @@ class EventQueue {
   // mtds:no-alloc
   std::uint64_t at(RealTime t, Callback cb) {
     if (t < now_) throw_past();
-    return heap_.push(Priority{t, next_seq_++}, std::move(cb));
+    return timers_.push(Priority{t, next_seq_++}, std::move(cb));
   }
 
   // Schedules `cb` after `d` (>= 0) from now.
@@ -49,26 +56,42 @@ class EventQueue {
     return at(now_ + d, std::move(cb));
   }
 
-  // Cancels a pending event; returns false if it already ran or was
+  // Cancels a pending timer; returns false if it already ran or was
   // cancelled.  O(1): the callback is destroyed immediately, the heap entry
   // is skipped lazily when it surfaces.
   // mtds:no-alloc
-  bool cancel(std::uint64_t id) { return heap_.cancel(id); }
+  bool cancel(std::uint64_t id) { return timers_.cancel(id); }
+
+  // Installs the delivery sink: deliver() keys run as fn(owner, slot).  A
+  // queue serves one owner (the sim::Network over it), which must outlive
+  // every delivery it schedules.
+  void set_delivery_sink(void* owner, DeliverFn fn) noexcept {
+    sink_owner_ = owner;
+    sink_fn_ = fn;
+  }
+
+  // Schedules delivery of the sink owner's record `slot` at time t (>= now,
+  // checked).  Deliveries take their seq from the same counter as timers.
+  // mtds:no-alloc
+  void deliver(RealTime t, std::uint32_t slot) {
+    if (t < now_) throw_past();
+    if ((slot >> kSlotBits) != 0 || (next_seq_ >> kSeqBits) != 0) throw_full();
+    deliveries_.push(DeliveryKey{t, (next_seq_++ << kSlotBits) | slot});
+  }
 
   // Runs the next event; returns false when the queue is empty.
-  bool step() { return pop_one(); }
+  // mtds:no-alloc
+  bool step() {
+    return pop_one([](RealTime) { return false; });
+  }
 
   // Runs every event with time <= t_end, then advances now to t_end.
   // Returns the number of events executed.
   // mtds:no-alloc
   std::size_t run_until(RealTime t_end) {
-    std::size_t executed = 0;
-    for (;;) {
-      const Priority* top = heap_.peek();
-      if (top == nullptr || top->time > t_end) break;
-      if (pop_one()) ++executed;
-    }
-    if (t_end > now_) now_ = t_end;
+    const std::size_t executed =
+        drain([t_end](RealTime t) { return t > t_end; });
+    advance_to(t_end);
     return executed;
   }
 
@@ -76,7 +99,7 @@ class EventQueue {
   // guards against runaway self-scheduling loops.
   std::size_t run_all(std::size_t max_events = 100'000'000) {
     std::size_t executed = 0;
-    while (executed < max_events && pop_one()) ++executed;
+    while (executed < max_events && step()) ++executed;
     return executed;
   }
 
@@ -89,13 +112,9 @@ class EventQueue {
   // Runs every event with time < t_end (strict), then advances now to t_end.
   // mtds:no-alloc
   std::size_t run_before(RealTime t_end) {
-    std::size_t executed = 0;
-    for (;;) {
-      const Priority* top = heap_.peek();
-      if (top == nullptr || top->time >= t_end) break;
-      if (pop_one()) ++executed;
-    }
-    if (t_end > now_) now_ = t_end;
+    const std::size_t executed =
+        drain([t_end](RealTime t) { return t >= t_end; });
+    advance_to(t_end);
     return executed;
   }
 
@@ -104,23 +123,21 @@ class EventQueue {
   // pass the global minimum next_time()).
   // mtds:no-alloc
   std::size_t run_at(RealTime t) {
-    std::size_t executed = 0;
-    for (;;) {
-      const Priority* top = heap_.peek();
-      if (top == nullptr || top->time != t) break;
-      if (pop_one()) ++executed;
-    }
-    if (t > now_) now_ = t;
+    const std::size_t executed =
+        drain([t](RealTime u) { return u != t; });
+    advance_to(t);
     return executed;
   }
 
   // Time of the next live event, or +infinity when the queue is empty.
   // mtds:no-alloc
   RealTime next_time() {
-    const Priority* top = heap_.peek();
-    return top != nullptr
-               ? top->time
-               : RealTime{std::numeric_limits<double>::infinity()};
+    RealTime next{std::numeric_limits<double>::infinity()};
+    if (const Priority* top = timers_.peek()) next = top->time;
+    if (!deliveries_.empty() && deliveries_.top().time < next) {
+      next = deliveries_.top().time;
+    }
+    return next;
   }
 
   // Advances now without executing anything (the sharded engine aligns all
@@ -131,8 +148,10 @@ class EventQueue {
 
   RealTime now() const noexcept { return now_; }
   // mtds:test-api(event_queue_test checks cancellation removes events)
-  std::size_t pending() const noexcept { return heap_.size(); }
-  bool empty() const noexcept { return heap_.empty(); }
+  std::size_t pending() const noexcept {
+    return timers_.size() + deliveries_.size();
+  }
+  bool empty() const noexcept { return timers_.empty() && deliveries_.empty(); }
 
  private:
   // (time, insertion seq): the FIFO tie-break the determinism tests pin.
@@ -145,24 +164,91 @@ class EventQueue {
     }
   };
 
-  // Runs the next live event; false if empty.  consume_top runs the
-  // callback IN PLACE in its slab slot (safe because chunked slot storage
-  // never moves, even when the callback schedules more events), and
-  // invoke_once fuses invoke + destroy into one dispatch - so a drained
-  // event costs exactly one relocation (into the slot at schedule time).
+  // A delivery's heap entry: its (time, seq) priority with the record's
+  // slot packed under the seq, 16 bytes where a separate slot field would
+  // pad it to 24 - the delivery heap is the largest structure a gossiping
+  // run walks.  That caps a queue at 2^40 scheduled events and 2^24
+  // deliveries in flight (deliver() checks both).
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr unsigned kSeqBits = 64 - kSlotBits;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  struct DeliveryKey {
+    RealTime time;
+    std::uint64_t seq_slot;
+    bool operator<(const DeliveryKey& other) const noexcept {
+      if (time != other.time) return time < other.time;
+      return seq_slot < other.seq_slot;
+    }
+  };
+
+  // Runs the earlier of the two heads unless its time is `past`; false
+  // when the queue is empty or the head is past.  A queue without pending
+  // deliveries pays one size test for them.
+  //
+  // A timer's callback runs IN PLACE in its slab slot (consume_top; safe
+  // because chunked slot storage never moves, even when the callback
+  // schedules more events) and invoke_once fuses invoke + destroy into one
+  // dispatch.  A delivery pops its key before the sink runs, so the sink
+  // may schedule freely.
   // mtds:no-alloc
-  bool pop_one() {
+  template <typename Past>
+  bool pop_one(Past past) {
+    if (!deliveries_.empty()) return pop_merged(past);
+    const Priority* timer = timers_.peek();
+    if (timer == nullptr || past(timer->time)) return false;
+    run_timer();
+    return true;
+  }
+
+  // pop_one with deliveries pending: compares the two heads.  Out of line
+  // so the timer-only loop above stays small: inlined here, the merge cost
+  // BM_EventQueueDrain (timers only) a quarter to a third of its rate.
+  // mtds:no-alloc
+  template <typename Past>
+  [[gnu::noinline]] bool pop_merged(Past past) {
+    const DeliveryKey key = deliveries_.top();
+    const Priority* timer = timers_.peek();
+    if (timer != nullptr &&
+        *timer < Priority{key.time, key.seq_slot >> kSlotBits}) {
+      if (past(timer->time)) return false;
+      run_timer();
+      return true;
+    }
+    if (past(key.time)) return false;
+    deliveries_.pop();
+    now_ = key.time;
+    sink_fn_(sink_owner_,
+             static_cast<std::uint32_t>(key.seq_slot & kSlotMask));
+    return true;
+  }
+
+  // mtds:no-alloc
+  void run_timer() {
     Priority pri;
-    return heap_.consume_top(pri, [this, &pri](Callback& cb) {
+    timers_.consume_top(pri, [this, &pri](Callback& cb) {
       now_ = pri.time;
       cb.invoke_once();
     });
   }
 
+  // Runs events in (time, seq) order until the head's time is `past`.
+  // mtds:no-alloc
+  template <typename Past>
+  std::size_t drain(Past past) {
+    std::size_t executed = 0;
+    while (pop_one(past)) ++executed;
+    return executed;
+  }
+
   [[noreturn]] static void throw_past();      // cold paths kept out of line
   [[noreturn]] static void throw_negative();
+  [[noreturn]] static void throw_full();
 
-  util::SlabHeap<Priority, Callback> heap_;
+  util::SlabHeap<Priority, Callback> timers_;
+  util::QuadHeap<DeliveryKey> deliveries_;
+  void* sink_owner_ = nullptr;
+  DeliverFn sink_fn_ = nullptr;
   RealTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
 };

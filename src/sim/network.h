@@ -13,8 +13,10 @@
 // by id - no per-message map walk.  Partitions and per-link delay overrides
 // are sorted flat vectors of packed (a, b) keys: mutations (scenario
 // actions) pay an O(n) insert, the per-send lookups a cache-friendly binary
-// search.  Delivery closures ride the EventQueue's small-buffer slots, so a
-// message in flight allocates nothing.
+// search.  A message in flight is a plain record {to, msg} in its receiver
+// shard's parcel pool; the shard's EventQueue keeps only its (time, seq,
+// slot) key and hands the slot back at arrival time, so no closure is
+// built per message and a warmed pool allocates nothing.
 #pragma once
 
 #include <algorithm>
@@ -58,8 +60,8 @@ class Network {
   // Servers are split across S shards (id % S).  The sender's shard
   // supplies the RNG stream for loss and delay draws and the stats bucket;
   // a same-shard message is scheduled directly on the receiver's queue, a
-  // cross-shard one is appended to the (sender, receiver) mailbox and
-  // scheduled by flush_mailboxes() at the next epoch barrier
+  // cross-shard one is appended to the (sender, receiver) mailbox and moved
+  // onto the receiver's queue by flush_mailboxes() at the next epoch barrier
   // (sharded_engine.h).  A mailbox is a plain vector: during a window only
   // the thread running its sender shard appends, and only the coordinator
   // drains, after the barrier mutex hand-off has ordered every append.
@@ -77,13 +79,24 @@ class Network {
         rngs_(std::move(shard_rngs)),
         delays_(&delays),
         stats_(num_shards_),
+        pools_(num_shards_),
         // Same-shard sends bypass the mailboxes, so the diagonal stays empty.
-        mailboxes_(static_cast<std::size_t>(num_shards_) * num_shards_) {}
+        mailboxes_(static_cast<std::size_t>(num_shards_) * num_shards_) {
+    for (std::uint32_t k = 0; k < num_shards_; ++k) {
+      pools_[k].net = this;
+      pools_[k].shard = k;
+      queues_[k]->set_delivery_sink(&pools_[k], &Network::deliver_thunk);
+    }
+  }
 
   // One shard: every message goes straight onto `queue`.
   Network(EventQueue& queue, const DelayModel& delays, Rng& rng)
       : Network(std::vector<EventQueue*>{&queue}, delays,
                 std::vector<Rng*>{&rng}) {}
+
+  // The queues hold pointers to the pools.
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   // The branch spares the one-shard default an integer division on every
   // send and delivery.
@@ -91,17 +104,15 @@ class Network {
     return num_shards_ == 1 ? 0 : id % num_shards_;
   }
 
-  // Epoch-barrier drain: schedules every mailboxed message on its receiver
+  // Epoch-barrier drain: moves every mailboxed record onto its receiver
   // shard's queue.  Coordinating thread only; no shard may be running.
+  // mtds:no-alloc
   void flush_mailboxes() {
     for (std::uint32_t dst = 0; dst < num_shards_; ++dst) {
-      EventQueue* q = queues_[dst];
       for (std::uint32_t src = 0; src < num_shards_; ++src) {
         std::vector<InFlight>& box = mailboxes_[src * num_shards_ + dst];
         for (InFlight& item : box) {
-          q->at(item.t, [this, to = item.to, m = std::move(item.msg)]() {
-            deliver(to, m);
-          });
+          schedule(dst, item.t, item.to, std::move(item.msg));
         }
         box.clear();  // keeps its capacity for the next window
       }
@@ -175,7 +186,7 @@ class Network {
     const RealTime arrival = sq->now() + delay;
     const std::uint32_t dst = shard_of(to);
     if (dst == src) {
-      sq->at(arrival, [this, to, m = std::move(msg)]() { deliver(to, m); });
+      schedule(dst, arrival, to, std::move(msg));
     } else {
       // mtds:alloc-ok(mailbox append; grows only while a window outruns every earlier one, and clear() keeps the capacity across drains)
       mailboxes_[src * num_shards_ + dst].push_back(
@@ -236,17 +247,63 @@ class Network {
     return delays_;
   }
 
+  // A message in flight on its receiver's shard; a ServiceMessage parcel
+  // fills exactly one cache line.
+  struct alignas(64) Parcel {
+    ServerId to = 0;
+    Msg msg{};
+  };
+
+  // One shard's parcel pool, indexed by the slots its queue hands back.
+  // Only the thread running the shard touches it during a window (its
+  // same-shard sends and its deliveries); the coordinator fills it from the
+  // mailboxes at barriers.  Cacheline-aligned like the stats buckets.
+  struct alignas(64) Pool {
+    Network* net = nullptr;
+    std::uint32_t shard = 0;
+    std::vector<Parcel> parcels;
+    std::vector<std::uint32_t> free;  // released slots, reused first
+  };
+
+  // Parks a record in shard `dst`'s pool and keys its arrival at `t` on
+  // the shard's queue.
+  // mtds:no-alloc
+  void schedule(std::uint32_t dst, RealTime t, ServerId to, Msg msg) {
+    Pool& pool = pools_[dst];
+    std::uint32_t slot;
+    if (pool.free.empty()) {
+      slot = static_cast<std::uint32_t>(pool.parcels.size());
+      // mtds:alloc-ok(pool growth; a slot returns to the free list at delivery and the pool keeps its capacity, so a warmed shard reuses slots)
+      pool.parcels.push_back(Parcel{to, std::move(msg)});
+    } else {
+      slot = pool.free.back();
+      pool.free.pop_back();
+      pool.parcels[slot] = Parcel{to, std::move(msg)};
+    }
+    queues_[dst]->deliver(t, slot);
+  }
+
+  static void deliver_thunk(void* pool, std::uint32_t slot) {
+    Pool& p = *static_cast<Pool*>(pool);
+    p.net->deliver(p, slot);
+  }
+
   // Delivery tail, run on the receiver's shard: its queue's now() is the
   // arrival time, and its stats bucket takes the receive-side counters.
-  void deliver(ServerId to, const Msg& m) {
-    const std::uint32_t dst = shard_of(to);
-    NetworkStats& st = stats_[dst].s;
-    if (to >= handlers_.size() || !handlers_[to]) {
+  // The record leaves the pool before the handler runs, since the sends
+  // the handler makes may grow the pool under it.
+  // mtds:no-alloc
+  void deliver(Pool& pool, std::uint32_t slot) {
+    const Parcel parcel = std::move(pool.parcels[slot]);
+    // mtds:alloc-ok(the free list never outgrows the pool, whose size it reached when the pool did)
+    pool.free.push_back(slot);
+    NetworkStats& st = stats_[pool.shard].s;
+    if (parcel.to >= handlers_.size() || !handlers_[parcel.to]) {
       ++st.dropped_no_handler;
       return;
     }
     ++st.delivered;
-    handlers_[to](queues_[dst]->now(), m);
+    handlers_[parcel.to](queues_[pool.shard]->now(), parcel.msg);
   }
 
   // A cross-shard message parked in a mailbox until the next barrier.
@@ -272,6 +329,7 @@ class Network {
   std::vector<LinkKey> partitions_;                                 // sorted
   double loss_probability_ = 0.0;
   std::vector<PaddedStats> stats_;
+  std::vector<Pool> pools_;                       // per shard
   std::vector<std::vector<InFlight>> mailboxes_;  // [src * S + dst]
   mutable NetworkStats agg_stats_;                   // stats() scratch
 };

@@ -13,9 +13,9 @@
 //     storage is address-stable: growth never moves pending payloads, and
 //     consume_top() can run a payload in place even if it pushes more
 //     entries while executing;
-//   * ordering lives in a 4-ary min-heap of (priority, slot) entries -
-//     shallower than a binary heap, and the entries are small PODs that
-//     stay hot in cache;
+//   * ordering lives in a QuadHeap of (priority, slot) entries - a 4-ary
+//     min-heap, shallower than a binary heap, whose entries are small PODs
+//     that stay hot in cache;
 //   * cancel() is a tag bump: the slot dies immediately (its payload is
 //     destroyed so captured resources release eagerly) and the heap entry
 //     is skipped lazily when it surfaces at the top.
@@ -34,6 +34,77 @@
 #include <vector>
 
 namespace mtds::util {
+
+// A 4-ary min-heap of small POD entries ordered by their operator<: the
+// ordering half of SlabHeap, and on its own the sim's delivery queue
+// (sim/event_queue.h), whose entries index records their owner keeps.
+template <typename Entry>
+class QuadHeap {
+ public:
+  // mtds:no-alloc
+  void push(const Entry& e) {
+    heap_.push_back(e);  // mtds:alloc-ok(vector growth is amortized and capacity is retained across pops; steady state appends into existing capacity)
+    sift_up(heap_.size() - 1);
+  }
+
+  // The minimum entry; requires !empty().
+  const Entry& top() const noexcept { return heap_.front(); }
+
+  // Removes the minimum entry; requires !empty().
+  //
+  // Floyd's bottom-up deletion: walk the min-child path down to a leaf,
+  // pulling children up into the hole, then bubble the displaced last
+  // element up from there.  The last element came from the bottom of the
+  // heap, so it almost always belongs near a leaf and the upward phase is
+  // O(1) on average - the textbook sift-down pays an extra
+  // compare-against-it at every level instead.
+  // mtds:no-alloc
+  void pop() noexcept {
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return;
+    std::size_t i = 0;
+    for (;;) {
+      const std::size_t first = i * kArity + 1;
+      if (first >= n) break;
+      std::size_t best = first;
+      const std::size_t lim = std::min(first + kArity, n);
+      for (std::size_t c = first + 1; c < lim; ++c) {
+        if (heap_[c] < heap_[best]) best = c;
+      }
+      heap_[i] = heap_[best];
+      i = best;
+    }
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!(last < heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = last;
+  }
+
+  std::size_t size() const noexcept { return heap_.size(); }
+  bool empty() const noexcept { return heap_.empty(); }
+  void clear() noexcept { heap_.clear(); }
+
+ private:
+  static constexpr std::size_t kArity = 4;
+
+  void sift_up(std::size_t i) noexcept {
+    const Entry e = heap_[i];
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / kArity;
+      if (!(e < heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+
+  std::vector<Entry> heap_;
+};
 
 template <typename Priority, typename Payload>
 class SlabHeap {
@@ -62,8 +133,7 @@ class SlabHeap {
     Slot& s = slot_ref(slot);
     s.live = true;
     s.payload = std::forward<P>(payload);
-    heap_.push_back(Entry{pri, slot});  // mtds:alloc-ok(vector growth is amortized and capacity is retained across pops; steady state appends into existing capacity)
-    sift_up(heap_.size() - 1);
+    heap_.push(Entry{pri, slot});
     ++live_;
     return make_id(s.gen, slot);
   }
@@ -89,7 +159,7 @@ class SlabHeap {
   // mtds:no-alloc
   const Priority* peek() {
     purge_dead_tops();
-    return heap_.empty() ? nullptr : &heap_.front().pri;
+    return heap_.empty() ? nullptr : &heap_.top().pri;
   }
 
   // Removes and returns the next live payload; requires !empty().
@@ -123,9 +193,9 @@ class SlabHeap {
   bool consume_top(Priority& pri_out, F&& f) {
     purge_dead_tops();
     if (heap_.empty()) return false;
-    const std::uint32_t slot = heap_.front().slot;
-    pri_out = heap_.front().pri;
-    pop_entry();
+    const std::uint32_t slot = heap_.top().slot;
+    pri_out = heap_.top().pri;
+    heap_.pop();
     Slot& s = slot_ref(slot);
     s.live = false;
     --live_;
@@ -149,12 +219,19 @@ class SlabHeap {
   }
 
  private:
-  static constexpr std::size_t kArity = 4;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   // 256 slots per chunk: big enough that chunk allocation is rare, small
   // enough that an idle queue holds tens of KB, not MB.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
+
+  struct Entry {
+    Priority pri;
+    std::uint32_t slot;
+    bool operator<(const Entry& other) const noexcept {
+      return pri < other.pri;
+    }
+  };
 
   struct Slot {
     std::uint32_t gen = 0;
@@ -165,11 +242,6 @@ class SlabHeap {
     std::uint32_t next_free = kNoSlot;
     Payload payload{};
   };
-  struct Entry {
-    Priority pri;
-    std::uint32_t slot;
-  };
-
   Slot& slot_ref(std::uint32_t slot) noexcept {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
   }
@@ -190,59 +262,16 @@ class SlabHeap {
     // it is zero (the common case) the top is live by construction and the
     // per-pop slot probe is skipped entirely.
     while (dead_in_heap_ != 0 && !heap_.empty() &&
-           !slot_ref(heap_.front().slot).live) {
-      release_slot(heap_.front().slot);
-      pop_entry();
+           !slot_ref(heap_.top().slot).live) {
+      release_slot(heap_.top().slot);
+      heap_.pop();
       --dead_in_heap_;
     }
   }
 
-  // Floyd's bottom-up deletion: walk the min-child path down to a leaf,
-  // pulling children up into the hole, then bubble the displaced last
-  // element up from there.  The last element came from the bottom of the
-  // heap, so it almost always belongs near a leaf and the upward phase is
-  // O(1) on average - the textbook sift-down pays an extra
-  // compare-against-it at every level instead.
-  void pop_entry() {
-    Entry last = std::move(heap_.back());
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n == 0) return;
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = i * kArity + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t lim = std::min(first + kArity, n);
-      for (std::size_t c = first + 1; c < lim; ++c) {
-        if (heap_[c].pri < heap_[best].pri) best = c;
-      }
-      heap_[i] = std::move(heap_[best]);
-      i = best;
-    }
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!(last.pri < heap_[parent].pri)) break;
-      heap_[i] = std::move(heap_[parent]);
-      i = parent;
-    }
-    heap_[i] = std::move(last);
-  }
-
-  void sift_up(std::size_t i) {
-    Entry e = std::move(heap_[i]);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!(e.pri < heap_[parent].pri)) break;
-      heap_[i] = std::move(heap_[parent]);
-      i = parent;
-    }
-    heap_[i] = std::move(e);
-  }
-
   std::vector<std::unique_ptr<Slot[]>> chunks_;  // address-stable slot slab
   std::uint32_t slot_count_ = 0;       // slots handed out so far
-  std::vector<Entry> heap_;
+  QuadHeap<Entry> heap_;
   std::uint32_t free_head_ = kNoSlot;  // intrusive free list through slots
   std::size_t live_ = 0;               // pushed minus popped/cancelled
   std::size_t dead_in_heap_ = 0;       // cancelled entries not yet purged

@@ -1,12 +1,10 @@
 // SmallFn: a move-only `void()` callable with small-buffer optimization.
 //
 // std::function heap-allocates most capturing lambdas (libstdc++'s inline
-// buffer is 16 bytes), which made every scheduled event and every simulated
-// message delivery pay a malloc/free pair.  SmallFn stores closures up to
-// kInlineSize bytes inline - sized so the simulator's hottest closures (a
-// Network delivery capturing a ServiceMessage, an engine timer capturing
-// `this` plus a few ids) never spill - and falls back to the heap only for
-// oversized captures.
+// buffer is 16 bytes), which made every scheduled event pay a malloc/free
+// pair.  SmallFn stores closures up to kInlineSize bytes inline - sized so
+// the simulator's timer closures never spill - and falls back to the heap
+// only for oversized captures.
 //
 // Move-only by design: the event queue and timer heap move callbacks in and
 // out exactly once, and closures capturing move-only state stay legal.
@@ -23,11 +21,14 @@ namespace mtds::util {
 
 class SmallFn {
  public:
-  // 96 bytes fits `[this, to, msg = ServiceMessage{...}]` now that the
-  // gossip fields widened ServiceMessage to 56 bytes (the delivery closure
-  // measures 80); raising it grows every slab slot, so measure before
-  // touching.
-  static constexpr std::size_t kInlineSize = 96;
+  // 32 bytes fits the largest closure the simulator schedules: the
+  // std::function<void()> that runtime::SimRuntime::after hands over for
+  // every engine timer (sim_runtime.h asserts it fits).  The rest capture
+  // `this` plus an index.  Messages are records in sim::Network's pools,
+  // not closures, so no message rides this buffer.  At 32 bytes an
+  // EventQueue slab slot is one 64-byte cache line; raising it grows every
+  // slot, so measure before touching.
+  static constexpr std::size_t kInlineSize = 32;
 
   SmallFn() noexcept = default;
 
@@ -45,7 +46,7 @@ class SmallFn {
       ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
       ops_ = &inline_ops<Fn>;
     } else {
-      // mtds:alloc-ok(oversized-closure spill; engine callbacks fit the 96-byte buffer and take the constexpr inline branch - alloc_test would count this new if one grew)
+      // mtds:alloc-ok(oversized-closure spill; engine callbacks fit the 32-byte buffer and take the constexpr inline branch - alloc_test would count this new if one grew)
       ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
       ops_ = &heap_ops<Fn>;
     }
@@ -109,8 +110,8 @@ class SmallFn {
 
   void relocate_from(SmallFn& other) noexcept {
     // Trivially relocatable targets copy the whole inline buffer: a fixed
-    // 64-byte memcpy compiles to four vector moves, cheaper and more
-    // predictable than dispatching on the real capture size.  The heap
+    // kInlineSize-byte memcpy compiles to two vector moves, cheaper and
+    // more predictable than dispatching on the real capture size.  The heap
     // fallback stores only a pointer in the buffer, so it takes this path
     // too.
     if (ops_->relocate == nullptr) {

@@ -1,8 +1,9 @@
 // Steady-state allocation test: once the service is warmed up, running more
 // rounds must not touch the heap at all.
 //
-// The whole simulator stack is built for this: EventQueue stores events in
-// a reused slab with SmallFn inline closures, the protocol engine's
+// The whole simulator stack is built for this: EventQueue stores timers in
+// a reused slab with SmallFn inline closures and message deliveries as keys
+// into the network's reused parcel pools, the protocol engine's
 // per-round lists (pending requests, round targets, replies) are capacity-
 // retaining vectors, sync outcomes carry their source ids in InlineVec
 // inline storage, and the sharded engine's mailboxes are pre-sized SPSC
@@ -135,7 +136,7 @@ TEST(AllocTest, SampleFilterSteadyStateIsAllocationFree) {
 }
 
 // BYZ with gossip cross-notes: the trim-f round path, the per-round gossip
-// fan-out (one ServiceMessage per fresh note, inline in SmallFn closures),
+// fan-out (one ServiceMessage per fresh note, a record in a parcel pool),
 // the cross-check against first-hand memory and the second-hand merge must
 // all run out of retained capacity once warm.  n = 5 keeps f = 1, so the
 // trim path is exercised, not short-circuited.  Health, filter and rate

@@ -6,10 +6,11 @@
 // default (sim_shards = 0) is one shard, and the one-shard goldens were
 // pinned on the single-queue engine that one shard replaced - they must hold
 // at sim_shards = 1 and every worker thread count too.  The pinned values freeze seeded behavior across rewrites
-// of the simulation substrate: the EventQueue slab-heap and the dense
-// Network tables were landed against these exact hashes, and any future
-// "optimization" that silently reorders events or perturbs a single RNG
-// draw fails here instead of in a downstream experiment.
+// of the simulation substrate: the EventQueue slab-heap, its delivery key
+// heap and the dense Network tables were landed against these exact
+// hashes, and any future "optimization" that silently reorders events or
+// perturbs a single RNG draw fails here instead of in a downstream
+// experiment.
 //
 // The sim touches no libm in these scenarios (uniform delays and the
 // integer-based xoshiro RNG are multiply/add only), and the default x86-64

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace mtds::sim {
@@ -170,6 +171,36 @@ TEST(EventQueue, PendingCountsLiveEvents) {
   EXPECT_EQ(q.pending(), 2u);
   q.cancel(a);
   EXPECT_EQ(q.pending(), 1u);
+}
+
+// Deliveries through the raw sink API: the queue hands each key's slot to
+// the sink at its time, in (time, seq) order merged with the timers.
+struct SlotLog {
+  EventQueue* q = nullptr;
+  std::vector<std::pair<double, int>> runs;  // (now, slot or -timer)
+  static void sink(void* self, std::uint32_t slot) {
+    auto* log = static_cast<SlotLog*>(self);
+    log->runs.emplace_back(log->q->now().seconds(), static_cast<int>(slot));
+  }
+};
+
+TEST(EventQueue, DeliveriesMergeWithTimersByTimeThenSeq) {
+  EventQueue q;
+  SlotLog log{&q, {}};
+  q.set_delivery_sink(&log, &SlotLog::sink);
+  q.deliver(2.0, 7);
+  q.at(1.0, [&log] { log.runs.emplace_back(1.0, -1); });
+  q.deliver(1.0, 3);
+  q.at(2.0, [&log] { log.runs.emplace_back(2.0, -2); });
+  EXPECT_EQ(q.pending(), 4u);
+  EXPECT_DOUBLE_EQ(q.next_time().seconds(), 1.0);
+  EXPECT_EQ(q.run_before(2.0), 2u);
+  EXPECT_DOUBLE_EQ(q.next_time().seconds(), 2.0);
+  EXPECT_EQ(q.run_at(2.0), 2u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(log.runs, (std::vector<std::pair<double, int>>{
+                          {1.0, -1}, {1.0, 3}, {2.0, 7}, {2.0, -2}}));
+  EXPECT_THROW(q.deliver(1.0, 0), std::invalid_argument);
 }
 
 }  // namespace

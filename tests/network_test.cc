@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -154,6 +155,99 @@ TEST_F(NetworkTest, StatsCountSends) {
   queue.run_all();
   EXPECT_EQ(net.stats().sent, 2u);
   EXPECT_EQ(net.stats().delivered, 1u);
+}
+
+// Merge order: timers and deliveries that share one timestamp run in the
+// order they were scheduled (FIFO by insertion), whichever kind they are.
+// Every event below lands at t = 0.5 (the fixture's fixed delay); the
+// recorded value of a message or a timer is its scheduling rank.
+
+TEST_F(NetworkTest, TimersAndDeliveriesShareFifoOrderAtOneTime) {
+  std::vector<int> order;
+  net.register_node(1, [&](core::RealTime t, const TestMsg& m) {
+    EXPECT_DOUBLE_EQ(t.seconds(), 0.5);
+    order.push_back(m.value);
+    // Scheduled mid-drain at the current time: after everything pending.
+    if (m.value == 2) queue.at(t, [&order] { order.push_back(7); });
+  });
+  queue.at(0.5, [&order] { order.push_back(1); });
+  net.send(0, 1, TestMsg{2});
+  net.send(0, 1, TestMsg{3});
+  queue.at(0.5, [&order] { order.push_back(4); });
+  net.send(0, 1, TestMsg{5});
+  queue.at(0.5, [&order] { order.push_back(6); });
+  EXPECT_EQ(queue.run_until(0.5), 7u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST_F(NetworkTest, TimerCancelledBetweenDeliveriesLeavesTheirOrder) {
+  std::vector<int> order;
+  net.register_node(1, [&order](core::RealTime, const TestMsg& m) {
+    order.push_back(m.value);
+  });
+  net.send(0, 1, TestMsg{1});
+  const auto cancelled = queue.at(0.5, [&order] { order.push_back(99); });
+  net.send(0, 1, TestMsg{2});
+  queue.at(0.5, [&order] { order.push_back(3); });
+  net.send(0, 1, TestMsg{4});
+  EXPECT_TRUE(queue.cancel(cancelled));
+  EXPECT_EQ(queue.pending(), 4u);
+  queue.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST_F(NetworkTest, StepRunsOneMergedEventAtATime) {
+  // TimeClient::query_blocking drains with step() until its callback
+  // fires; each step must run exactly the next event of either kind.
+  std::vector<int> order;
+  net.register_node(1, [&order](core::RealTime, const TestMsg& m) {
+    order.push_back(m.value);
+  });
+  net.send(0, 1, TestMsg{1});
+  queue.at(0.5, [&order] { order.push_back(2); });
+  net.send(0, 1, TestMsg{3});
+  queue.at(0.25, [&order] { order.push_back(0); });
+  for (std::size_t n = 1; n <= 4; ++n) {
+    ASSERT_TRUE(queue.step());
+    EXPECT_EQ(order.size(), n);
+  }
+  EXPECT_FALSE(queue.step());
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_DOUBLE_EQ(queue.now().seconds(), 0.5);
+}
+
+TEST(NetworkShards, FlushedDeliveriesTakeTheirPlaceAtTheBarrier) {
+  // Two shards (id % 2).  A cross-shard message is keyed on its receiver's
+  // queue when the barrier flushes the mailboxes, so it runs after every
+  // same-time event that queue held before the flush and before every one
+  // scheduled after it; a same-shard message is keyed at send time.
+  EventQueue q0;
+  EventQueue q1;
+  Rng r0{3};
+  Rng r1{4};
+  FixedDelay delay{0.5};
+  Network<TestMsg> net({&q0, &q1}, delay, {&r0, &r1});
+  std::vector<int> order;
+  for (core::ServerId id : {1u, 3u}) {
+    net.register_node(id, [&order](core::RealTime t, const TestMsg& m) {
+      EXPECT_DOUBLE_EQ(t.seconds(), 0.5);
+      order.push_back(m.value);
+    });
+  }
+  q1.at(0.5, [&order] { order.push_back(1); });
+  net.send(0, 1, TestMsg{4});  // shard 0 -> 1: mailbox
+  net.send(1, 3, TestMsg{2});  // shard 1 -> 1: keyed now
+  net.send(2, 3, TestMsg{5});  // shard 0 -> 1: mailbox
+  q1.at(0.5, [&order] { order.push_back(3); });
+  net.flush_mailboxes();
+  q1.at(0.5, [&order] { order.push_back(6); });
+  EXPECT_EQ(q0.next_time().seconds(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_DOUBLE_EQ(q1.next_time().seconds(), 0.5);
+  EXPECT_EQ(q1.run_at(0.5), 6u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(net.stats().delivered, 3u);
 }
 
 }  // namespace

@@ -233,6 +233,35 @@ TEST(UdpServer, RepliesFromUnlistedAddressesAreDropped) {
   learner.stop();
 }
 
+TEST(UdpServer, AnswersFreshSourcesWithoutRememberingThem) {
+  // Every request from an unlisted address is answered, and the address is
+  // forgotten with the reply: a stream of clients on fresh ephemeral
+  // sockets must not grow the runtime's address book, which holds the
+  // configured peers and nothing else.
+  UdpSocket silent_peer;
+  UdpServerConfig cfg;
+  cfg.id = 9;
+  cfg.claimed_delta = 1e-4;
+  cfg.initial_error = 0.002;
+  cfg.algo = core::SyncAlgorithm::kNone;
+  UdpTimeServer server(cfg);
+  server.set_peers({silent_peer.port()});
+  server.start();
+  const std::size_t known = server.known_addresses();
+  EXPECT_EQ(known, 1u);
+
+  constexpr int kClients = 300;
+  int answered = 0;
+  for (int i = 0; i < kClients; ++i) {
+    UdpTimeClient client;  // a fresh socket, so a fresh source port
+    const auto readings = client.collect({server.port()}, 0.5);
+    if (readings.size() == 1 && readings[0].from == 9u) ++answered;
+  }
+  EXPECT_EQ(answered, kClients);
+  EXPECT_EQ(server.known_addresses(), known);
+  server.stop();
+}
+
 TEST(UdpServer, IMSyncShrinksError) {
   UdpServerConfig a;
   a.id = 0;

@@ -376,6 +376,11 @@ _KEYWORDS_NOT_CALLS = {
     "co_await", "co_return", "throw", "delete", "new", "operator",
 }
 _ACCESS = {"public", "protected", "private"}
+# tokens after which `&` takes an address rather than and-ing two operands
+_ADDRESS_OF_PREV = {"(", ",", "=", "return", "{", "?", ":"}
+# the arity of a call through a taken address: matches no overload, so
+# resolution falls back to every function of the name
+_ANY_ARITY = -1
 _SPECIFIERS = {
     "inline", "static", "virtual", "constexpr", "explicit", "friend",
     "extern", "typedef", "const", "volatile", "mutable", "register",
@@ -1003,6 +1008,25 @@ class BuiltinFrontend:
                             "is nondeterministic)", tags,
                             "mtds:nondet-ok")
                         break
+            return i + 1
+
+        # address-taken function `&X::f` / `&f` in expression position: the
+        # pointer may be called from anywhere, so the taker reaches f (any
+        # arity: the overload is not known from the name)
+        if t.text == "&" and 0 < i < len(toks) - 1 and \
+                toks[i - 1].text in _ADDRESS_OF_PREV:
+            j = i + 1
+            while j + 2 < len(toks) and toks[j + 1].text == "::" and \
+                    re.match(r"[A-Za-z_]\w*$", toks[j + 2].text):
+                j += 2
+            after = toks[j + 1].text if j + 1 < len(toks) else ""
+            if re.match(r"[A-Za-z_]\w*$", toks[j].text) and \
+                    after in (",", ")", ";", "}"):
+                qual = toks[j - 2].text if j - 2 > i else None
+                recv = qual if qual in prog.classes else None
+                self._add_call(fn, toks[j], recv, _ANY_ARITY, [], lam_idx,
+                               tags)
+                return j + 1
             return i + 1
 
         # call / declaration sites: ident '('
