@@ -102,11 +102,16 @@ void BM_EventQueueSchedulePop(benchmark::State& state) {
 BENCHMARK(BM_EventQueueSchedulePop);
 
 void BM_EventQueueDrain(benchmark::State& state) {
-  // The sim's single hottest loop, in its real shape: n self-rescheduling
-  // timers (one poll timer per simulated server), so the queue sits at a
-  // steady depth of n and every fired event schedules its successor -
-  // exactly what TimeService does in steady state.  Each benchmark
-  // iteration drains one horizon of due timers.  Items = events fired.
+  // The timer half of the sim's queue: n self-rescheduling timers (one
+  // poll timer per simulated server), so the queue sits at a steady depth
+  // of n and every fired event schedules its successor.  A TimeService
+  // round also schedules one delivery per message, which outnumber its
+  // timers by two to three orders of magnitude and which this benchmark
+  // does not exercise (BM_EngineRound runs both).  Repoll's 24-byte
+  // capture is larger than std::function's 16-byte inline buffer, so each
+  // schedule here allocates, which no simulator timer does.  Each
+  // benchmark iteration drains one horizon of due timers.  Items = events
+  // fired.
   const int n = static_cast<int>(state.range(0));
   sim::EventQueue q;
   std::uint64_t fired = 0;

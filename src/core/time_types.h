@@ -98,12 +98,11 @@ class Duration {
 constexpr bool operator==(Duration a, Duration b) noexcept {
   return a.seconds() == b.seconds();
 }
-constexpr auto operator<=>(Duration a, Duration b) noexcept {
-  return a.seconds() <=> b.seconds();
-}
-// Direct relationals: the synthesized `(a <=> b) < 0` path materializes a
-// std::partial_ordering and costs an extra branch in hot loops (measured
-// ~1.4x on the IM intersection scan); these compile to bare double compares.
+// Each type spells out its four relationals and defines no operator<=>:
+// gcc 12 compiles a relational synthesized from `<=>` on a double into a
+// std::partial_ordering test with extra branches, which measured ~1.4x
+// slower on the IM intersection scan (BM_IMRound/64); these compile to
+// bare double compares.
 constexpr bool operator<(Duration a, Duration b) noexcept {
   return a.seconds() < b.seconds();
 }
@@ -194,9 +193,6 @@ class Offset {
 constexpr bool operator==(Offset a, Offset b) noexcept {
   return a.seconds() == b.seconds();
 }
-constexpr auto operator<=>(Offset a, Offset b) noexcept {
-  return a.seconds() <=> b.seconds();
-}
 constexpr bool operator<(Offset a, Offset b) noexcept {
   return a.seconds() < b.seconds();
 }
@@ -250,9 +246,6 @@ class RealTime {
 }
 constexpr bool operator==(RealTime a, RealTime b) noexcept {
   return a.seconds() == b.seconds();
-}
-constexpr auto operator<=>(RealTime a, RealTime b) noexcept {
-  return a.seconds() <=> b.seconds();
 }
 constexpr bool operator<(RealTime a, RealTime b) noexcept {
   return a.seconds() < b.seconds();
@@ -310,9 +303,6 @@ class ClockTime {
 }
 constexpr bool operator==(ClockTime a, ClockTime b) noexcept {
   return a.seconds() == b.seconds();
-}
-constexpr auto operator<=>(ClockTime a, ClockTime b) noexcept {
-  return a.seconds() <=> b.seconds();
 }
 constexpr bool operator<(ClockTime a, ClockTime b) noexcept {
   return a.seconds() < b.seconds();

@@ -41,9 +41,8 @@ struct ServingPlaneConfig {
   std::size_t batch = 64;     // datagrams per recv/send batch
   // Test seam: with freeze_wall set, shards evaluate every request at this
   // fixed instant instead of live host_seconds().  A frozen wall plus a
-  // fixed snapshot makes replies byte-deterministic - how
-  // runtime_parity_test holds the batched and single-datagram transports
-  // byte-identical.
+  // fixed snapshot makes each reply an exact function of the snapshot -
+  // how serving_plane_test spots a torn seqlock read under query load.
   double frozen_wall_seconds = 0.0;  // lint-allow: bare-double
   bool freeze_wall = false;
 };

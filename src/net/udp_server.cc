@@ -62,7 +62,7 @@ void UdpTimeServer::set_peers(std::vector<std::uint16_t> peers) {
 }
 
 void UdpTimeServer::start() {
-  if (running_.exchange(true) || stopped_) return;
+  if (stopped_ || running_.exchange(true)) return;
   std::vector<core::ServerId> neighbors;
   if (config_.poll_period > 0) {
     for (std::size_t k = 0; k < peer_ports_.size(); ++k) {

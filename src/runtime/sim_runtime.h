@@ -45,8 +45,6 @@ class SimRuntime final : public Runtime {
   }
 
   TimerId after(Duration delay, std::function<void()> cb) override {
-    static_assert(sizeof(cb) <= util::SmallFn::kInlineSize,
-                  "engine timers must fit SmallFn's inline buffer");
     return queue_->after(delay, std::move(cb));
   }
 

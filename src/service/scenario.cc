@@ -343,18 +343,15 @@ void apply_directive(const std::vector<std::string>& tokens,
     } else if (what == "join") {
       action.kind = ScenarioAction::Kind::kJoin;
       action.spec = parse_spec_tokens(tokens, 3, default_spec);
-    } else if (what == "leave") {
-      if (tokens.size() != 4) fail("usage: at <t> leave <server>");
-      action.kind = ScenarioAction::Kind::kLeave;
-      action.a = parse_server_id(tokens[3], 0);
     } else if (what == "loss") {
       if (tokens.size() != 4) fail("usage: at <t> loss <p>");
       action.kind = ScenarioAction::Kind::kLoss;
       action.value = parse_probability("loss probability", tokens[3]);
-    } else if (what == "crash" || what == "restart") {
+    } else if (what == "crash" || what == "leave" || what == "restart") {
+      // Leaving is a crash-stop.
       if (tokens.size() != 4) fail("usage: at <t> " + what + " <server>");
-      action.kind = what == "crash" ? ScenarioAction::Kind::kCrash
-                                    : ScenarioAction::Kind::kRestart;
+      action.kind = what == "restart" ? ScenarioAction::Kind::kRestart
+                                      : ScenarioAction::Kind::kCrash;
       action.a = parse_server_id(tokens[3], 0);
     } else if (what == "corrupt-state") {
       if (tokens.size() != 4) fail("usage: at <t> corrupt-state <server>");
@@ -434,7 +431,6 @@ TimeService& ScenarioRunner::run(core::RealTime override_horizon) {
       case ScenarioAction::Kind::kLoss:
         service_->network().set_loss_probability(action.value);
         break;
-      case ScenarioAction::Kind::kLeave:  // leaving is a crash-stop
       case ScenarioAction::Kind::kCrash:
         service_->crash_server(action.a);
         break;

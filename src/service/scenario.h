@@ -88,7 +88,6 @@ struct ScenarioAction {
     kPartition,
     kHeal,
     kJoin,
-    kLeave,
     kLoss,
     kCrash,
     kRestart,
@@ -97,7 +96,7 @@ struct ScenarioAction {
   core::RealTime at = 0.0;
   Kind kind = Kind::kPartition;
   core::ServerId a = 0, b = 0;  // partition/heal endpoints; `a` for
-                                // leave/crash/restart
+                                // crash (and leave)/restart
   double value = 0.0;           // loss probability payload
   ServerSpec spec;              // join payload
 };

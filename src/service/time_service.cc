@@ -187,12 +187,21 @@ ServerId TimeService::add_server(const ServerSpec& spec, bool announce) {
   }
   adjacency_.push_back(neighbors);
   servers_.back()->start(neighbors);
+  if (spec.monitor_rates) {
+    for (ServerId peer : neighbors) {
+      servers_[id]->peers().set_claimed_delta(
+          peer, config_.servers[peer].claimed_delta);
+    }
+  }
   if (announce) {
     // Existing servers learn of the newcomer: this models the directory
     // update a real service would propagate.
     for (ServerId peer : neighbors) {
       adjacency_[peer].push_back(id);
       servers_[peer]->add_neighbor(id);
+      if (config_.servers[peer].monitor_rates) {
+        servers_[peer]->peers().set_claimed_delta(id, spec.claimed_delta);
+      }
     }
   }
   wire_gossip();

@@ -8,8 +8,8 @@
 //
 // Timers live in a generation-tagged slab plus a 4-ary indexed heap
 // (util::SlabHeap): schedule and pop touch no hash tables, cancel is an
-// O(1) tag bump, and callbacks live in small-buffer-optimized util::SmallFn
-// slots so a typical timer allocates nothing.  Deliveries are never
+// O(1) tag bump, and a callback is a std::function whose closure fits its
+// inline buffer, so a typical timer allocates nothing.  Deliveries are never
 // cancelled and need no closure: the queue keeps only their (time, seq,
 // slot) keys in a plain util::QuadHeap, and the typed records they index
 // stay with the sim::Network that owns them, which the queue calls back
@@ -20,11 +20,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 
 #include "core/time_types.h"
 #include "util/slab_heap.h"
-#include "util/small_fn.h"
 
 namespace mtds::sim {
 
@@ -33,7 +33,7 @@ using core::RealTime;
 
 class EventQueue {
  public:
-  using Callback = util::SmallFn;
+  using Callback = std::function<void()>;
   // Runs the delivery record in `slot` of `owner`'s pool.
   using DeliverFn = void (*)(void* owner, std::uint32_t slot);
 
@@ -186,11 +186,8 @@ class EventQueue {
   // when the queue is empty or the head is past.  A queue without pending
   // deliveries pays one size test for them.
   //
-  // A timer's callback runs IN PLACE in its slab slot (consume_top; safe
-  // because chunked slot storage never moves, even when the callback
-  // schedules more events) and invoke_once fuses invoke + destroy into one
-  // dispatch.  A delivery pops its key before the sink runs, so the sink
-  // may schedule freely.
+  // A timer is moved out of its slab slot before it runs, and a delivery
+  // pops its key before the sink runs, so either may schedule freely.
   // mtds:no-alloc
   template <typename Past>
   bool pop_one(Past past) {
@@ -226,10 +223,9 @@ class EventQueue {
   // mtds:no-alloc
   void run_timer() {
     Priority pri;
-    timers_.consume_top(pri, [this, &pri](Callback& cb) {
-      now_ = pri.time;
-      cb.invoke_once();
-    });
+    const Callback cb = timers_.pop(&pri);
+    now_ = pri.time;
+    cb();
   }
 
   // Runs events in (time, seq) order until the head's time is `past`.

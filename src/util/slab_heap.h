@@ -9,10 +9,9 @@
 //   * payloads live in a slab of reusable slots; a handle packs the slot
 //     index with a per-slot generation tag, so stale handles (cancel after
 //     fire, double cancel) are rejected by a tag compare - no hash set;
-//   * the slab is chunked (fixed-size blocks, never reallocated), so slot
-//     storage is address-stable: growth never moves pending payloads, and
-//     consume_top() can run a payload in place even if it pushes more
-//     entries while executing;
+//   * pop() moves the payload out of its slot before the caller runs it, so
+//     the slots can live in one plain vector that is free to reallocate
+//     when a running payload pushes more entries;
 //   * ordering lives in a QuadHeap of (priority, slot) entries - a 4-ary
 //     min-heap, shallower than a binary heap, whose entries are small PODs
 //     that stay hot in cache;
@@ -29,7 +28,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -122,15 +120,12 @@ class SlabHeap {
     std::uint32_t slot;
     if (free_head_ != kNoSlot) {
       slot = free_head_;
-      free_head_ = slot_ref(slot).next_free;
+      free_head_ = slots_[slot].next_free;
     } else {
-      if ((slot_count_ & (kChunkSize - 1)) == 0) {
-        // mtds:alloc-ok(chunk growth; chunks are never freed while the queue lives, so a warmed queue reuses slots via the free list - alloc_test pins the steady state)
-        chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-      }
-      slot = slot_count_++;
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();  // mtds:alloc-ok(slab growth is amortized and slots are never freed while the queue lives, so a warmed queue reuses them via the free list - alloc_test pins the steady state)
     }
-    Slot& s = slot_ref(slot);
+    Slot& s = slots_[slot];
     s.live = true;
     s.payload = std::forward<P>(payload);
     heap_.push(Entry{pri, slot});
@@ -144,8 +139,8 @@ class SlabHeap {
   bool cancel(Id id) {
     const std::uint32_t slot = static_cast<std::uint32_t>(id);
     const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= slot_count_) return false;
-    Slot& s = slot_ref(slot);
+    if (slot >= slots_.size()) return false;
+    Slot& s = slots_[slot];
     if (s.gen != gen || !s.live) return false;
     s.live = false;
     s.payload = Payload{};
@@ -163,55 +158,29 @@ class SlabHeap {
   }
 
   // Removes and returns the next live payload; requires !empty().
-  // `pri_out`, when given, receives the entry's priority.
+  // `pri_out`, when given, receives the entry's priority.  The slot is
+  // released before the payload is returned, so running it may push and
+  // cancel freely.
+  // mtds:no-alloc
   Payload pop(Priority* pri_out = nullptr) {
-    Payload payload{};
-    Priority pri;
-    try_pop(pri, payload);
-    if (pri_out != nullptr) *pri_out = pri;
-    return payload;
-  }
-
-  // Single-call peek+pop: one purge pass, no second top lookup.  Returns
-  // false when the heap is empty.
-  // mtds:no-alloc
-  bool try_pop(Priority& pri_out, Payload& payload_out) {
-    return consume_top(pri_out, [&payload_out](Payload& p) {
-      payload_out = std::move(p);
-    });
-  }
-
-  // Pops the next live entry and runs `f` on its payload IN PLACE - the
-  // drain loop's fast path, skipping the relocation out of the slab.
-  // Reentrancy-safe: chunked slot storage never moves, and the slot is not
-  // released until f returns, so f may push new entries (it cannot be
-  // handed its own slot back) and may cancel ids freely (this entry is
-  // already dead to cancel()).  `pri_out` is assigned before f runs.
-  // Returns false when the heap is empty, without calling f.
-  // mtds:no-alloc
-  template <typename F>
-  bool consume_top(Priority& pri_out, F&& f) {
     purge_dead_tops();
-    if (heap_.empty()) return false;
     const std::uint32_t slot = heap_.top().slot;
-    pri_out = heap_.top().pri;
+    if (pri_out != nullptr) *pri_out = heap_.top().pri;
     heap_.pop();
-    Slot& s = slot_ref(slot);
+    Slot& s = slots_[slot];
     s.live = false;
     --live_;
-    f(s.payload);
-    s.payload = Payload{};
+    Payload payload = std::exchange(s.payload, Payload{});
     release_slot(slot);
-    return true;
+    return payload;
   }
 
   std::size_t size() const noexcept { return live_; }
   bool empty() const noexcept { return live_ == 0; }
 
-  // Drops everything (pending and cancelled) and releases slot storage.
+  // Drops everything, pending and cancelled, destroying the payloads.
   void clear() {
-    chunks_.clear();
-    slot_count_ = 0;
+    slots_.clear();
     heap_.clear();
     free_head_ = kNoSlot;
     live_ = 0;
@@ -220,10 +189,6 @@ class SlabHeap {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  // 256 slots per chunk: big enough that chunk allocation is rare, small
-  // enough that an idle queue holds tens of KB, not MB.
-  static constexpr std::uint32_t kChunkShift = 8;
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
   struct Entry {
     Priority pri;
@@ -242,16 +207,13 @@ class SlabHeap {
     std::uint32_t next_free = kNoSlot;
     Payload payload{};
   };
-  Slot& slot_ref(std::uint32_t slot) noexcept {
-    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
-  }
 
   static Id make_id(std::uint32_t gen, std::uint32_t slot) noexcept {
     return (static_cast<Id>(gen) << 32) | slot;
   }
 
   void release_slot(std::uint32_t slot) {
-    Slot& s = slot_ref(slot);
+    Slot& s = slots_[slot];
     ++s.gen;
     s.next_free = free_head_;
     free_head_ = slot;
@@ -262,15 +224,14 @@ class SlabHeap {
     // it is zero (the common case) the top is live by construction and the
     // per-pop slot probe is skipped entirely.
     while (dead_in_heap_ != 0 && !heap_.empty() &&
-           !slot_ref(heap_.top().slot).live) {
+           !slots_[heap_.top().slot].live) {
       release_slot(heap_.top().slot);
       heap_.pop();
       --dead_in_heap_;
     }
   }
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;  // address-stable slot slab
-  std::uint32_t slot_count_ = 0;       // slots handed out so far
+  std::vector<Slot> slots_;            // the slab, indexed by an id's low half
   QuadHeap<Entry> heap_;
   std::uint32_t free_head_ = kNoSlot;  // intrusive free list through slots
   std::size_t live_ = 0;               // pushed minus popped/cancelled

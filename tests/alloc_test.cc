@@ -1,19 +1,20 @@
 // Steady-state allocation test: once the service is warmed up, running more
 // rounds must not touch the heap at all.
 //
-// The whole simulator stack is built for this: EventQueue stores timers in
-// a reused slab with SmallFn inline closures and message deliveries as keys
-// into the network's reused parcel pools, the protocol engine's
-// per-round lists (pending requests, round targets, replies) are capacity-
-// retaining vectors, sync outcomes carry their source ids in InlineVec
-// inline storage, and the sharded engine's mailboxes are pre-sized SPSC
-// rings.  This test pins that property with a counting global operator new:
-// a regression that reintroduces a per-round malloc (a std::map node, a
-// spilled closure, a moved-from vector) fails here immediately, with the
-// allocation count as the diagnostic.
+// The whole simulator stack is built for this: EventQueue stores timers as
+// std::function closures small enough for its inline buffer in a reused
+// slab, and message deliveries as keys into the network's reused parcel
+// pools; the protocol engine's per-round lists (pending requests, replies)
+// are capacity-retaining vectors, sync outcomes carry their source ids in
+// InlineVec inline storage, and the sharded engine's mailboxes are plain
+// vectors that keep their capacity across flushes.  This test pins that
+// property with a counting global operator new: a regression that
+// reintroduces a per-round malloc (a std::map node, a closure too big for
+// std::function's buffer, a moved-from vector) fails here immediately, with
+// the allocation count as the diagnostic.
 //
 // Warm-up matters: the first rounds legitimately allocate (vector
-// capacities, slab chunks, filter windows all grow to their steady-state
+// capacities, timer slots, filter windows all grow to their steady-state
 // sizes).  The measured window starts well after every such one-time cost.
 
 #include <atomic>
@@ -94,11 +95,13 @@ ServiceConfig config(core::SyncAlgorithm algo, std::size_t n) {
 
 // Warm the service up, then assert an extended steady-state window (tens of
 // rounds across every server) performs zero heap allocations.
-void expect_steady_state_alloc_free(ServiceConfig cfg, const char* label) {
+// `samples` pre-sizes the sample buffers for runs with the sampler on.
+void expect_steady_state_alloc_free(ServiceConfig cfg, const char* label,
+                                    std::size_t samples = 0) {
   TimeService service(std::move(cfg));
   // Trace buffers grow by doubling; pre-size them so a reset event landing
   // on a growth boundary inside the window cannot masquerade as a leak.
-  service.reserve_trace(0, 1 << 14);
+  service.reserve_trace(samples, 1 << 14);
   service.run_until(40.0);  // warm-up: ~40 rounds per server
 
   const std::uint64_t before = allocation_count();
@@ -133,6 +136,17 @@ TEST(AllocTest, SampleFilterSteadyStateIsAllocationFree) {
   ServiceConfig cfg = config(core::SyncAlgorithm::kIM, 4);
   for (auto& s : cfg.servers) s.use_sample_filter = true;
   expect_steady_state_alloc_free(std::move(cfg), "IM/filter");
+}
+
+// The trace sampler: each shard's `[this, shard]` timer records its
+// servers and re-arms itself every sample_interval.  Two shards, so the
+// closure runs with a non-zero shard too.  Samples go into buffers that
+// reserve_trace pre-sized: 8 servers x 80 s x 4 samples/s fits 4096.
+TEST(AllocTest, TraceSamplerSteadyStateIsAllocationFree) {
+  ServiceConfig cfg = config(core::SyncAlgorithm::kMM, 8);
+  cfg.sample_interval = 0.25;
+  cfg.sim_shards = 2;
+  expect_steady_state_alloc_free(std::move(cfg), "MM/sampler", 1 << 12);
 }
 
 // BYZ with gossip cross-notes: the trim-f round path, the per-round gossip

@@ -207,5 +207,39 @@ TEST(PeerTableRatesService, FlagsInvalidBoundWhileIntervalsStillConsistent) {
   EXPECT_EQ(bad[0], 2u);
 }
 
+// A joined server takes part in rate monitoring like a built one: the
+// existing monitors hold its claimed delta and convict it when it runs
+// fast, and its own monitor holds theirs.  All four start with equal
+// errors and the joiner's grows faster, so no MM reset clears a window.
+TEST(PeerTableRatesService, JoinedServerIsJudgedAndJudges) {
+  ServiceConfig cfg;
+  cfg.seed = 61;
+  cfg.delay_hi = 0.001;
+  cfg.sample_interval = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    ServerSpec s;
+    s.algo = core::SyncAlgorithm::kMM;
+    s.monitor_rates = true;
+    s.claimed_delta = 1.2e-5;
+    s.simulated_drift = 1e-6 * i;
+    s.initial_error = 0.001;
+    s.poll_period = 5.0;
+    cfg.servers.push_back(s);
+  }
+  TimeService service(cfg);
+  ServerSpec joiner = cfg.servers[0];
+  joiner.simulated_drift = 0.04;  // far above its claimed 1.2e-5
+  const core::ServerId id = service.add_server(joiner);  // announced
+  service.run_until(200.0);
+
+  for (core::ServerId i = 0; i < 3; ++i) {
+    EXPECT_EQ(service.server(i).peers().dissonant(),
+              (std::vector<core::ServerId>{id}))
+        << "server " << i;
+  }
+  EXPECT_EQ(service.server(id).peers().dissonant(),
+            (std::vector<core::ServerId>{0, 1, 2}));
+}
+
 }  // namespace
 }  // namespace mtds::service

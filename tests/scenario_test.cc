@@ -58,7 +58,7 @@ TEST(ParseScenario, AllDirectives) {
   EXPECT_EQ(s.actions[0].kind, ScenarioAction::Kind::kPartition);
   EXPECT_EQ(s.actions[1].kind, ScenarioAction::Kind::kHeal);
   EXPECT_EQ(s.actions[2].kind, ScenarioAction::Kind::kJoin);
-  EXPECT_EQ(s.actions[3].kind, ScenarioAction::Kind::kLeave);
+  EXPECT_EQ(s.actions[3].kind, ScenarioAction::Kind::kCrash);  // a leave is a crash-stop
   EXPECT_EQ(s.actions[3].a, 2u);
 }
 

@@ -1,15 +1,12 @@
-// Unit tests for the hot-path building blocks behind the EventQueue and the
-// UDP timer queue: util::SlabHeap (generation-tagged slab + 4-ary heap) and
-// util::SmallFn (small-buffer-optimized move-only callback).
+// Unit tests for util::SlabHeap (generation-tagged slab + 4-ary heap), the
+// timer queue behind the EventQueue and the UDP runtime.
 #include <gtest/gtest.h>
 
-#include <array>
+#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "util/slab_heap.h"
-#include "util/small_fn.h"
 
 namespace mtds::util {
 namespace {
@@ -102,55 +99,20 @@ TEST(SlabHeap, SurvivesChurn) {
   }
 }
 
-TEST(SmallFn, InvokesInlineClosure) {
-  int hits = 0;
-  SmallFn fn([&hits] { ++hits; });
-  ASSERT_TRUE(static_cast<bool>(fn));
-  fn();
-  fn();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(SmallFn, MoveTransfersClosure) {
-  int hits = 0;
-  SmallFn a([&hits] { ++hits; });
-  SmallFn b(std::move(a));
-  EXPECT_FALSE(static_cast<bool>(a));
-  b();
-  EXPECT_EQ(hits, 1);
-  SmallFn c;
-  c = std::move(b);
-  c();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(SmallFn, HandlesOversizedCapturesViaHeap) {
-  std::array<char, 200> big{};
-  big[0] = 'x';
-  int sum = 0;
-  SmallFn fn([big, &sum] { sum += big[0]; });
-  static_assert(sizeof(big) > SmallFn::kInlineSize);
-  fn();
-  EXPECT_EQ(sum, 'x');
-}
-
-TEST(SmallFn, DestroysCaptureExactlyOnce) {
-  auto token = std::make_shared<int>(1);
-  std::weak_ptr<int> watch = token;
-  {
-    SmallFn fn([t = std::move(token)] { (void)t; });
-    SmallFn moved = std::move(fn);
-    EXPECT_FALSE(watch.expired());
-  }
-  EXPECT_TRUE(watch.expired());
-}
-
-TEST(SmallFn, SupportsMoveOnlyCaptures) {
-  auto p = std::make_unique<int>(41);
-  int got = 0;
-  SmallFn fn([p = std::move(p), &got] { got = *p + 1; });
-  fn();
-  EXPECT_EQ(got, 42);
+// A popped payload owns nothing in the slab, so running it may push enough
+// entries to reallocate the slot vector (as a timer that schedules timers
+// does) without touching freed memory.
+TEST(SlabHeap, PoppedPayloadMayGrowTheSlab) {
+  SlabHeap<Pri, std::function<void()>> h;
+  std::uint64_t seq = 0;
+  int ran = 0;
+  h.push(Pri{0.0, seq++}, [&] {
+    for (int i = 0; i < 1000; ++i) h.push(Pri{1.0, seq++}, [&ran] { ++ran; });
+  });
+  h.pop()();
+  EXPECT_EQ(h.size(), 1000u);
+  while (!h.empty()) h.pop()();
+  EXPECT_EQ(ran, 1000);
 }
 
 }  // namespace

@@ -394,6 +394,18 @@ TEST(UdpServer, StopIsIdempotentAndRestartSafe) {
   EXPECT_FALSE(server.running());
 }
 
+// Shutdown is one-way: a start after stop must not report a server whose
+// socket is already closed as running.
+TEST(UdpServer, StartAfterStopStaysStopped) {
+  UdpServerConfig cfg;
+  cfg.algo = core::SyncAlgorithm::kNone;
+  UdpTimeServer server(cfg);
+  server.start();
+  server.stop();
+  server.start();
+  EXPECT_FALSE(server.running());
+}
+
 TEST(UdpServer, VirtualDriftMovesClock) {
   UdpServerConfig cfg;
   cfg.simulated_drift = 0.5;  // extreme drift for a fast test

@@ -9,7 +9,7 @@ program roots, and runs five checks on it:
   no-alloc-reachability   functions tagged `// mtds:no-alloc` (engine round
                           and receive paths, the sharded epoch loop, the
                           Marzullo scratch overloads, the SlabHeap/InlineVec/
-                          SmallFn hot methods) must not REACH
+                          EventQueue hot methods) must not REACH
                           `operator new`, allocating STL members or throwing
                           paths through any call chain.  This is the static
                           complement of tests/alloc_test.cc: the runtime gate
@@ -18,7 +18,7 @@ program roots, and runs five checks on it:
                           hatch: `// mtds:alloc-ok(reason)` on the offending
                           line (suppresses the site) or above a function
                           signature (the function is a proven-elsewhere
-                          barrier: traversal stops, e.g. the SlabHeap chunk
+                          barrier: traversal stops, e.g. the SlabHeap slot
                           grow path that tests/alloc_test.cc shows is
                           amortized away in steady state).
   determinism-taint       inside src/sim/ and any function feeding
@@ -40,7 +40,7 @@ program roots, and runs five checks on it:
                           `// mtds:seconds-ok(reason)`.
   callback-lock-discipline  a lambda that touches a GUARDED_BY(mu) member
                           and escapes its defining scope (timer callbacks,
-                          thread bodies, stored SmallFns) is invisible to
+                          thread bodies, stored std::functions) is invisible to
                           clang's -Wthread-safety, which checks the lambda
                           where it is *written*, not where it *runs*.  Such
                           a lambda must acquire the mutex in its own body or
