@@ -119,14 +119,7 @@ void TimeService::build() {
   for (ServerId i = 0; i < n; ++i) make_server(i, config_.servers[i]);
   for (ServerId i = 0; i < n; ++i) {
     servers_[i]->start(adjacency_[i]);
-    // A server's rate monitor needs its neighbours' claimed bounds (a real
-    // deployment would learn them from the service directory).
-    if (config_.servers[i].monitor_rates) {
-      for (ServerId j : adjacency_[i]) {
-        servers_[i]->peers().set_claimed_delta(
-            j, config_.servers[j].claimed_delta);
-      }
-    }
+    wire_claims(i);
   }
   wire_gossip();
   if (config_.sample_interval > 0) {
@@ -135,6 +128,16 @@ void TimeService::build() {
     for (std::uint32_t k = 0; k < shards_.size(); ++k) {
       shards_[k]->queue.after(0.0, [this, k] { sample_shard(k); });
     }
+  }
+}
+
+void TimeService::wire_claims(ServerId id) {
+  // A server's rate monitor needs its neighbours' claimed bounds (a real
+  // deployment would learn them from the service directory).
+  if (!config_.servers[id].monitor_rates) return;
+  for (ServerId j : adjacency_[id]) {
+    servers_[id]->peers().set_claimed_delta(j,
+                                            config_.servers[j].claimed_delta);
   }
 }
 
@@ -187,21 +190,14 @@ ServerId TimeService::add_server(const ServerSpec& spec, bool announce) {
   }
   adjacency_.push_back(neighbors);
   servers_.back()->start(neighbors);
-  if (spec.monitor_rates) {
-    for (ServerId peer : neighbors) {
-      servers_[id]->peers().set_claimed_delta(
-          peer, config_.servers[peer].claimed_delta);
-    }
-  }
+  wire_claims(id);
   if (announce) {
     // Existing servers learn of the newcomer: this models the directory
     // update a real service would propagate.
     for (ServerId peer : neighbors) {
       adjacency_[peer].push_back(id);
       servers_[peer]->add_neighbor(id);
-      if (config_.servers[peer].monitor_rates) {
-        servers_[peer]->peers().set_claimed_delta(id, spec.claimed_delta);
-      }
+      wire_claims(peer);
     }
   }
   wire_gossip();

@@ -84,6 +84,7 @@ class TimeService {
 
  private:
   void build();
+  void wire_claims(ServerId id);
   void wire_gossip();
   void sample_shard(std::uint32_t shard);
   // Appends server `id` (== size()) and its runtime; does not start it.
