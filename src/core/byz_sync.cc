@@ -44,7 +44,7 @@ SyncOutcome ByzantineSync::on_round(const LocalState& local,
   }
 
   // Deterministic order: midpoint, then owner as tie-break so equal
-  // midpoints sort identically across engines and thread counts.
+  // midpoints sort identically whatever order the readings arrived in.
   std::sort(entries_.begin(), entries_.end(),
             [](const Entry& a, const Entry& b) {
               if (a.mid != b.mid) return a.mid < b.mid;

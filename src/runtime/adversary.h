@@ -13,11 +13,9 @@
 // messages and timers serially, see runtime/runtime.h), so strategies need
 // no locking for their own state.  Strategies draw no randomness: every lie
 // is a pure function of the traffic observed and the wall clock, so a seeded
-// simulation replays an identical attack transcript, and the sharded
-// engine's determinism contract (results independent of worker thread
-// count) extends to Byzantine runs.  For the same reason, state *shared*
-// between colluding endpoints (CollusionPlan) is immutable after
-// construction - colluders on different shards read it concurrently.
+// simulation replays an identical attack transcript.  State *shared* between
+// colluding endpoints (CollusionPlan) is immutable after construction, so
+// no colluder's lies depend on another's traffic.
 //
 // Forged copies still traverse the ordinary fault gauntlet (drop, delay,
 // partitions) and are accounted in FaultStats: `forged` counts rewritten
@@ -131,11 +129,9 @@ class DriftAmplifier final : public AdversaryStrategy {
   RealTime start_{0.0};  // first rewrite; lies grow from here
 };
 
-// Shared, *immutable* coordination state for a collusion group.  Immutable
-// because the colluders may live on different shards of the parallel engine
-// and read it concurrently from different worker threads; every colluder
-// derives its lie as a pure function of (plan, destination, time), which
-// also guarantees the colluders corroborate each other without messaging.
+// Shared, *immutable* coordination state for a collusion group.  Every
+// colluder derives its lie as a pure function of (plan, destination, time),
+// which guarantees the colluders corroborate each other without messaging.
 struct CollusionPlan {
   std::vector<ServerId> members;  // the colluding endpoints (told the truth)
   double rate = 0.0;              // per-victim drag, seconds per second

@@ -5,13 +5,13 @@
 // now() -> EventQueue::now().  It adds no behavior of its own - every
 // tier-1 simulation test must pass bit-for-bit against it.
 //
-// Threading: the num_threads knob lives behind this layer, not inside it.
-// Every simulated service runs on the sharded engine (sim/sharded_engine.h,
-// ServiceConfig::sim_shards / sim_threads; one shard by default), and each
-// server's SimRuntime is built over its *shard's* EventQueue and the
-// shard-routing Network, so the ProtocolEngine above runs unmodified:
-// timers fire and messages deliver on the shard's thread, serialized
-// exactly as the runtime contract requires, whatever the thread count.
+// Sharding lives behind this layer, not inside it.  Every simulated
+// service runs on the sharded engine (sim/sharded_engine.h,
+// ServiceConfig::sim_shards; one shard by default), and each server's
+// SimRuntime is built over its *shard's* EventQueue and the shard-routing
+// Network, so the ProtocolEngine above runs unmodified: timers fire and
+// messages deliver in its shard's window, serialized exactly as the
+// runtime contract requires.
 #pragma once
 
 #include "runtime/runtime.h"

@@ -120,14 +120,12 @@ struct ServiceConfig {
   Duration sample_interval = 1.0;
 
   // Sharded engine (sim/sharded_engine.h): servers are split across
-  // S = max(1, sim_shards) shards (id % S) executed by sim_threads threads.
-  // 0 and 1 both mean one shard, whose RNG is the root stream itself - the
-  // run the one-shard determinism goldens pin.  The trace and RNG streams
-  // are functions of S alone, so runs at different sim_threads are
-  // byte-identical to each other; runs at different S are not (each of
-  // several shards forks its own stream from the root).
+  // S = max(1, sim_shards) shards (id % S), run one after another on the
+  // calling thread.  0 and 1 both mean one shard, whose RNG is the root
+  // stream itself - the run the one-shard determinism goldens pin.  Runs at
+  // different S are not byte-identical: each of several shards forks its
+  // own stream from the root.
   std::uint32_t sim_shards = 0;
-  std::uint32_t sim_threads = 1;
 };
 
 // Expands a topology into per-server neighbour lists.

@@ -82,10 +82,14 @@ std::string format_report(const ServiceReport& report) {
       report.correctness.worst_ratio);
   add("consistency: %zu pairs, %zu violations\n",
       report.consistency.pairs_checked, report.consistency.violations.size());
-  add("asynchronism: max %.6f s at t=%.3f (S%u vs S%u)\n",
-      report.asynchronism.max_observed.seconds(),
-      report.asynchronism.worst_time.seconds(), report.asynchronism.worst_i,
-      report.asynchronism.worst_j);
+  if (report.asynchronism.worst_i == core::kInvalidServer) {
+    out += "asynchronism: no sampled pair\n";
+  } else {
+    add("asynchronism: max %.6f s at t=%.3f (S%u vs S%u)\n",
+        report.asynchronism.max_observed.seconds(),
+        report.asynchronism.worst_time.seconds(),
+        report.asynchronism.worst_i, report.asynchronism.worst_j);
+  }
   add("error growth: min slope %.3e (r2 %.3f), max slope %.3e (r2 %.3f)%s\n",
       report.growth.min_fit.slope, report.growth.min_fit.r2,
       report.growth.max_fit.slope, report.growth.max_fit.r2,

@@ -53,7 +53,8 @@ core::ServerId parse_server_id(const std::string& s, std::size_t limit) {
   if (end == s.c_str() || *end != '\0' || v < 0) {
     fail("not a server id: " + s);
   }
-  if (limit > 0 && static_cast<std::size_t>(v) >= limit) {
+  if (static_cast<unsigned long>(v) >= core::kInvalidServer ||
+      (limit > 0 && static_cast<std::size_t>(v) >= limit)) {
     fail("server id out of range: " + s);
   }
   return static_cast<core::ServerId>(v);
@@ -220,9 +221,10 @@ void apply_directive(const std::vector<std::string>& tokens,
     if (tokens.size() != 2) fail("usage: shards <n>");
     cfg.sim_shards = parse_count("shards", tokens[1], 0, 4096);
   } else if (cmd == "threads") {
-    // Worker threads for the sharded engine; never affects results.
-    if (tokens.size() != 2) fail("usage: threads <n>");
-    cfg.sim_threads = parse_count("threads", tokens[1], 1, 256);
+    // Kept so scenarios that spell out one thread still parse.
+    if (tokens.size() != 2 || parse_double(tokens[1]) != 1) {
+      fail("threads must be 1: shards always run on one thread");
+    }
   } else if (cmd == "topology") {
     if (tokens.size() != 2) fail("usage: topology full|ring|star|line");
     if (tokens[1] == "full") {
@@ -302,8 +304,8 @@ void apply_directive(const std::vector<std::string>& tokens,
       }
     }
     // Collusion: every listed server shares one immutable plan (so their
-    // lies corroborate) but owns its private strategy instance (so
-    // mutable per-endpoint state never crosses shard threads).
+    // lies corroborate) but owns its private strategy instance (its
+    // mutable state is per endpoint).
     std::shared_ptr<const runtime::CollusionPlan> plan;
     if (strategy == "collusion") {
       auto p = std::make_shared<runtime::CollusionPlan>();
@@ -382,6 +384,9 @@ Scenario parse_scenario(const std::string& text) {
   std::string raw;
   std::size_t line = 0;
   ServerSpec default_spec;  // scenario-level defaults (`sync <ALGO>`)
+  // The line of each server and action, for the id check below.
+  std::vector<std::size_t> server_lines;
+  std::vector<std::size_t> action_lines;
   while (std::getline(in, raw)) {
     ++line;
     const auto tokens = tokenize(raw);
@@ -392,10 +397,56 @@ Scenario parse_scenario(const std::string& text) {
       throw std::invalid_argument("line " + std::to_string(line) + ": " +
                                   e.what());
     }
+    server_lines.resize(scenario.config.servers.size(), line);
+    action_lines.resize(scenario.actions.size(), line);
   }
 
-  if (scenario.config.servers.empty()) {
+  const std::vector<ServerSpec>& servers = scenario.config.servers;
+  if (servers.empty()) {
     throw std::invalid_argument("scenario declares no servers");
+  }
+  // Actions and recovery pools may name a joiner, so their ids are checked
+  // once every line is read: ids run below servers + joins.
+  const std::size_t ids =
+      servers.size() +
+      static_cast<std::size_t>(std::count_if(
+          scenario.actions.begin(), scenario.actions.end(),
+          [](const ScenarioAction& a) {
+            return a.kind == ScenarioAction::Kind::kJoin;
+          }));
+  const auto check_id = [ids](core::ServerId id, std::size_t at_line) {
+    if (id >= ids) {
+      throw std::invalid_argument(
+          "line " + std::to_string(at_line) + ": server id " +
+          std::to_string(id) + " out of range (" + std::to_string(ids) +
+          " servers with joiners)");
+    }
+  };
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    for (core::ServerId id : servers[i].recovery_pool) {
+      check_id(id, server_lines[i]);
+    }
+  }
+  for (std::size_t i = 0; i < scenario.actions.size(); ++i) {
+    const ScenarioAction& action = scenario.actions[i];
+    switch (action.kind) {
+      case ScenarioAction::Kind::kPartition:
+      case ScenarioAction::Kind::kHeal:
+        check_id(action.b, action_lines[i]);
+        [[fallthrough]];
+      case ScenarioAction::Kind::kCrash:
+      case ScenarioAction::Kind::kRestart:
+      case ScenarioAction::Kind::kCorruptState:
+        check_id(action.a, action_lines[i]);
+        break;
+      case ScenarioAction::Kind::kJoin:
+        for (core::ServerId id : action.spec.recovery_pool) {
+          check_id(id, action_lines[i]);
+        }
+        break;
+      case ScenarioAction::Kind::kLoss:
+        break;
+    }
   }
   std::stable_sort(scenario.actions.begin(), scenario.actions.end(),
                    [](const ScenarioAction& x, const ScenarioAction& y) {

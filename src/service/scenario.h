@@ -10,7 +10,6 @@
 //   loss 0.05                # message loss probability
 //   sample 1.0               # trace sampling period
 //   shards 8                 # engine shard count (0 or 1 = one, default)
-//   threads 4                # worker threads; never changes results
 //   topology full            # full | ring | star | line
 //   server algo=MM delta=1e-5 drift=2e-6 error=0.02 offset=0 tau=10
 //   server algo=MM delta=1e-5 drift=-3e-6 error=0.03 tau=10 recovery=third pool=2
@@ -29,7 +28,12 @@
 // `sync <ALGO>` sets the default algorithm for subsequent server/join
 // lines (a spec's own algo= still wins), and `gossip on` turns on
 // fleet-wide gossip cross-notes (an out-of-band channel - notes bypass the
-// polling topology).
+// polling topology).  `threads 1` is accepted and changes nothing: shards
+// always run on one thread, and any other count is an error.
+//
+// Server ids are 0..n-1 in `server` order, and each `at ... join` takes the
+// next id in time order.  Every id an `at` action or a `pool=` list names
+// must be below the count of servers plus joins.
 //
 // A server spec (`server` and `join` lines, and parse_server_spec below) is
 // a list of key=value pairs over a base spec; each key sets one ServerSpec

@@ -65,7 +65,7 @@ TimeService::TimeService(ServiceConfig config) : config_(std::move(config)) {
     throw std::invalid_argument("TimeService: no servers configured");
   }
   // Per-shard queues / RNG streams / trace buffers, all keyed by the shard
-  // count (never the thread count - see config.h).  Shard RNGs are settled
+  // count (see config.h).  Shard RNGs are settled
   // before any server forks, so the streams are stable under membership
   // changes.
   const std::uint32_t s = std::max<std::uint32_t>(1, config_.sim_shards);
@@ -85,7 +85,7 @@ TimeService::TimeService(ServiceConfig config) : config_(std::move(config)) {
       sim::make_uniform_delay(config_.delay_lo, config_.delay_hi);
   network_ = std::make_unique<ServiceNetwork>(queues, *delay_model_, rngs);
   network_->set_loss_probability(config_.loss_probability);
-  engine_ = std::make_unique<sim::ShardedEngine>(queues, config_.sim_threads);
+  engine_ = std::make_unique<sim::ShardedEngine>(queues);
   engine_->set_barrier_hook([this] { network_->flush_mailboxes(); });
   trace_merger_ = std::make_unique<sim::TraceMerger>(std::move(traces));
   build();

@@ -105,8 +105,7 @@ class TimeService {
   // RNG is the root stream itself; with more, each forks from the root in
   // shard order.  Declared BEFORE servers_: a dying server still records
   // its leave event into its shard's trace and unregisters from the
-  // network, so both must outlive the servers.  engine_ follows shards_ so
-  // its helper threads stop before the queues they execute are torn down.
+  // network, so both must outlive the servers.
   struct Shard {
     sim::EventQueue queue;
     sim::Rng rng{0};

@@ -58,27 +58,22 @@ class Network {
   // service owns them and they must outlive the network.
   //
   // Servers are split across S shards (id % S).  The sender's shard
-  // supplies the RNG stream for loss and delay draws and the stats bucket;
-  // a same-shard message is scheduled directly on the receiver's queue, a
-  // cross-shard one is appended to the (sender, receiver) mailbox and moved
-  // onto the receiver's queue by flush_mailboxes() at the next epoch barrier
-  // (sharded_engine.h).  A mailbox is a plain vector: during a window only
-  // the thread running its sender shard appends, and only the coordinator
-  // drains, after the barrier mutex hand-off has ordered every append.
-  // All mutating control methods (register/unregister, partitions, link
-  // delays, loss) are barrier-only: they touch tables that the parallel
-  // windows read.
+  // supplies the RNG stream for loss and delay draws; a same-shard message
+  // is scheduled directly on the receiver's queue, a cross-shard one is
+  // appended to the (sender, receiver) mailbox and moved onto the
+  // receiver's queue by flush_mailboxes() at the next epoch barrier
+  // (sharded_engine.h), so no window sees an arrival from another shard's
+  // window.
   //
   // Determinism: shard RNG streams, mailbox indices and the flush order
   // (receiver-major, then sender, each in push order) are all functions of
-  // the shard count alone - never of the worker thread count.
+  // the shard count alone.
   Network(std::vector<EventQueue*> shard_queues, const DelayModel& delays,
           std::vector<Rng*> shard_rngs)
       : num_shards_(static_cast<std::uint32_t>(shard_queues.size())),
         queues_(std::move(shard_queues)),
         rngs_(std::move(shard_rngs)),
         delays_(&delays),
-        stats_(num_shards_),
         pools_(num_shards_),
         // Same-shard sends bypass the mailboxes, so the diagonal stays empty.
         mailboxes_(static_cast<std::size_t>(num_shards_) * num_shards_) {
@@ -105,7 +100,7 @@ class Network {
   }
 
   // Epoch-barrier drain: moves every mailboxed record onto its receiver
-  // shard's queue.  Coordinating thread only; no shard may be running.
+  // shard's queue.  Called between windows, never from inside one.
   // mtds:no-alloc
   void flush_mailboxes() {
     for (std::uint32_t dst = 0; dst < num_shards_; ++dst) {
@@ -170,15 +165,14 @@ class Network {
   // message was dropped (loss, partition, or missing receiver at send time).
   std::optional<Duration> send(ServerId from, ServerId to, Msg msg) {
     const std::uint32_t src = shard_of(from);
-    NetworkStats& st = stats_[src].s;
-    ++st.sent;
+    ++stats_.sent;
     if (is_partitioned(from, to)) {
-      ++st.dropped_partition;
+      ++stats_.dropped_partition;
       return std::nullopt;
     }
     Rng& rng = *rngs_[src];
     if (loss_probability_ > 0 && rng.bernoulli(loss_probability_)) {
-      ++st.dropped_loss;
+      ++stats_.dropped_loss;
       return std::nullopt;
     }
     const Duration delay = pick_model(from, to)->sample(rng);
@@ -210,19 +204,7 @@ class Network {
     return lo;
   }
 
-  // Folds the per-shard buckets into one view (barrier-time only; the
-  // shards own their buckets during parallel windows).
-  const NetworkStats& stats() const noexcept {
-    agg_stats_ = NetworkStats{};
-    for (const PaddedStats& p : stats_) {
-      agg_stats_.sent += p.s.sent;
-      agg_stats_.delivered += p.s.delivered;
-      agg_stats_.dropped_loss += p.s.dropped_loss;
-      agg_stats_.dropped_partition += p.s.dropped_partition;
-      agg_stats_.dropped_no_handler += p.s.dropped_no_handler;
-    }
-    return agg_stats_;
-  }
+  const NetworkStats& stats() const noexcept { return stats_; }
 
  private:
   using LinkKey = std::uint64_t;  // packed (ServerId, ServerId)
@@ -255,10 +237,8 @@ class Network {
   };
 
   // One shard's parcel pool, indexed by the slots its queue hands back.
-  // Only the thread running the shard touches it during a window (its
-  // same-shard sends and its deliveries); the coordinator fills it from the
-  // mailboxes at barriers.  Cacheline-aligned like the stats buckets.
-  struct alignas(64) Pool {
+  // Its shard's same-shard sends fill it, and so does the mailbox flush.
+  struct Pool {
     Network* net = nullptr;
     std::uint32_t shard = 0;
     std::vector<Parcel> parcels;
@@ -289,20 +269,18 @@ class Network {
   }
 
   // Delivery tail, run on the receiver's shard: its queue's now() is the
-  // arrival time, and its stats bucket takes the receive-side counters.
-  // The record leaves the pool before the handler runs, since the sends
-  // the handler makes may grow the pool under it.
+  // arrival time.  The record leaves the pool before the handler runs,
+  // since the sends the handler makes may grow the pool under it.
   // mtds:no-alloc
   void deliver(Pool& pool, std::uint32_t slot) {
     const Parcel parcel = std::move(pool.parcels[slot]);
     // mtds:alloc-ok(the free list never outgrows the pool, whose size it reached when the pool did)
     pool.free.push_back(slot);
-    NetworkStats& st = stats_[pool.shard].s;
     if (parcel.to >= handlers_.size() || !handlers_[parcel.to]) {
-      ++st.dropped_no_handler;
+      ++stats_.dropped_no_handler;
       return;
     }
-    ++st.delivered;
+    ++stats_.delivered;
     handlers_[parcel.to](queues_[pool.shard]->now(), parcel.msg);
   }
 
@@ -313,13 +291,6 @@ class Network {
     Msg msg{};
   };
 
-  // Per-shard stats buckets are cacheline-padded: shard k's bucket is
-  // written by whichever thread runs shard k (send-side counters at send
-  // time, receive-side counters at delivery time - both shard-k events).
-  struct alignas(64) PaddedStats {
-    NetworkStats s;
-  };
-
   std::uint32_t num_shards_;
   std::vector<EventQueue*> queues_;  // per shard, borrowed
   std::vector<Rng*> rngs_;           // per shard, borrowed
@@ -328,10 +299,9 @@ class Network {
   std::vector<std::pair<LinkKey, const DelayModel*>> link_delays_;  // sorted
   std::vector<LinkKey> partitions_;                                 // sorted
   double loss_probability_ = 0.0;
-  std::vector<PaddedStats> stats_;
+  NetworkStats stats_;
   std::vector<Pool> pools_;                       // per shard
   std::vector<std::vector<InFlight>> mailboxes_;  // [src * S + dst]
-  mutable NetworkStats agg_stats_;                   // stats() scratch
 };
 
 }  // namespace mtds::sim

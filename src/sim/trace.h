@@ -96,8 +96,8 @@ class Trace {
 // by (t, shard index) with per-shard append order preserved for ties.  Each
 // shard records its own servers' samples and events in nondecreasing time
 // (its event queue executes in time order), so the merge is a classic
-// sorted-runs merge; the shard index tie-break makes the result independent
-// of worker-thread scheduling - the determinism goldens hash the merged
+// sorted-runs merge; the shard index tie-break makes the result a function
+// of the shard count alone - the determinism goldens hash the merged
 // stream.  With one shard the merge is a plain append.
 //
 // merge_into() moves every shard entry recorded since the previous call

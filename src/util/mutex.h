@@ -43,7 +43,7 @@ class SCOPED_CAPABILITY MutexLock {
   Mutex* mu_;
 };
 
-// Condition variable for the annotated Mutex.  The wait calls REQUIRE the
+// Condition variable for the annotated Mutex.  wait_for REQUIRES the
 // mutex held on entry; it is released while blocked and held again on
 // return, which is exactly the capability state the analysis assumes.
 class CondVar {
@@ -52,13 +52,7 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
-
-  void wait(Mutex& mu) REQUIRES(mu) {
-    LockRef ref{mu};
-    cv_.wait(ref);
-  }
 
   void wait_for(Mutex& mu, double seconds) REQUIRES(mu) {
     LockRef ref{mu};

@@ -5,9 +5,7 @@
 // their own asynchronism theorems (3 and 7) under a colluding attack with
 // f < n/2, while IMFT under the identical topology, seed and attack keeps
 // the Theorem 7 bound, excludes the liars and quarantines them.  The trio
-// is asserted on the default one-shard engine AND on 8 shards at worker
-// thread counts {1, 2, 4}, extending the determinism contract to
-// adversarial runs.
+// is asserted on the default one-shard engine AND on 8 shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -146,13 +144,9 @@ using test::read_scenario;
 // shards == 0 keeps the scenario's own shard count (one for the byzantine
 // corpus); shards > 0 forces that many shards.
 std::unique_ptr<service::ScenarioRunner> run_scenario(const std::string& name,
-                                                      std::uint32_t shards = 0,
-                                                      std::uint32_t threads = 1) {
+                                                      std::uint32_t shards = 0) {
   service::Scenario scenario = service::parse_scenario(read_scenario(name));
-  if (shards > 0) {
-    scenario.config.sim_shards = shards;
-    scenario.config.sim_threads = threads;
-  }
+  if (shards > 0) scenario.config.sim_shards = shards;
   auto runner = std::make_unique<service::ScenarioRunner>(std::move(scenario));
   runner->run();
   return runner;
@@ -318,23 +312,13 @@ TEST(AdversaryScenario, CollusionTrioAcceptance) {
   const Duration im_bound =
       core::im_asynchronism_bound(kXi, kDelta, kDelta, kTau);
 
-  struct Engine {
-    std::uint32_t shards, threads;
-  };
-  // One shard, then 8 shards at every worker thread count:
-  // the determinism contract says thread count never changes results, so
-  // the same conclusions must hold at each.
-  const Engine engines[] = {{0, 1}, {8, 1}, {8, 2}, {8, 4}};
-  std::uint64_t mm_hash = 0, im_hash = 0, ft_hash = 0;
-
-  for (const auto& engine : engines) {
-    SCOPED_TRACE(testing::Message() << "shards=" << engine.shards
-                                    << " threads=" << engine.threads);
+  // One shard, then 8: the same conclusions must hold on both engines.
+  for (const std::uint32_t shards : {0u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
 
     // MM: incremental capture drags the camps ~0.5 s apart - the measured
     // honest-edge spread blows through Theorem 3 several times over.
-    auto mm = run_scenario("byzantine_collusion_mm.mtds", engine.shards,
-                           engine.threads);
+    auto mm = run_scenario("byzantine_collusion_mm.mtds", shards);
     const auto mm_grad =
         service::check_gradient(mm->service().trace(), honest, mm_bound);
     EXPECT_FALSE(mm_grad.violations.empty());
@@ -344,8 +328,7 @@ TEST(AdversaryScenario, CollusionTrioAcceptance) {
     // resets stop and the camps free-run past Theorem 7 (denial of sync).
     // Once stalled, errors grow honestly again, so every victim is correct
     // at the horizon - yet permanently out of the asynchronism bound.
-    auto im = run_scenario("byzantine_collusion_im.mtds", engine.shards,
-                           engine.threads);
+    auto im = run_scenario("byzantine_collusion_im.mtds", shards);
     const auto im_report = service::build_report(im->service());
     const auto im_grad =
         service::check_gradient(im->service().trace(), honest, im_bound);
@@ -360,8 +343,7 @@ TEST(AdversaryScenario, CollusionTrioAcceptance) {
     // honest subgraph keeps the Theorem 7 gradient bound, the readings the
     // coverage excluded show up in the ledger, and the Section 4 rule turns
     // the exclusion streak into quarantine (suppressing further polls).
-    auto ft = run_scenario("byzantine_collusion_imft.mtds", engine.shards,
-                           engine.threads);
+    auto ft = run_scenario("byzantine_collusion_imft.mtds", shards);
     const auto ft_report = service::build_report(ft->service());
     const auto ft_grad =
         service::check_gradient(ft->service().trace(), honest, im_bound);
@@ -383,22 +365,6 @@ TEST(AdversaryScenario, CollusionTrioAcceptance) {
               service::PeerState::kQuarantined);
     EXPECT_EQ(ft->service().server(0).peer_state(6),
               service::PeerState::kQuarantined);
-
-    // Sharded runs must agree bit-for-bit across thread counts.
-    if (engine.shards != 0) {
-      const std::uint64_t mh = hash_trace(mm->service().trace());
-      const std::uint64_t ih = hash_trace(im->service().trace());
-      const std::uint64_t fh = hash_trace(ft->service().trace());
-      if (mm_hash == 0) {
-        mm_hash = mh;
-        im_hash = ih;
-        ft_hash = fh;
-      } else {
-        EXPECT_EQ(mh, mm_hash) << "MM trace depends on thread count";
-        EXPECT_EQ(ih, im_hash) << "IM trace depends on thread count";
-        EXPECT_EQ(fh, ft_hash) << "IMFT trace depends on thread count";
-      }
-    }
   }
 }
 
@@ -421,20 +387,12 @@ TEST(AdversaryScenario, CollusionTrioAcceptance) {
 //     rehabilitated - the full damage/repair cycle, deterministically.
 
 TEST(AdversaryScenario, GossipTrioAcceptance) {
-  struct Engine {
-    std::uint32_t shards, threads;
-  };
-  const Engine engines[] = {{0, 1}, {8, 1}, {8, 2}, {8, 4}};
-  std::uint64_t imft_hash = 0, byz_hash = 0, rec_hash = 0;
-
-  for (const auto& engine : engines) {
-    SCOPED_TRACE(testing::Message() << "shards=" << engine.shards
-                                    << " threads=" << engine.threads);
+  for (const std::uint32_t shards : {0u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
 
     // IMFT star: every leaf ends far outside its claimed bound, split into
     // camps by destination parity, and no detector anywhere has evidence.
-    auto imft = run_scenario("byzantine_gossip_imft_star.mtds", engine.shards,
-                             engine.threads);
+    auto imft = run_scenario("byzantine_gossip_imft_star.mtds", shards);
     const auto imft_report = service::build_report(imft->service());
     for (ServerId i = 1; i <= 4; ++i) {
       EXPECT_FALSE(imft_report.servers[i].correct) << "S" << i;
@@ -456,8 +414,7 @@ TEST(AdversaryScenario, GossipTrioAcceptance) {
     // BYZ + gossip, identical star and liar: bounds hold, the camps never
     // form, and every leaf convicts and quarantines the hub from the
     // contradictory cross-notes.
-    auto byz = run_scenario("byzantine_gossip_byz_star.mtds", engine.shards,
-                            engine.threads);
+    auto byz = run_scenario("byzantine_gossip_byz_star.mtds", shards);
     const auto byz_report = service::build_report(byz->service());
     EXPECT_TRUE(byz_report.correctness.ok());
     EXPECT_TRUE(byz_report.consistency.ok());
@@ -487,8 +444,7 @@ TEST(AdversaryScenario, GossipTrioAcceptance) {
     // counter), re-convergence takes at most K = 3 rounds, and the fleet
     // walks the whole quarantine -> probation -> rehabilitation path on
     // the corrupted server before the horizon.
-    auto rec = run_scenario("byzantine_gossip_recover.mtds", engine.shards,
-                            engine.threads);
+    auto rec = run_scenario("byzantine_gossip_recover.mtds", shards);
     const auto rec_report = service::build_report(rec->service());
     const auto& corrupted = rec->service().server(2).counters();
     EXPECT_EQ(corrupted.state_corruptions, 1u);
@@ -515,22 +471,6 @@ TEST(AdversaryScenario, GossipTrioAcceptance) {
     EXPECT_GE(quarantines, 1u);
     EXPECT_GE(probations, 1u);
     EXPECT_GE(rehabilitations, 1u);
-
-    // Sharded runs must agree bit-for-bit across thread counts.
-    if (engine.shards != 0) {
-      const std::uint64_t ih = hash_trace(imft->service().trace());
-      const std::uint64_t bh = hash_trace(byz->service().trace());
-      const std::uint64_t rh = hash_trace(rec->service().trace());
-      if (imft_hash == 0) {
-        imft_hash = ih;
-        byz_hash = bh;
-        rec_hash = rh;
-      } else {
-        EXPECT_EQ(ih, imft_hash) << "IMFT-star trace depends on thread count";
-        EXPECT_EQ(bh, byz_hash) << "BYZ-star trace depends on thread count";
-        EXPECT_EQ(rh, rec_hash) << "recovery trace depends on thread count";
-      }
-    }
   }
 }
 

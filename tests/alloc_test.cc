@@ -128,7 +128,6 @@ TEST(AllocTest, IMPerRoundSteadyStateIsAllocationFree) {
 TEST(AllocTest, ShardedEngineSteadyStateIsAllocationFree) {
   ServiceConfig cfg = config(core::SyncAlgorithm::kMM, 8);
   cfg.sim_shards = 4;
-  cfg.sim_threads = 2;
   expect_steady_state_alloc_free(std::move(cfg), "MM/sharded");
 }
 

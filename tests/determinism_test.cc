@@ -5,11 +5,11 @@
 // bit-for-bit).  Every service runs on the sharded engine; the scenarios'
 // default (sim_shards = 0) is one shard, and the one-shard goldens were
 // pinned on the single-queue engine that one shard replaced - they must hold
-// at sim_shards = 1 and every worker thread count too.  The pinned values freeze seeded behavior across rewrites
-// of the simulation substrate: the EventQueue slab-heap, its delivery key
-// heap and the dense Network tables were landed against these exact
-// hashes, and any future "optimization" that silently reorders events or
-// perturbs a single RNG draw fails here instead of in a downstream
+// at sim_shards = 1 too.  The pinned values freeze seeded behavior across
+// rewrites of the simulation substrate: the EventQueue slab-heap, its
+// delivery key heap and the dense Network tables were landed against these
+// exact hashes, and any future "optimization" that silently reorders events
+// or perturbs a single RNG draw fails here instead of in a downstream
 // experiment.
 //
 // The sim touches no libm in these scenarios (uniform delays and the
@@ -74,39 +74,29 @@ std::uint64_t run_and_hash(const std::string& name) {
   return hash_trace(runner.run().trace());
 }
 
-// Same scenario, forced onto S shards and T worker threads.  Multi-shard
-// hashes differ from the one-shard ones by design (per-shard RNG streams
-// draw differently from one stream), but they are their own goldens: a
-// function of (scenario, shard count) only, byte-identical across worker
-// thread counts.
+// Same scenario, forced onto S shards.  Multi-shard hashes differ from the
+// one-shard ones by design (per-shard RNG streams draw differently from one
+// stream), but they are their own goldens: a function of (scenario, shard
+// count) only - the determinism contract of sim/sharded_engine.h.
 std::uint64_t run_and_hash_sharded(const std::string& name,
-                                   std::uint32_t shards,
-                                   std::uint32_t threads) {
+                                   std::uint32_t shards) {
   Scenario scenario = parse_scenario(read_scenario(name));
   scenario.config.sim_shards = shards;
-  scenario.config.sim_threads = threads;
   ScenarioRunner runner(std::move(scenario));
   return hash_trace(runner.run().trace());
 }
 
-// Sharded engine: the pinned hash must hold at EVERY worker thread count -
-// this is the determinism contract of sim/sharded_engine.h (results are a
-// function of the shard count, never of the thread count or OS scheduling).
 void check_sharded_golden(const std::string& name, std::uint32_t shards,
                           std::uint64_t expected) {
-  for (std::uint32_t threads : {1u, 2u, 4u}) {
-    const std::uint64_t got = run_and_hash_sharded(name, shards, threads);
-    if (std::getenv("MTDS_PRINT_TRACE_HASH") != nullptr) {
-      printf("golden %s shards=%u threads=%u = 0x%016llxull\n", name.c_str(),
-             shards, threads, static_cast<unsigned long long>(got));
-    }
-    EXPECT_EQ(got, expected)
-        << name << " (shards=" << shards << ", threads=" << threads
-        << "): sharded trace hash changed - either the engine lost "
-        << "thread-count independence (hashes differ between thread counts: "
-        << "a scheduling leak) or a deliberate change needs a re-pin (all "
-        << "three thread counts report the same new value)";
+  const std::uint64_t got = run_and_hash_sharded(name, shards);
+  if (std::getenv("MTDS_PRINT_TRACE_HASH") != nullptr) {
+    printf("golden %s shards=%u = 0x%016llxull\n", name.c_str(), shards,
+           static_cast<unsigned long long>(got));
   }
+  EXPECT_EQ(got, expected)
+      << name << " (shards=" << shards << "): sharded trace hash changed - "
+      << "the engine no longer reproduces the pinned seeded run, or a "
+      << "deliberate change needs a re-pin";
 }
 
 void check_golden(const std::string& name, std::uint64_t expected) {
@@ -121,7 +111,7 @@ void check_golden(const std::string& name, std::uint64_t expected) {
       << "after a deliberate behavior change)";
   // Independent of the pinned value: the run reproduces itself in-process.
   EXPECT_EQ(run_and_hash(name), got) << name << ": run-to-run divergence";
-  // One shard is the default engine, whatever the thread count.
+  // Forcing one shard is the default engine.
   check_sharded_golden(name, 1, expected);
 }
 

@@ -66,6 +66,21 @@ TEST(Report, FormatContainsKeySections) {
   EXPECT_NE(text.find("verdict: HEALTHY"), std::string::npos);
 }
 
+// With no sampled pair (sampling off, or one server) there is no worst
+// pair to name: the line says so instead of printing sentinel ids.
+TEST(Report, NoSampledPairPrintsNoIds) {
+  auto unsampled = parse_scenario(
+      "sample 0\nserver tau=5\nserver tau=5\nrun 20\n");
+  auto single = parse_scenario("sample 1\nserver tau=5\nrun 20\n");
+  for (Scenario* scenario : {&unsampled, &single}) {
+    ScenarioRunner runner(std::move(*scenario));
+    const auto text = format_report(build_report(runner.run()));
+    EXPECT_NE(text.find("asynchronism: no sampled pair\n"), std::string::npos)
+        << text;
+    EXPECT_EQ(text.find("4294967295"), std::string::npos) << text;
+  }
+}
+
 TEST(Report, UnhealthyServiceGetsFlagged) {
   ServiceConfig cfg;
   cfg.seed = 4;

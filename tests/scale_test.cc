@@ -79,7 +79,6 @@ TEST(Scale, TenThousandServerShardedServiceRunsToCompletion) {
   cfg.sample_interval = 50.0;
   cfg.topology = Topology::kRing;
   cfg.sim_shards = 16;
-  cfg.sim_threads = 2;
 
   sim::Rng rng(321);
   for (std::size_t i = 0; i < kServers; ++i) {
@@ -96,7 +95,6 @@ TEST(Scale, TenThousandServerShardedServiceRunsToCompletion) {
   }
   TimeService service(cfg);
   ASSERT_EQ(service.sharded_engine()->num_shards(), 16u);
-  EXPECT_EQ(service.sharded_engine()->num_threads(), 2u);
 
   service.run_until(90.0);
   EXPECT_TRUE(service.all_correct());

@@ -126,6 +126,7 @@ TEST(ParseScenario, ServerSpecCoversEveryKey) {
 TEST(ParseScenario, ActionsSortedByTime) {
   const auto s = parse_scenario(R"(
     server algo=MM tau=10
+    server algo=MM tau=10
     at 50 leave 0
     at 10 partition 0 1
     run 100
@@ -194,6 +195,47 @@ TEST(ParseScenario, RejectsBadInput) {
         "server algo=MM tau=10\ndelay 0 nan\nrun 1\n",
         "server algo=MM tau=10\nat nan crash 0\nrun 1\n"}) {
     EXPECT_THROW(parse_scenario(bad), std::invalid_argument) << bad;
+  }
+  // Every server id names a server or a joiner: ids run below servers plus
+  // `at ... join` lines, and never wrap through the 32-bit id type.
+  const std::string three =
+      "server tau=10\nserver tau=10\nserver tau=10\n";
+  for (const std::string& bad :
+       {three + "at 5 crash 4294967296\n", three + "at 5 crash 4294967295\n",
+        three + "at 5 crash 7\n", three + "at 5 restart 3\n",
+        three + "at 5 corrupt-state 3\n", three + "at 5 partition 0 3\n",
+        three + "at 5 heal 3 0\n",
+        three + "at 5 join tau=10\nat 9 crash 4\n",
+        three + "at 5 join tau=10 recovery=third pool=0,4\n",
+        "server tau=10 recovery=third pool=1,4\n" + three,
+        "server tau=10 pool=4294967296\n" + three}) {
+    EXPECT_THROW(parse_scenario(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(ParseScenario, ActionsMayNameJoiners) {
+  const auto s = parse_scenario(R"(
+    server algo=MM tau=10 recovery=third pool=1,3
+    server algo=MM tau=10
+    server algo=MM tau=10
+    at 20 crash 3
+    at 10 join algo=MM tau=10
+    run 30
+  )");
+  ASSERT_EQ(s.actions.size(), 2u);
+  EXPECT_EQ(s.actions[1].kind, ScenarioAction::Kind::kCrash);
+  EXPECT_EQ(s.actions[1].a, 3u);
+}
+
+TEST(ParseScenario, ThreadsMustBeOne) {
+  const auto one = parse_scenario("threads 1\nserver tau=10\nrun 1\n");
+  EXPECT_EQ(one.config.servers.size(), 1u);
+  try {
+    parse_scenario("server tau=10\nthreads 2\nrun 1\n");
+    FAIL() << "expected throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("one thread"), std::string::npos)
+        << e.what();
   }
 }
 

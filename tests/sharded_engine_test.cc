@@ -1,11 +1,10 @@
 // Unit coverage for the sharded-engine building blocks: the EventQueue
 // window primitives and the ShardedEngine epoch loop itself (window math,
-// barrier hook ordering, thread-count independence at the engine level).
+// barrier hook ordering, cross-shard hand-offs at the engine level).
 // Whole-service determinism is pinned end-to-end by determinism_test.cc;
 // these tests isolate the pieces so a regression points at the right
 // layer.
 
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -82,45 +81,43 @@ TEST(EventQueueWindows, AdvanceToNeverMovesBackwards) {
 // Two shards exchanging "messages" through the barrier hook: each event at
 // time t on shard s schedules the next on the other shard at t + delay,
 // mimicking the Network mailbox protocol.
-TEST(ShardedEngine, CrossShardPingPongMatchesEveryThreadCount) {
+TEST(ShardedEngine, CrossShardPingPongAlternatesShards) {
   const Duration kDelay{0.25};
-  for (unsigned threads : {1u, 2u, 4u}) {
-    sim::EventQueue q0, q1;
-    std::vector<std::pair<int, double>> log;  // (shard, time)
-    struct Mail {
-      int to;
-      RealTime at;
-    };
-    std::vector<Mail> mailbox;
+  sim::EventQueue q0, q1;
+  std::vector<std::pair<int, double>> log;  // (shard, time)
+  struct Mail {
+    int to;
+    RealTime at;
+  };
+  std::vector<Mail> mailbox;
 
-    std::function<void(int)> bounce = [&](int shard) {
-      sim::EventQueue& q = shard == 0 ? q0 : q1;
-      log.emplace_back(shard, q.now().seconds());
-      if (log.size() < 8) {
-        mailbox.push_back(Mail{1 - shard, q.now() + kDelay});
-      }
-    };
-
-    q0.at(RealTime{0.0}, [&] { bounce(0); });
-    sim::ShardedEngine engine({&q0, &q1}, threads);
-    engine.set_barrier_hook([&] {
-      for (const Mail& m : mailbox) {
-        sim::EventQueue& q = m.to == 0 ? q0 : q1;
-        const int to = m.to;
-        q.at(m.at, [&, to] { bounce(to); });
-      }
-      mailbox.clear();
-    });
-    engine.run_until(RealTime{10.0}, kDelay);
-
-    ASSERT_EQ(log.size(), 8u) << "threads=" << threads;
-    for (std::size_t i = 0; i < log.size(); ++i) {
-      EXPECT_EQ(log[i].first, static_cast<int>(i % 2));
-      EXPECT_NEAR(log[i].second, 0.25 * static_cast<double>(i), 1e-12);
+  std::function<void(int)> bounce = [&](int shard) {
+    sim::EventQueue& q = shard == 0 ? q0 : q1;
+    log.emplace_back(shard, q.now().seconds());
+    if (log.size() < 8) {
+      mailbox.push_back(Mail{1 - shard, q.now() + kDelay});
     }
-    EXPECT_EQ(q0.now(), RealTime{10.0});
-    EXPECT_EQ(q1.now(), RealTime{10.0});
+  };
+
+  q0.at(RealTime{0.0}, [&] { bounce(0); });
+  sim::ShardedEngine engine({&q0, &q1});
+  engine.set_barrier_hook([&] {
+    for (const Mail& m : mailbox) {
+      sim::EventQueue& q = m.to == 0 ? q0 : q1;
+      const int to = m.to;
+      q.at(m.at, [&, to] { bounce(to); });
+    }
+    mailbox.clear();
+  });
+  engine.run_until(RealTime{10.0}, kDelay);
+
+  ASSERT_EQ(log.size(), 8u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].first, static_cast<int>(i % 2));
+    EXPECT_NEAR(log[i].second, 0.25 * static_cast<double>(i), 1e-12);
   }
+  EXPECT_EQ(q0.now(), RealTime{10.0});
+  EXPECT_EQ(q1.now(), RealTime{10.0});
 }
 
 TEST(ShardedEngine, ZeroLookaheadRunsLockstepRounds) {
@@ -130,7 +127,7 @@ TEST(ShardedEngine, ZeroLookaheadRunsLockstepRounds) {
   q1.at(RealTime{1.0}, [&] { order.push_back(1); });
   q1.at(RealTime{2.0}, [&] { order.push_back(2); });
 
-  sim::ShardedEngine engine({&q0, &q1}, 1);
+  sim::ShardedEngine engine({&q0, &q1});
   engine.run_until(RealTime{3.0}, Duration{0.0});
   // Both t=1.0 events ran in the first lockstep round, t=2.0 in a later one.
   ASSERT_EQ(order.size(), 3u);
@@ -140,14 +137,14 @@ TEST(ShardedEngine, ZeroLookaheadRunsLockstepRounds) {
 
 TEST(ShardedEngine, PositiveLookaheadBatchesWindows) {
   sim::EventQueue q0, q1;
-  std::atomic<int> fired{0};
+  int fired = 0;
   for (int i = 0; i < 100; ++i) {
-    q0.at(RealTime{0.01 * i}, [&] { fired.fetch_add(1); });
-    q1.at(RealTime{0.01 * i}, [&] { fired.fetch_add(1); });
+    q0.at(RealTime{0.01 * i}, [&] { ++fired; });
+    q1.at(RealTime{0.01 * i}, [&] { ++fired; });
   }
-  sim::ShardedEngine engine({&q0, &q1}, 2);
+  sim::ShardedEngine engine({&q0, &q1});
   engine.run_until(RealTime{1.0}, Duration{0.1});
-  EXPECT_EQ(fired.load(), 200);
+  EXPECT_EQ(fired, 200);
   // 100 distinct timestamps, but only ~10 windows of width 0.1.
   EXPECT_LE(engine.last_windows(), 12u);
 }
@@ -156,7 +153,7 @@ TEST(ShardedEngine, BarrierHookRunsAfterEveryWindow) {
   sim::EventQueue q0, q1;
   q0.at(RealTime{0.5}, [] {});
   q1.at(RealTime{1.5}, [] {});
-  sim::ShardedEngine engine({&q0, &q1}, 2);
+  sim::ShardedEngine engine({&q0, &q1});
   std::size_t hooks = 0;
   engine.set_barrier_hook([&] { ++hooks; });
   engine.run_until(RealTime{2.0}, Duration{0.0});

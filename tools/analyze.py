@@ -26,9 +26,10 @@ program roots, and runs five checks on it:
                           no pointer-keyed ordering/hashing, no
                           std::chrono::*_clock, no rand()/random_device/
                           mt19937 outside the sim::Rng implementation.  The
-                          determinism goldens pin that traces are identical
-                          across thread counts; this check turns the golden
-                          from a sampled property into an analyzed one.
+                          determinism goldens pin that seeded traces are
+                          identical from run to run; this check turns the
+                          golden from a sampled property into an analyzed
+                          one.
                           Escape hatch: `// mtds:nondet-ok(reason)`.
   seconds-escape          a `.seconds()` result must not flow back into a
                           time-type constructor or a time-typed parameter in
@@ -1488,8 +1489,8 @@ def check_determinism(prog: Program) -> list[Violation]:
             why = "src/sim/" if in_sim else "feeds sim::Trace"
             out.append(Violation(
                 fn.file, site.line, "determinism-taint",
-                f"{site.what} in '{fn.key}' ({why}); determinism across "
-                "thread counts is a checked invariant - use sim::Rng / "
+                f"{site.what} in '{fn.key}' ({why}); determinism of seeded "
+                "runs is a checked invariant - use sim::Rng / "
                 "ordered containers, or mtds:nondet-ok(reason)"))
     return out
 
