@@ -427,31 +427,54 @@ Scenario parse_scenario(const std::string& text) {
       check_id(id, server_lines[i]);
     }
   }
-  for (std::size_t i = 0; i < scenario.actions.size(); ++i) {
+  // The runner applies actions in time order, ties in file order, and a
+  // join takes the next id when it runs, so an action may name a joiner
+  // only once that joiner's join has run before it.
+  std::vector<std::size_t> order(scenario.actions.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&scenario](std::size_t x, std::size_t y) {
+                     return scenario.actions[x].at < scenario.actions[y].at;
+                   });
+  std::size_t joined = servers.size();
+  for (const std::size_t i : order) {
     const ScenarioAction& action = scenario.actions[i];
+    const auto check_joined = [&](core::ServerId id) {
+      check_id(id, action_lines[i]);
+      if (id >= joined) {
+        std::ostringstream msg;
+        msg << "line " << action_lines[i] << ": server id " << id
+            << " has not joined by t=" << action.at.seconds()
+            << " (its join runs later)";
+        throw std::invalid_argument(msg.str());
+      }
+    };
     switch (action.kind) {
       case ScenarioAction::Kind::kPartition:
       case ScenarioAction::Kind::kHeal:
-        check_id(action.b, action_lines[i]);
+        check_joined(action.b);
         [[fallthrough]];
       case ScenarioAction::Kind::kCrash:
       case ScenarioAction::Kind::kRestart:
       case ScenarioAction::Kind::kCorruptState:
-        check_id(action.a, action_lines[i]);
+        check_joined(action.a);
         break;
       case ScenarioAction::Kind::kJoin:
         for (core::ServerId id : action.spec.recovery_pool) {
           check_id(id, action_lines[i]);
         }
+        ++joined;
         break;
       case ScenarioAction::Kind::kLoss:
         break;
     }
   }
-  std::stable_sort(scenario.actions.begin(), scenario.actions.end(),
-                   [](const ScenarioAction& x, const ScenarioAction& y) {
-                     return x.at < y.at;
-                   });
+  std::vector<ScenarioAction> sorted;
+  sorted.reserve(order.size());
+  for (const std::size_t i : order) {
+    sorted.push_back(std::move(scenario.actions[i]));
+  }
+  scenario.actions = std::move(sorted);
   return scenario;
 }
 

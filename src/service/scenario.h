@@ -33,7 +33,9 @@
 //
 // Server ids are 0..n-1 in `server` order, and each `at ... join` takes the
 // next id in time order.  Every id an `at` action or a `pool=` list names
-// must be below the count of servers plus joins.
+// must be below the count of servers plus joins, and an action may name a
+// joiner only once its join has run: actions run in time order, and
+// same-time actions in file order.
 //
 // A server spec (`server` and `join` lines, and parse_server_spec below) is
 // a list of key=value pairs over a base spec; each key sets one ServerSpec

@@ -11,17 +11,30 @@
 // O(1) tag bump, and a callback is a std::function whose closure fits its
 // inline buffer, so a typical timer allocates nothing.  Deliveries are never
 // cancelled and need no closure: the queue keeps only their (time, seq,
-// slot) keys in a plain util::QuadHeap, and the typed records they index
-// stay with the sim::Network that owns them, which the queue calls back
-// through one function pointer.  Both heaps draw their seq from one counter
-// and the run loops pop whichever head is smaller by (time, seq), so the
-// merged order is exactly the order one heap of closures would run - the
-// determinism goldens pin it.
+// slot) keys, and the typed records they index stay with the sim::Network
+// that owns them, which the queue calls back through one function pointer.
+//
+// The delivery keys sit in a calendar ring (Brown, CACM 31(10), 1988) of
+// kBuckets equal buckets spanning the network's largest default one-way
+// delay, so every arrival the default model draws lands within one turn
+// of now.  A bucket is a list threaded through its keys' pool slots; the
+// earliest occupied bucket, found in a bitmap, is gathered into one reused
+// "run" vector and sorted once by (time, seq), so a pop is a pop_back where
+// a heap paid an unpredictable compare per level.  Keys beyond the turn
+// (per-link overrides, long tails), and all keys of a queue whose span is
+// zero, wait in a small overflow heap instead.  The ring, the overflow
+// heap and the timers draw their seq from one counter, and the run loops
+// pop whichever head is smallest by (time, seq), so the merged order is
+// exactly the order one heap of closures would run - the determinism
+// goldens pin it.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <vector>
 
 #include "core/time_types.h"
 #include "util/slab_heap.h"
@@ -64,19 +77,26 @@ class EventQueue {
 
   // Installs the delivery sink: deliver() keys run as fn(owner, slot).  A
   // queue serves one owner (the sim::Network over it), which must outlive
-  // every delivery it schedules.
-  void set_delivery_sink(void* owner, DeliverFn fn) noexcept {
-    sink_owner_ = owner;
-    sink_fn_ = fn;
-  }
+  // every delivery it schedules.  `span` is the largest delay the owner
+  // normally schedules a delivery after; the calendar ring spans it, and a
+  // span of zero keeps every delivery in the overflow heap.  Call it before
+  // the first deliver().
+  void set_delivery_sink(void* owner, DeliverFn fn, Duration span);
 
   // Schedules delivery of the sink owner's record `slot` at time t (>= now,
   // checked).  Deliveries take their seq from the same counter as timers.
+  // A slot holds at most one pending delivery: the ring's bucket lists are
+  // threaded through the slots.
   // mtds:no-alloc
   void deliver(RealTime t, std::uint32_t slot) {
     if (t < now_) throw_past();
-    if ((slot >> kSlotBits) != 0 || (next_seq_ >> kSeqBits) != 0) throw_full();
-    deliveries_.push(DeliveryKey{t, (next_seq_++ << kSlotBits) | slot});
+    if (slot >= kNoSlot || (next_seq_ >> kSeqBits) != 0) throw_full();
+    const DeliveryKey key{t, (next_seq_++ << kSlotBits) | slot};
+    if (inv_width_ == 0.0) {  // no ring: a zero span
+      overflow_.push(key);
+      return;
+    }
+    ring_push(key, slot);
   }
 
   // Runs the next event; returns false when the queue is empty.
@@ -134,8 +154,9 @@ class EventQueue {
   RealTime next_time() {
     RealTime next{std::numeric_limits<double>::infinity()};
     if (const Priority* top = timers_.peek()) next = top->time;
-    if (!deliveries_.empty() && deliveries_.top().time < next) {
-      next = deliveries_.top().time;
+    if (has_deliveries()) {
+      const RealTime t = run_heads() ? run_.back().time : overflow_.top().time;
+      if (t < next) next = t;
     }
     return next;
   }
@@ -149,9 +170,9 @@ class EventQueue {
   RealTime now() const noexcept { return now_; }
   // mtds:test-api(event_queue_test checks cancellation removes events)
   std::size_t pending() const noexcept {
-    return timers_.size() + deliveries_.size();
+    return timers_.size() + ring_size_ + overflow_.size();
   }
-  bool empty() const noexcept { return timers_.empty() && deliveries_.empty(); }
+  bool empty() const noexcept { return timers_.empty() && !has_deliveries(); }
 
  private:
   // (time, insertion seq): the FIFO tie-break the determinism tests pin.
@@ -164,11 +185,11 @@ class EventQueue {
     }
   };
 
-  // A delivery's heap entry: its (time, seq) priority with the record's
-  // slot packed under the seq, 16 bytes where a separate slot field would
-  // pad it to 24 - the delivery heap is the largest structure a gossiping
-  // run walks.  That caps a queue at 2^40 scheduled events and 2^24
-  // deliveries in flight (deliver() checks both).
+  // A delivery's key: its (time, seq) priority with the record's slot
+  // packed under the seq, 16 bytes where a separate slot field would pad
+  // it to 24 - the run and the overflow heap hold keys by value.  That
+  // caps a queue at 2^40 scheduled events and 2^24 - 1 deliveries in
+  // flight, the top slot ending the ring's lists (deliver() checks both).
   static constexpr unsigned kSlotBits = 24;
   static constexpr unsigned kSeqBits = 64 - kSlotBits;
   static constexpr std::uint64_t kSlotMask =
@@ -181,30 +202,169 @@ class EventQueue {
       return seq_slot < other.seq_slot;
     }
   };
+  // The run's order: its smallest key last, where pop_back takes it.
+  struct Descending {
+    bool operator()(const DeliveryKey& a, const DeliveryKey& b) const noexcept {
+      return b < a;
+    }
+  };
+
+  // Calendar ring geometry.  kBuckets is a power of two so a bucket's
+  // index in the ring is its absolute number's low bits; the width is
+  // span / (kBuckets - 1), so a key at now + span still falls inside the
+  // kBuckets buckets that start at now's.
+  static constexpr std::uint32_t kBuckets = 1024;
+  static constexpr std::uint32_t kBucketMask = kBuckets - 1;
+  static constexpr std::uint32_t kWords = kBuckets / 64;
+  static_assert(kWords <= 32, "summary_ has a bit per bitmap word");
+  static constexpr std::uint32_t kNoSlot = kSlotMask;  // ends a list
+  // A bucket number must fit a uint64_t; time * inverse width at or past
+  // this sends the key to the overflow heap.
+  static constexpr double kBucketLimit = 9.0e18;
+
+  bool has_deliveries() const noexcept {
+    return ring_size_ != 0 || !overflow_.empty();
+  }
+
+  // Absolute bucket number of time t; requires t * inv_width_ below
+  // kBucketLimit.  Monotone in t, so a later bucket holds only later keys.
+  std::uint64_t bucket_of(RealTime t) const noexcept {
+    return static_cast<std::uint64_t>(t.seconds() * inv_width_);
+  }
+
+  // Files a key in the ring: in its bucket's list, in order into the run
+  // when it falls in the run's bucket, or in the overflow heap when it
+  // lies beyond one turn from now.  Every pending key is at or after now,
+  // so with the turn starting at now's bucket, no two buckets a ring
+  // index maps to can both hold keys.
+  //
+  // Out of line, so the zero-span path that deliver() inlines stays small,
+  // and the key comes by value: a reference pinned the caller's key in
+  // memory, which cost BM_NetworkFanout/8 (zero span) a quarter of its rate.
+  // mtds:no-alloc
+  [[gnu::noinline]] void ring_push(DeliveryKey key, std::uint32_t slot) {
+    if (!(key.time.seconds() * inv_width_ < kBucketLimit)) {
+      overflow_.push(key);
+      return;
+    }
+    const std::uint64_t bucket = bucket_of(key.time);
+    if (bucket - bucket_of(now_) >= kBuckets) {
+      overflow_.push(key);
+      return;
+    }
+    if (slot >= nodes_.size()) grow_nodes(slot);
+    ++ring_size_;
+    if (!run_.empty()) {
+      if (bucket == run_bucket_) {
+        insert_into_run(key);
+        return;
+      }
+      // A key before the run (scheduled by a timer that fires before the
+      // run's bucket) sends the run back to its bucket.
+      if (bucket < run_bucket_) spill_run();
+    }
+    link(static_cast<std::uint32_t>(bucket) & kBucketMask, key, slot);
+  }
+
+  // A ring key waits on its bucket's list at nodes_[slot], so the key's
+  // own slot bits are free to hold the next slot on the list.
+  void link(std::uint32_t index, const DeliveryKey& key,
+            std::uint32_t slot) noexcept {
+    nodes_[slot] =
+        DeliveryKey{key.time, (key.seq_slot & ~kSlotMask) | heads_[index]};
+    heads_[index] = slot;
+    occupied_[index >> 6] |= std::uint64_t{1} << (index & 63);
+    summary_ |= 1u << (index >> 6);
+  }
+
+  // The run is sorted descending, so a key at now (a zero-delay send)
+  // goes in near its back.
+  // mtds:no-alloc
+  [[gnu::noinline]] void insert_into_run(const DeliveryKey& key) {
+    // mtds:alloc-ok(the run reserves one entry per pool slot in grow_nodes, so an insert never outgrows it)
+    run_.insert(std::upper_bound(run_.begin(), run_.end(), key, Descending{}),
+                key);
+  }
+
+  // mtds:no-alloc
+  [[gnu::noinline]] void spill_run() noexcept {
+    const std::uint32_t index =
+        static_cast<std::uint32_t>(run_bucket_) & kBucketMask;
+    for (const DeliveryKey& key : run_) {
+      link(index, key, static_cast<std::uint32_t>(key.seq_slot & kSlotMask));
+    }
+    run_.clear();
+  }
+
+  // Moves the earliest occupied bucket into the run, sorted descending so
+  // its smallest key is at the back.  Requires ring keys and an empty run.
+  // mtds:no-alloc
+  [[gnu::noinline]] void gather() {
+    const std::uint64_t base = bucket_of(now_);
+    const std::uint32_t from = static_cast<std::uint32_t>(base) & kBucketMask;
+    // The first occupied bucket at or after `from` in its word, else the
+    // first occupied word after it, else (wrapping) the first occupied
+    // word, whose buckets below `from` are the furthest from now.
+    std::uint32_t word = from >> 6;
+    std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (from & 63));
+    if (bits == 0) {
+      const std::uint32_t later = summary_ & ~((2u << word) - 1);
+      word = static_cast<std::uint32_t>(
+          __builtin_ctz(later != 0 ? later : summary_));
+      bits = occupied_[word];
+    }
+    const std::uint32_t index =
+        (word << 6) + static_cast<std::uint32_t>(__builtin_ctzll(bits));
+    occupied_[word] &= ~(std::uint64_t{1} << (index & 63));
+    if (occupied_[word] == 0) summary_ &= ~(1u << word);
+    run_bucket_ = base + ((index - from) & kBucketMask);
+    for (std::uint32_t s = heads_[index]; s != kNoSlot;) {
+      const DeliveryKey node = nodes_[s];
+      // mtds:alloc-ok(the run reserves one entry per pool slot in grow_nodes, so gathering never outgrows it)
+      run_.push_back(DeliveryKey{node.time, (node.seq_slot & ~kSlotMask) | s});
+      s = static_cast<std::uint32_t>(node.seq_slot & kSlotMask);
+    }
+    heads_[index] = kNoSlot;
+    std::sort(run_.begin(), run_.end(), Descending{});
+  }
+
+  // Whether the smallest pending delivery key heads the run rather than
+  // the overflow heap; requires has_deliveries().  A queue with no ring
+  // keys (a zero span among them) reads one counter and leaves the ring
+  // alone.
+  // mtds:no-alloc
+  bool run_heads() {
+    if (ring_size_ == 0) return false;
+    if (run_.empty()) gather();
+    return overflow_.empty() || run_.back() < overflow_.top();
+  }
+
+  [[gnu::noinline]] void grow_nodes(std::uint32_t slot);
 
   // Runs the earlier of the two heads unless its time is `past`; false
   // when the queue is empty or the head is past.  A queue without pending
-  // deliveries pays one size test for them.
+  // deliveries pays two emptiness tests for them.
   //
   // A timer is moved out of its slab slot before it runs, and a delivery
   // pops its key before the sink runs, so either may schedule freely.
   // mtds:no-alloc
   template <typename Past>
   bool pop_one(Past past) {
-    if (!deliveries_.empty()) return pop_merged(past);
+    if (has_deliveries()) return pop_merged(past);
     const Priority* timer = timers_.peek();
     if (timer == nullptr || past(timer->time)) return false;
     run_timer();
     return true;
   }
 
-  // pop_one with deliveries pending: compares the two heads.  Out of line
-  // so the timer-only loop above stays small: inlined here, the merge cost
+  // pop_one with deliveries pending: compares the heads.  Out of line so
+  // the timer-only loop above stays small: inlined here, the merge cost
   // BM_EventQueueDrain (timers only) a quarter to a third of its rate.
   // mtds:no-alloc
   template <typename Past>
   [[gnu::noinline]] bool pop_merged(Past past) {
-    const DeliveryKey key = deliveries_.top();
+    const bool in_run = run_heads();
+    const DeliveryKey key = in_run ? run_.back() : overflow_.top();
     const Priority* timer = timers_.peek();
     if (timer != nullptr &&
         *timer < Priority{key.time, key.seq_slot >> kSlotBits}) {
@@ -213,7 +373,12 @@ class EventQueue {
       return true;
     }
     if (past(key.time)) return false;
-    deliveries_.pop();
+    if (in_run) {
+      run_.pop_back();
+      --ring_size_;
+    } else {
+      overflow_.pop();
+    }
     now_ = key.time;
     sink_fn_(sink_owner_,
              static_cast<std::uint32_t>(key.seq_slot & kSlotMask));
@@ -242,11 +407,23 @@ class EventQueue {
   [[noreturn]] static void throw_full();
 
   util::SlabHeap<Priority, Callback> timers_;
-  util::QuadHeap<DeliveryKey> deliveries_;
   void* sink_owner_ = nullptr;
   DeliverFn sink_fn_ = nullptr;
   RealTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  std::size_t ring_size_ = 0;  // keys in the ring's buckets and run
+  util::QuadHeap<DeliveryKey> overflow_;
+
+  // The calendar ring.  inv_width_ is 0 and heads_ empty until a sink with
+  // a positive span is installed.  summary_ lets gather() find the first
+  // occupied bitmap word in one ctz, so a sparse ring pays no word scan.
+  double inv_width_ = 0.0;
+  std::vector<DeliveryKey> run_;                  // head bucket, descending
+  std::uint64_t run_bucket_ = 0;                  // the run's bucket number
+  std::vector<DeliveryKey> nodes_;                // list nodes, by slot
+  std::vector<std::uint32_t> heads_;              // list head per bucket
+  std::array<std::uint64_t, kWords> occupied_{};  // bit per non-empty bucket
+  std::uint32_t summary_ = 0;                     // bit per non-zero word
 };
 
 }  // namespace mtds::sim

@@ -16,7 +16,10 @@
 // search.  A message in flight is a plain record {to, msg} in its receiver
 // shard's parcel pool; the shard's EventQueue keeps only its (time, seq,
 // slot) key and hands the slot back at arrival time, so no closure is
-// built per message and a warmed pool allocates nothing.
+// built per message and a warmed pool allocates nothing.  The queue files
+// keys in a calendar ring spanning the default model's max_delay(), which
+// the network hands it with the sink; a slot has one delivery pending at
+// a time, since the ring threads its bucket lists through the slots.
 #pragma once
 
 #include <algorithm>
@@ -80,7 +83,8 @@ class Network {
     for (std::uint32_t k = 0; k < num_shards_; ++k) {
       pools_[k].net = this;
       pools_[k].shard = k;
-      queues_[k]->set_delivery_sink(&pools_[k], &Network::deliver_thunk);
+      queues_[k]->set_delivery_sink(&pools_[k], &Network::deliver_thunk,
+                                    delays.max_delay());
     }
   }
 

@@ -34,8 +34,9 @@
 namespace mtds::util {
 
 // A 4-ary min-heap of small POD entries ordered by their operator<: the
-// ordering half of SlabHeap, and on its own the sim's delivery queue
-// (sim/event_queue.h), whose entries index records their owner keeps.
+// ordering half of SlabHeap, and on its own the overflow tier of the sim's
+// delivery ring (sim/event_queue.h), which holds the keys beyond one turn
+// of the ring and every key of a queue whose span is zero.
 template <typename Entry>
 class QuadHeap {
  public:

@@ -7,7 +7,7 @@
 // pinned on the single-queue engine that one shard replaced - they must hold
 // at sim_shards = 1 too.  The pinned values freeze seeded behavior across
 // rewrites of the simulation substrate: the EventQueue slab-heap, its
-// delivery key heap and the dense Network tables were landed against these
+// delivery calendar ring and the dense Network tables were landed against these
 // exact hashes, and any future "optimization" that silently reorders events
 // or perturbs a single RNG draw fails here instead of in a downstream
 // experiment.

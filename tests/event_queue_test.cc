@@ -5,6 +5,9 @@
 #include <utility>
 #include <vector>
 
+#include "event_queue_model.h"
+#include "sim/rng.h"
+
 namespace mtds::sim {
 namespace {
 
@@ -187,7 +190,7 @@ struct SlotLog {
 TEST(EventQueue, DeliveriesMergeWithTimersByTimeThenSeq) {
   EventQueue q;
   SlotLog log{&q, {}};
-  q.set_delivery_sink(&log, &SlotLog::sink);
+  q.set_delivery_sink(&log, &SlotLog::sink, 1.0);
   q.deliver(2.0, 7);
   q.at(1.0, [&log] { log.runs.emplace_back(1.0, -1); });
   q.deliver(1.0, 3);
@@ -201,6 +204,102 @@ TEST(EventQueue, DeliveriesMergeWithTimersByTimeThenSeq) {
   EXPECT_EQ(log.runs, (std::vector<std::pair<double, int>>{
                           {1.0, -1}, {1.0, 3}, {2.0, 7}, {2.0, -2}}));
   EXPECT_THROW(q.deliver(1.0, 0), std::invalid_argument);
+}
+
+// The calendar ring.  Each test drives the queue through model::QueueModel,
+// which checks every event against a reference std::set of (time, seq).
+using model::Operation;
+using model::OpKind;
+using model::QueueModel;
+
+// Delay codes (QueueModel::delay_of): the low three bits pick the class,
+// the high five a fraction f = (code >> 3) / 31 of the span.
+constexpr std::uint8_t fraction_code(int f31) {
+  return static_cast<std::uint8_t>((f31 << 3) | 2);  // f * span
+}
+constexpr std::uint8_t kZero = 0;       // delay 0
+constexpr std::uint8_t kSpan = 1;       // exactly the span
+constexpr std::uint8_t kBeyond = 0x86;  // about 5.4 spans: overflow
+constexpr std::uint8_t kHandlerSendsNow = 1;  // child: deliver at delay 0
+
+TEST(EventQueueRing, KeysBeyondTheSpanLeaveOverflowInOrder) {
+  QueueModel m(1e-3);
+  for (int round = 0; round < 20; ++round) {
+    m.apply({OpKind::kBurst, fraction_code(round), 0, 63});
+    m.apply({OpKind::kBurst, kBeyond, 0, 15});
+    m.apply({OpKind::kDeliver, kSpan, 0, 0});
+    m.apply({OpKind::kRunBefore, fraction_code(20), 0, 0});
+  }
+  m.finish();
+  EXPECT_TRUE(m.ok()) << m.error();
+  EXPECT_EQ(m.deliveries_run(), 20u * (64 + 16 + 1));
+}
+
+TEST(EventQueueRing, ZeroDelaySendFromAHandlerJoinsTheBucketBeingDrained) {
+  QueueModel m(1.0);
+  // 64 keys in one bucket (delay < span / 1024); each odd one's handler
+  // sends again at delay 0, into the bucket the run is draining.
+  for (int round = 0; round < 8; ++round) {
+    m.apply({OpKind::kBurst, 0x7c, kHandlerSendsNow, 63});
+    m.apply({OpKind::kStep, 0, 0, 0});
+    m.apply({OpKind::kRunUntil, fraction_code(1), 0, 0});
+  }
+  m.finish();
+  EXPECT_TRUE(m.ok()) << m.error();
+  EXPECT_EQ(m.deliveries_run(), 8u * (64 + 64));
+}
+
+TEST(EventQueueRing, TimerBeforeTheRunSchedulingEarlierSpillsTheRun) {
+  QueueModel m(1.0);
+  // The ring's run forms at about 0.48 s; a timer at about 0.1 s fires
+  // first and delivers at its own time, before the run's bucket.
+  m.apply({OpKind::kBurst, fraction_code(15), 0, 63});
+  m.apply({OpKind::kAt, fraction_code(3), kHandlerSendsNow, 0});
+  m.apply({OpKind::kNextTime, 0, 0, 0});  // gathers the run
+  m.apply({OpKind::kRunUntil, fraction_code(31), 0, 0});
+  m.finish();
+  EXPECT_TRUE(m.ok()) << m.error();
+  EXPECT_EQ(m.deliveries_run(), 64u + 1u);
+}
+
+TEST(EventQueueRing, ZeroSpanKeepsEveryDeliveryInTheHeap) {
+  QueueModel m(0.0);
+  for (int round = 0; round < 16; ++round) {
+    m.apply({OpKind::kBurst, static_cast<std::uint8_t>(round * 11),
+             kHandlerSendsNow, 63});
+    m.apply({OpKind::kAt, kZero, kHandlerSendsNow, 0});
+    m.apply({OpKind::kRunBefore, kSpan, 0, 0});
+  }
+  m.finish();
+  EXPECT_TRUE(m.ok()) << m.error();
+}
+
+// A seeded stream of about 100k mixed operations over four spans (none,
+// a millisecond, a second, and one that is no power-of-two fraction).
+TEST(EventQueueRing, MatchesTheReferenceSetOnARandomStream) {
+  // Schedules outnumber runs, so hundreds of keys stay pending.
+  constexpr OpKind kMix[] = {
+      OpKind::kDeliver, OpKind::kDeliver,   OpKind::kDeliver,
+      OpKind::kBurst,   OpKind::kAt,        OpKind::kAt,
+      OpKind::kCancel,  OpKind::kStep,      OpKind::kStep,
+      OpKind::kRunBefore, OpKind::kRunUntil, OpKind::kRunAt,
+      OpKind::kNextTime};
+  Rng rng(2718);
+  std::size_t events = 0;
+  for (const double span : {0.0, 1e-3, 1.0, 0.37}) {
+    QueueModel m(span);
+    for (int i = 0; i < 25'000; ++i) {
+      const auto byte = [&rng] {
+        return static_cast<std::uint8_t>(rng.uniform_index(256));
+      };
+      m.apply({kMix[rng.uniform_index(std::size(kMix))], byte(), byte(),
+               byte()});
+    }
+    m.finish();
+    ASSERT_TRUE(m.ok()) << "span " << span << ": " << m.error();
+    events += m.events_run();
+  }
+  EXPECT_GT(events, 100'000u);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/delay_model.h"
@@ -248,6 +250,100 @@ TEST(NetworkShards, FlushedDeliveriesTakeTheirPlaceAtTheBarrier) {
   EXPECT_EQ(q1.run_at(0.5), 6u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(net.stats().delivered, 3u);
+}
+
+// Arrival order through the calendar ring.  Four nodes forward each
+// message a few hops; every send adds its (arrival time, send rank) to a
+// reference std::set, and every delivery must head that set.
+struct Hop {
+  std::uint64_t rank = 0;
+  int hops = 0;
+};
+
+class RingOrder {
+ public:
+  RingOrder(EventQueue& queue, Network<Hop>& net) : queue_(queue), net_(net) {
+    for (ServerId id = 0; id < 4; ++id) {
+      net_.register_node(id, [this, id](core::RealTime t, const Hop& m) {
+        arrived(id, t, m);
+      });
+    }
+  }
+
+  void send(ServerId from, ServerId to, int hops) {
+    const std::uint64_t rank = next_rank_++;
+    const auto delay = net_.send(from, to, Hop{rank, hops});
+    ASSERT_TRUE(delay.has_value());
+    expected_.emplace((queue_.now() + *delay).seconds(), rank);
+    if (*delay > max_delay) max_delay = *delay;
+  }
+
+  std::size_t delivered = 0;
+  bool in_order = true;
+  core::Duration max_delay{0.0};
+
+  bool drained() const { return expected_.empty(); }
+
+ private:
+  void arrived(ServerId id, core::RealTime t, const Hop& m) {
+    ++delivered;
+    if (expected_.empty() ||
+        *expected_.begin() != std::make_pair(t.seconds(), m.rank)) {
+      in_order = false;
+    }
+    expected_.erase({t.seconds(), m.rank});
+    if (m.hops > 0) {
+      send(id, static_cast<ServerId>((id + 1 + m.rank % 3) % 4), m.hops - 1);
+    }
+  }
+
+  EventQueue& queue_;
+  Network<Hop>& net_;
+  std::set<std::pair<double, std::uint64_t>> expected_;
+  std::uint64_t next_rank_ = 0;
+};
+
+TEST(NetworkRing, LinksBeyondTheSpanArriveInOrderAmongRingKeys) {
+  // The ring spans the default model's 1 ms; one link takes 10 ms, another
+  // a truncated exponential capped at 8 ms, so their keys wait in the
+  // overflow heap while the ring holds the rest.
+  EventQueue queue;
+  Rng rng{29};
+  UniformDelay delay{0.0, 1e-3};
+  FixedDelay slow{10e-3};
+  TruncatedExponentialDelay bursty{2e-3, 8e-3};
+  Network<Hop> net(queue, delay, rng);
+  net.set_link_delay(0, 1, &slow);
+  net.set_link_delay(2, 3, &bursty);
+  RingOrder ring(queue, net);
+  for (int i = 0; i < 200; ++i) {
+    ring.send(static_cast<ServerId>(i % 4),
+              static_cast<ServerId>((i + 1) % 4), 6);
+  }
+  queue.run_all();
+  EXPECT_TRUE(ring.in_order);
+  EXPECT_TRUE(ring.drained());
+  EXPECT_EQ(ring.delivered, 200u * 7);
+  EXPECT_GT(ring.max_delay.seconds(), 5e-3);  // the long links were used
+}
+
+TEST(NetworkRing, ZeroDelayNetworkDeliversInSendOrder) {
+  // FixedDelay(0) gives the queue a span of zero: no ring, every key in
+  // the heap, and every arrival at t = 0 in send order.
+  EventQueue queue;
+  Rng rng{31};
+  FixedDelay delay{0.0};
+  Network<Hop> net(queue, delay, rng);
+  RingOrder ring(queue, net);
+  for (int i = 0; i < 100; ++i) {
+    ring.send(static_cast<ServerId>(i % 4),
+              static_cast<ServerId>((i + 2) % 4), 3);
+  }
+  queue.run_all();
+  EXPECT_TRUE(ring.in_order);
+  EXPECT_TRUE(ring.drained());
+  EXPECT_EQ(ring.delivered, 100u * 4);
+  EXPECT_DOUBLE_EQ(queue.now().seconds(), 0.0);
 }
 
 }  // namespace

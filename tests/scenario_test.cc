@@ -211,6 +211,48 @@ TEST(ParseScenario, RejectsBadInput) {
         "server tau=10 pool=4294967296\n" + three}) {
     EXPECT_THROW(parse_scenario(bad), std::invalid_argument) << bad;
   }
+  // An action may name a joiner only once its join has run: actions run in
+  // time order, same-time actions in file order, and S3 joins at t=10.
+  const std::string joins_at_10 = "at 10 join algo=MM\n";
+  for (const std::string& bad :
+       {three + "at 5 crash 3\n" + joins_at_10,
+        three + "at 5 restart 3\n" + joins_at_10,
+        three + "at 5 corrupt-state 3\n" + joins_at_10,
+        three + "at 5 partition 0 3\n" + joins_at_10,
+        three + "at 5 heal 3 1\n" + joins_at_10,
+        three + "at 10 crash 3\n" + joins_at_10,
+        three + joins_at_10 + "at 15 join tau=10\nat 12 crash 4\n"}) {
+    try {
+      parse_scenario(bad + "run 20\n");
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("has not joined by t="),
+                std::string::npos)
+          << e.what();
+      EXPECT_EQ(std::string(e.what()).rfind("line ", 0), 0u) << e.what();
+    }
+  }
+}
+
+TEST(ScenarioRunner, SameTimeJoinThenCrashCrashesTheJoiner) {
+  // The join is listed first, so at t=10 it runs first and S3 exists when
+  // the crash names it.
+  auto scenario = parse_scenario(R"(
+    server algo=MM tau=5
+    server algo=MM tau=5
+    server algo=MM tau=5
+    at 10 join algo=MM tau=5
+    at 10 crash 3
+    run 20
+  )");
+  ASSERT_EQ(scenario.actions.size(), 2u);
+  EXPECT_EQ(scenario.actions[0].kind, ScenarioAction::Kind::kJoin);
+  EXPECT_EQ(scenario.actions[1].kind, ScenarioAction::Kind::kCrash);
+  ScenarioRunner runner(std::move(scenario));
+  auto& service = runner.run();
+  EXPECT_EQ(service.size(), 4u);
+  EXPECT_FALSE(service.server(3).running());
+  EXPECT_EQ(service.running_count(), 3u);
 }
 
 TEST(ParseScenario, ActionsMayNameJoiners) {
